@@ -423,7 +423,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", label, n), func(b *testing.B) {
 				o := fmul.NewPSim(n)
 				if instrumented {
-					o.Instrument(obs.NewRegistry(), "bench")
+					reg := obs.NewRegistry()
+					o.Attach(reg, "bench", obs.NewSimRecorder(reg, "bench", n), nil)
 				}
 				runConcurrent(b, n, func(id int, rng *workload.RNG) {
 					o.Apply(id, uint64(rng.Intn(1000))*2+3)
@@ -447,7 +448,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/threads=%d", mode.label, n), func(b *testing.B) {
 				o := fmul.NewPSim(n)
 				if mode.sample > 0 {
-					o.SetTracer(trace.New(n, trace.WithSampleEvery(mode.sample)))
+					o.Attach(nil, "", nil, trace.New(n, trace.WithSampleEvery(mode.sample)))
 				}
 				runConcurrent(b, n, func(id int, rng *workload.RNG) {
 					o.Apply(id, uint64(rng.Intn(1000))*2+3)

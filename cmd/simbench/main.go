@@ -55,7 +55,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("experiment", "all", "which experiment to run (fig2, fig2-batch, fig2help, fig3stack, fig3queue, table1, lsim, largeobject-crossover, map, map-sharded, ingest, alloc-churn, ablation-backoff, ablation-publication, ablation-act, all)")
+		exp     = flag.String("experiment", "all", "which experiment to run (fig2, fig2-batch, fig2help, fig3stack, fig3queue, table1, lsim, largeobject-crossover, map, map-sharded, ingest, ablation-backoff, ablation-publication, ablation-act, all)")
 		ops     = flag.Int("ops", 100_000, "total operations per run (paper: 1000000)")
 		reps    = flag.Int("reps", 3, "repetitions per configuration (paper: 10)")
 		threads = flag.String("threads", "1,2,4,8,16,32", "comma-separated thread counts")
@@ -253,9 +253,6 @@ func main() {
 		case "map":
 			collected[name] = runSweep(cfg, "Striped map: multiple Sim instances vs one",
 				experiments.MapContentionMakers(8), "Map(8-stripes)", *csvOut)
-		case "alloc-churn":
-			collected[name] = runSweep(cfg, "Memory plane: unified allocator vs per-thread recycling rings",
-				experiments.AllocChurnMakers(), "P-Sim rings", *csvOut)
 		case "ablation-backoff":
 			collected[name] = runSweep(cfg, "Ablation: adaptive backoff vs none",
 				experiments.AblationBackoffMakers(), "P-Sim(backoff)", *csvOut)
@@ -275,7 +272,7 @@ func main() {
 	if *exp == "all" {
 		names = []string{
 			"fig2", "fig2-batch", "fig2help", "fig3stack", "fig3queue", "table1", "lsim",
-			"largeobject-crossover", "map", "map-sharded", "ingest", "alloc-churn",
+			"largeobject-crossover", "map", "map-sharded", "ingest",
 			"ablation-backoff", "ablation-publication", "ablation-act",
 		}
 	}

@@ -81,6 +81,7 @@ import (
 	"repro/internal/check/sched"
 	"repro/internal/check/v2"
 	"repro/internal/fmul"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/queue"
 	"repro/internal/simmap"
@@ -97,8 +98,10 @@ var flightLast int
 // attachFlight hooks the flight recorder onto implementations that support
 // it and returns the object for inline use.
 func attachFlight[T any](o T) T {
-	if t, ok := any(o).(interface{ SetTracer(*trace.Tracer) }); ok {
-		t.SetTracer(flight)
+	if a, ok := any(o).(interface {
+		Attach(*obs.Registry, string, *obs.SimRecorder, *trace.Tracer)
+	}); ok {
+		a.Attach(nil, "", nil, flight)
 	}
 	return o
 }
@@ -643,11 +646,7 @@ func recordHistory(cfg sched.Config, per int, prodOp string, produce func(int, u
 // single-writer-per-lane discipline holds).
 func newSharded(n, shards, stripes int) *simmap.Sharded[uint64, uint64] {
 	m := simmap.NewSharded[uint64, uint64](n, shards, stripes)
-	trs := make([]*trace.Tracer, m.Shards())
-	for i := range trs {
-		trs[i] = flight
-	}
-	m.SetTracer(trs)
+	m.Attach(nil, "", flight)
 	return m
 }
 

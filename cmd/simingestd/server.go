@@ -47,7 +47,7 @@ import (
 type server struct {
 	parts   []*ingest.Pipeline
 	runners []*retention.Runner[spool.Event] // nil entries when the policy is empty
-	perPart int                 // producer slots per partition
+	perPart int                              // producer slots per partition
 	drainID int
 	retID   int
 	batch   int // max queued PUB lines executed as one AppendBatch
@@ -133,12 +133,13 @@ func newServer(cfg serverConfig) *server {
 	}
 	for i := range s.parts {
 		p := ingest.New(perPart+2, ingest.Config{Batch: cfg.batch, Spool: cfg.spool})
-		p.Instrument(s.reg, obs.Labeled("ingest", "partition", strconv.Itoa(i)))
-		if i == 0 && s.tracer != nil {
-			// One partition on the flight recorder: process ids repeat across
-			// partitions, and each per-pid ring must keep a single writer.
-			p.SetTracer(s.tracer)
+		// One partition on the flight recorder: process ids repeat across
+		// partitions, and each per-pid ring must keep a single writer.
+		var tr *trace.Tracer
+		if i == 0 {
+			tr = s.tracer
 		}
+		p.Attach(s.reg, obs.Labeled("ingest", "partition", strconv.Itoa(i)), tr)
 		s.parts[i] = p
 		if cfg.policy.MaxAge > 0 || cfg.policy.MaxSegments > 0 || cfg.policy.MaxEvents > 0 {
 			r := retention.NewRunner(p.Spool(), s.retID, cfg.policy)

@@ -73,12 +73,12 @@ type daemon struct {
 
 // options carries the observability knobs from flags to start.
 type options struct {
-	flight       int // flight-recorder ring capacity; 0 disables
-	flightSample int // record 1 in N operations
-	watchdog     int // stall budget in committed rounds; 0 disables
-	shards       int // sharded store; <=1 keeps the single striped map
-	pipeline     int // pipelined protocol batch depth; <=1 disables
-	largeThresh  int // BPUT/BGET/BDEL tier threshold in bytes; 0 disables the blob store
+	flight       int           // flight-recorder ring capacity; 0 disables
+	flightSample int           // record 1 in N operations
+	watchdog     int           // stall budget in committed rounds; 0 disables
+	shards       int           // sharded store; <=1 keeps the single striped map
+	pipeline     int           // pipelined protocol batch depth; <=1 disables
+	largeThresh  int           // BPUT/BGET/BDEL tier threshold in bytes; 0 disables the blob store
 	timeline     time.Duration // telemetry-timeline scrape interval; 0 disables
 	slo          string        // SLO rule spec evaluated over the timeline
 }
@@ -91,13 +91,11 @@ func start(addr, metricsAddr string, clients, stripes int, opt options) (*daemon
 	if opt.largeThresh > 0 {
 		kvOpts = append(kvOpts, kvserver.WithLargeValues(opt.largeThresh))
 	}
-	srv := kvserver.New(clients, stripes, kvOpts...)
 	if opt.watchdog > 0 && opt.flight == 0 {
 		opt.flight = obstrace.DefaultCapacity // watchdog needs the tracer's progress counters
 	}
-	if opt.flight > 0 {
-		srv.EnableFlightRecorder(opt.flight, opt.flightSample)
-	}
+	kvOpts = append(kvOpts, kvserver.WithFlightRecorder(opt.flight, opt.flightSample))
+	srv := kvserver.New(clients, stripes, kvOpts...)
 	bound, err := srv.Listen(addr)
 	if err != nil {
 		return nil, err

@@ -97,7 +97,7 @@ type Pool[T any] struct {
 
 	// Counters are per-handle single-writer slots (see obs.Counter); the
 	// plane's metric names are fixed so every pool in the process lands in
-	// the same alloc_* families, split by the class label (Register).
+	// the same alloc_* families, split by the class label (Attach).
 	blocks  *obs.Counter // blocks issued (recycled + fresh)
 	fresh   *obs.Counter // Get misses paid with a heap allocation
 	frees   *obs.Counter // blocks returned
@@ -160,14 +160,8 @@ func (p *Pool[T]) Cap() int {
 	return len(p.handles)*2*p.chain + len(p.shared)*p.chain
 }
 
-// SetTracer attaches a flight recorder: shared-pool handoffs, drops, and
-// guard starvation appear as anonymous rare events (the per-operation
-// hit/miss events stay with the owning construction, which knows its process
-// ids). Pass nil to detach. Call before operations start.
-func (p *Pool[T]) SetTracer(tr *trace.Tracer) { p.tr = tr }
-
-// Register publishes the pool's counters in reg under the plane's fixed
-// metric families, labeled with the given size class:
+// Attach publishes the pool's counters in reg (nil = unpublished) under the
+// plane's fixed metric families, labeled with the given size class:
 //
 //	alloc_blocks_total{class="C"}        blocks issued
 //	alloc_fresh_total{class="C"}         Get misses (heap allocations)
@@ -179,7 +173,14 @@ func (p *Pool[T]) SetTracer(tr *trace.Tracer) { p.tr = tr }
 // Several pools may share a class (striped instances); the registry sums
 // them. The timeline scraper auto-discovers each class as series
 // alloc{class="C"} (see internal/obs/timeline).
-func (p *Pool[T]) Register(reg *obs.Registry, class string) {
+//
+// tr (nil = off) records shared-pool handoffs, drops and guard starvation
+// as anonymous rare events (the per-operation hit/miss events stay with the
+// owning construction, which knows its process ids). core.StatsPlane.Attach
+// calls this for every pool its construction owns; call once, before
+// operations start.
+func (p *Pool[T]) Attach(reg *obs.Registry, class string, tr *trace.Tracer) {
+	p.tr = tr
 	reg.AttachCounter(obs.Labeled("alloc_blocks_total", "class", class), p.blocks)
 	reg.AttachCounter(obs.Labeled("alloc_fresh_total", "class", class), p.fresh)
 	reg.AttachCounter(obs.Labeled("alloc_free_total", "class", class), p.frees)

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/pad"
 )
 
@@ -91,9 +92,10 @@ func (s *Shared[T]) Retained() int {
 	return n
 }
 
-// Register publishes the front's counters under the same alloc_* families
-// as Pool.Register, labeled with the given class.
-func (s *Shared[T]) Register(reg *obs.Registry, class string) {
+// Attach publishes the front's counters under the same alloc_* families as
+// Pool.Attach, labeled with the given class. The front has no events to
+// trace, so tr is unused.
+func (s *Shared[T]) Attach(reg *obs.Registry, class string, _ *trace.Tracer) {
 	reg.AttachCounter(obs.Labeled("alloc_blocks_total", "class", class), s.blocks)
 	reg.AttachCounter(obs.Labeled("alloc_fresh_total", "class", class), s.fresh)
 	reg.AttachCounter(obs.Labeled("alloc_free_total", "class", class), s.frees)

@@ -12,10 +12,9 @@ type Guard[T any] interface {
 }
 
 // Typed composes a Pool with a hazard-pointer Guard: its Get probes
-// candidate blocks against the guard and never returns a protected one, the
-// exact validation Ring.PopFree performed per-ring, now done once at the
-// plane's reissue boundary — which is the only place it is needed, because a
-// block is invisible to readers between Put and Get.
+// candidate blocks against the guard and never returns a protected one,
+// done once at the plane's reissue boundary — which is the only place it is
+// needed, because a block is invisible to readers between Put and Get.
 //
 // Why probing at reissue time is safe even across threads: a reader
 // publishes its hazard pointer and then validates the block is still
@@ -40,7 +39,7 @@ func NewTyped[T any](pool *Pool[T], guard Guard[T]) *Typed[T] {
 	return &Typed[T]{pool: pool, guard: guard}
 }
 
-// Pool returns the underlying pool (for Register/SetTracer/Retained).
+// Pool returns the underlying pool (for Attach/Handle/Retained).
 func (ty *Typed[T]) Pool() *Pool[T] { return ty.pool }
 
 // Put returns a block to the plane (identical to Handle.Put — retirement

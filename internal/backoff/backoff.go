@@ -15,8 +15,6 @@ package backoff
 import (
 	"runtime"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // spinSink defeats dead-code elimination of the delay loop.
@@ -82,10 +80,6 @@ type Adaptive struct {
 	lower, upper int
 	cur          int
 	enabled      bool
-
-	grows  *obs.Counter // optional: counts Grow events (nil = off)
-	obsID  int
-	onGrow func(window int) // optional flight-recorder hook (nil = off)
 }
 
 // NewAdaptive returns an adaptive backoff bounded to [lower, upper]
@@ -127,19 +121,17 @@ const yieldThreshold = 256
 
 // Grow widens the window; call when the operation was served by a helper
 // (both CAS attempts failed — contention is high, so waiting more increases
-// combining).
-func (b *Adaptive) Grow() {
+// combining). It reports whether the backoff is enabled, i.e. whether there
+// was a window to grow (core.StatsPlane.BackoffGrew records the event).
+func (b *Adaptive) Grow() bool {
 	if !b.enabled {
-		return
+		return false
 	}
-	b.grows.Inc(b.obsID) // nil-safe no-op when uninstrumented
 	b.cur *= 2
 	if b.cur > b.upper {
 		b.cur = b.upper
 	}
-	if b.onGrow != nil {
-		b.onGrow(b.cur)
-	}
+	return true
 }
 
 // Shrink narrows the window; call when the first CAS succeeded (contention
@@ -159,17 +151,3 @@ func (b *Adaptive) Window() int { return b.cur }
 
 // Enabled reports whether the backoff is active.
 func (b *Adaptive) Enabled() bool { return b.enabled }
-
-// Instrument attaches an observability counter that records every Grow
-// event into slot id (a Grow means the thread's publish failed twice — the
-// paper's contention signal). The counter's Inc is a single uncontended
-// store; pass nil to detach.
-func (b *Adaptive) Instrument(c *obs.Counter, id int) {
-	b.grows, b.obsID = c, id
-}
-
-// OnGrow attaches a hook invoked after every Grow with the new window size
-// (the flight recorder records it as a backoff_grow event). Grow already
-// sits off the hot path — it runs only after two failed publishes — so the
-// indirect call costs nothing that matters. Pass nil to detach.
-func (b *Adaptive) OnGrow(f func(window int)) { b.onGrow = f }

@@ -50,17 +50,16 @@ import (
 // 2(n+1) records with O(1) get/put, whole chains of n+1 records move through
 // a bounded shared pool when one thread retires what another consumes, and
 // anything beyond the plane's O(threads × cache) bound is dropped to the GC —
-// the Blelloch–Wei space guarantee the old per-thread rings lacked. Reissue
-// goes through alloc.Typed over this instance's hazard table: readers protect
-// the record they are reading with a hazard slot (one store plus one
-// validating re-load — see recycle.go for why Observation 3.2 alone cannot
-// license reuse under arbitrary preemption), and Typed.Get probes candidates
-// against those slots, so a protected record is never rewritten. A CAS still
+// the Blelloch–Wei space guarantee. Reissue goes through alloc.Typed over
+// this instance's hazard table: readers protect the record they are reading
+// with a hazard slot (one store plus one validating re-load — see recycle.go
+// for why Observation 3.2 alone cannot license reuse under arbitrary
+// preemption), and Typed.Get probes candidates against those slots, so a
+// protected record is never rewritten. A CAS still
 // installs a pointer that is not the current one, hence no ABA and no torn
 // read; the race detector agrees. When every cached record is protected, the
 // thread allocates fresh instead of waiting — recycling is an optimization,
-// never a wait. WithLegacyRings restores the pre-plane per-thread Ring
-// discipline for the alloc-churn ablation.
+// never a wait.
 type PSim[S, A, R any] struct {
 	n     int
 	apply func(st *S, pid int, arg A) R
@@ -73,14 +72,11 @@ type PSim[S, A, R any] struct {
 	act      *xatomic.SharedBits
 	state    atomic.Pointer[psimState[S, R]]
 	haz      *Hazards[psimState[S, R]]
-	// pool is the unified memory plane for retired records (nil under
-	// WithLegacyRings, which keeps the pre-plane per-thread Ring scheme).
-	pool *alloc.Typed[psimState[S, R]]
+	pool     *alloc.Typed[psimState[S, R]] // the memory plane for retired records
 
 	threads []psimThread[S, R]
 	stats   *StatsPlane
 	counter *xatomic.AccessCounter // optional Table 1 instrumentation
-	rec     *obs.SimRecorder       // optional observability plane (nil = off)
 
 	boLower, boUpper int
 	batchBudget      int
@@ -108,10 +104,9 @@ type psimState[S, R any] struct {
 type psimThread[S, R any] struct {
 	toggler *xatomic.Toggler
 	bo      *backoff.Adaptive
-	active  xatomic.Snapshot              // scratch: last read of Act
-	diffs   xatomic.Snapshot              // scratch: applied XOR active
-	blk     *alloc.Handle[psimState[S, R]] // memory-plane handle (default)
-	ring    *Ring[psimState[S, R]]        // legacy retirement ring (ablation)
+	active  xatomic.Snapshot               // scratch: last read of Act
+	diffs   xatomic.Snapshot               // scratch: applied XOR active
+	blk     *alloc.Handle[psimState[S, R]] // memory-plane handle
 	inited  bool
 }
 
@@ -124,7 +119,6 @@ type psimOptions[S any] struct {
 	boLower, boUpper int
 	padActWords      bool
 	batchBudget      int
-	legacyRings      bool
 }
 
 // WithClone supplies a deep-copy function for the state, required when S
@@ -158,15 +152,6 @@ func WithBackoff[S any](lower, upper int) PSimOption[S] {
 // of the paper's dense minimal-lines layout.
 func WithPaddedAct[S any]() PSimOption[S] {
 	return func(o *psimOptions[S]) { o.padActWords = true }
-}
-
-// WithLegacyRings restores the pre-plane reclamation scheme — one private
-// Ring of 2n+2 retired records per thread, no shared handoff, no space bound
-// beyond the rings themselves. It exists for the alloc-churn ablation
-// (old-rings vs unified-plane); production instances should use the default
-// memory plane.
-func WithLegacyRings[S any]() PSimOption[S] {
-	return func(o *psimOptions[S]) { o.legacyRings = true }
 }
 
 // WithBatchBudget bounds how many operations one announcement may carry;
@@ -232,33 +217,31 @@ func NewPSim[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, op
 		cloneInto:   o.cloneInto,
 		announce:    collect.NewBatchAnnounce[A](n),
 		act:         act,
-		haz:         NewHazards[psimState[S, R]](n, anonReadSlots),
 		threads:     make([]psimThread[S, R], n),
 		stats:       NewStatsPlane(n),
 		boLower:     o.boLower,
 		boUpper:     o.boUpper,
 		batchBudget: o.batchBudget,
 	}
-	if !o.legacyRings {
-		// The unified memory plane: chains of n+1 records (per-thread cache
-		// 2(n+1), matching the old 2n+2 ring bound) moving through n shared
-		// slots, reissue guarded by this instance's hazard table.
-		pool := alloc.NewPool(n, alloc.Config[psimState[S, R]]{
-			New: func() *psimState[S, R] {
-				return &psimState[S, R]{
-					applied: xatomic.NewSnapshot(n),
-					rvals:   make([]R, n),
-					brvals:  make([][]R, n),
-				}
-			},
-			Next:    func(s *psimState[S, R]) *psimState[S, R] { return s.nextFree },
-			SetNext: func(s, nx *psimState[S, R]) { s.nextFree = nx },
-			Chain:   n + 1,
-			Slots:   n,
-		})
-		u.pool = alloc.NewTyped(pool, u.haz)
-		u.stats.AttachAllocPool("state", pool)
-	}
+	u.haz = NewHazards[psimState[S, R]](n, anonReadSlots, u.stats, 0)
+	// The unified memory plane: chains of n+1 records (per-thread cache
+	// 2(n+1)) moving through n shared slots, reissue guarded by this
+	// instance's hazard table.
+	pool := alloc.NewPool(n, alloc.Config[psimState[S, R]]{
+		New: func() *psimState[S, R] {
+			return &psimState[S, R]{
+				applied: xatomic.NewSnapshot(n),
+				rvals:   make([]R, n),
+				brvals:  make([][]R, n),
+			}
+		},
+		Next:    func(s *psimState[S, R]) *psimState[S, R] { return s.nextFree },
+		SetNext: func(s, nx *psimState[S, R]) { s.nextFree = nx },
+		Chain:   n + 1,
+		Slots:   n,
+	})
+	u.pool = alloc.NewTyped(pool, u.haz)
+	u.stats.AttachAllocPool("state", pool)
 	u.state.Store(&psimState[S, R]{
 		applied: xatomic.NewSnapshot(n),
 		rvals:   make([]R, n),
@@ -277,50 +260,15 @@ func (u *PSim[S, A, R]) N() int { return u.n }
 // call concurrently with Apply.
 func (u *PSim[S, A, R]) SetAccessCounter(c *xatomic.AccessCounter) { u.counter = c }
 
-// SetRecorder attaches a distribution recorder: sampled per-operation
-// latency, the combining-degree histogram, and backoff growth are recorded
-// into rec's per-thread slots (single-writer, no coherence traffic — see
-// internal/obs). Pass nil to disable; the hot path then pays one predictable
-// branch per call site. Not safe to call concurrently with Apply; call before
-// the first operation.
-func (u *PSim[S, A, R]) SetRecorder(rec *obs.SimRecorder) { u.rec = rec }
-
-// SetTracer attaches a flight recorder (see internal/obs/trace): committed
-// rounds, publish failures, recycling hits/misses, backoff growth, and
-// hazard-overflow events are recorded into tr's per-thread rings. Pass nil
-// to disable (the hot path then pays one predictable branch per site, and
-// the allocation-free steady state is preserved — event slots are
-// preallocated, so it is preserved with tracing enabled too). Not safe to
-// call concurrently with Apply; call before the first operation.
-func (u *PSim[S, A, R]) SetTracer(tr *trace.Tracer) {
-	u.stats.Trace = tr
-	if tr != nil {
-		u.haz.SetOverflowHook(func() { tr.AnonInstant(trace.KindHazardOverflow, 0, 0) })
-	} else {
-		u.haz.SetOverflowHook(nil)
-	}
-	if u.pool != nil {
-		u.pool.Pool().SetTracer(tr)
-	}
-}
-
-// RegisterStats publishes the instance's exact counters in reg under prefix
-// without attaching a recorder (see StatsPlane.Register) — for structures
-// that share one recorder across several instances (internal/simmap).
-func (u *PSim[S, A, R]) RegisterStats(reg *obs.Registry, prefix string) {
-	u.stats.Register(reg, prefix)
-}
-
-// Instrument publishes the instance in reg under prefix: the exact counters
-// the hot path already maintains (see StatsPlane.Register) plus a new
-// SimRecorder for the latency and combining-degree histograms, which is
-// attached and returned (e.g. to adjust its sampling rate). Call before the
-// first operation.
-func (u *PSim[S, A, R]) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	u.stats.Register(reg, prefix)
-	rec := obs.NewSimRecorder(reg, prefix, u.n)
-	u.SetRecorder(rec)
-	return rec
+// Attach connects the instance's instrument (see StatsPlane.Attach): its
+// counters and memory plane published in reg under prefix, sampled latency
+// and combining-degree histograms into rec, and committed rounds, publish
+// failures, recycling hits/misses, backoff growth and hazard overflows into
+// tr's per-thread rings. Any argument may be nil. The steady state stays
+// allocation-free either way (event slots are preallocated). Call once,
+// before the first operation.
+func (u *PSim[S, A, R]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	u.stats.Attach(reg, prefix, rec, tr)
 }
 
 // thread lazily initializes and returns thread i's private handle internals.
@@ -331,62 +279,22 @@ func (u *PSim[S, A, R]) thread(i int) *psimThread[S, R] {
 	if !t.inited {
 		t.toggler = xatomic.NewToggler(u.act, i)
 		t.bo = backoff.NewAdaptive(u.boLower, u.boUpper)
-		if u.rec != nil {
-			t.bo.Instrument(u.rec.Retries, i)
-		}
-		if tr := u.stats.Trace; tr != nil {
-			id := i
-			t.bo.OnGrow(func(w int) { tr.Rare(id, trace.KindBackoffGrow, uint64(w), 0) })
-		}
 		t.active = xatomic.NewSnapshot(u.n)
 		t.diffs = xatomic.NewSnapshot(u.n)
-		if u.pool != nil {
-			t.blk = u.pool.Pool().Handle(i)
-		} else {
-			t.ring = NewRing[psimState[S, R]](2*u.n + 2)
-		}
+		t.blk = u.pool.Pool().Handle(i)
 		t.inited = true
 	}
 	return t
 }
 
 // record returns a State record for process i to build the next round into:
-// an unprotected recycled record from the memory plane (or legacy ring), or
-// a freshly allocated one when every cached record is still protected (or
-// the plane is still warming up).
+// an unprotected recycled record from the memory plane, or a freshly
+// allocated one when every cached record is still protected (or the plane is
+// still warming up).
 func (u *PSim[S, A, R]) record(i int, t *psimThread[S, R]) *psimState[S, R] {
-	tr := u.stats.Trace
-	if t.blk != nil {
-		ns, fresh := u.pool.Get(t.blk)
-		if !fresh {
-			tr.Instant(i, trace.KindRecycleHit, uint64(t.blk.Cached()), 0)
-			return ns
-		}
-		// A miss pays a fresh allocation, so the unconditional event is free
-		// by comparison — and warmup misses make cache fill visible.
-		tr.Rare(i, trace.KindRecycleMiss, uint64(t.blk.Cached()), 0)
-		return ns
-	}
-	if ns := t.ring.PopFree(u.haz); ns != nil {
-		tr.Instant(i, trace.KindRecycleHit, uint64(t.ring.Len()), 0)
-		return ns
-	}
-	tr.Rare(i, trace.KindRecycleMiss, uint64(t.ring.Len()), 0)
-	return &psimState[S, R]{
-		applied: xatomic.NewSnapshot(u.n),
-		rvals:   make([]R, u.n),
-		brvals:  make([][]R, u.n),
-	}
-}
-
-// retire returns a record to the memory plane (or legacy ring). Protected
-// records are fine to retire: the plane re-checks hazards at reissue time.
-func (u *PSim[S, A, R]) retire(t *psimThread[S, R], s *psimState[S, R]) {
-	if t.blk != nil {
-		u.pool.Put(t.blk, s)
-		return
-	}
-	t.ring.Push(s)
+	ns, fresh := u.pool.Get(t.blk)
+	u.stats.Recycled(i, fresh, t.blk.Cached(), 0)
+	return ns
 }
 
 // cloneStateInto rebuilds ns.st from ls.st, reusing ns's previous state
@@ -423,15 +331,14 @@ func (u *PSim[S, A, R]) Apply(i int, arg A) R {
 		panic(fmt.Sprintf("core: process id %d out of range [0,%d)", i, u.n))
 	}
 	t := u.thread(i)
-	t0 := u.rec.Start(i)           // stamp 0 (no clock read) unless this op is sampled
-	tt := u.stats.Trace.OpStart(i) // flight-recorder stamp, same sampling discipline
+	op := u.stats.Start(i) // stamps are 0 (no clock read) unless this op is sampled
 
 	if u.n == 1 {
 		// Uncontended fast path: no helper can exist, so skip the announce
 		// (nobody reads it), the Act toggle, and the backoff wait, and
 		// publish with a plain store (process 0 is the only writer).
 		var res []R
-		r, _ := u.applySoloVec(t, t0, tt, arg, nil, res)
+		r, _ := u.applySoloVec(t, op, arg, nil, res)
 		return r
 	}
 
@@ -443,7 +350,7 @@ func (u *PSim[S, A, R]) Apply(i int, arg A) R {
 	u.counter.Add(i, 2)
 	t.bo.Wait() // line 4: back off so helpers accumulate work
 
-	r, _ := u.applyAnnounced(i, t, t0, tt, 1, nil)
+	r, _ := u.applyAnnounced(i, t, op, 1, nil)
 	return r
 }
 
@@ -472,11 +379,10 @@ func (u *PSim[S, A, R]) ApplyBatch(i int, args []A, res []R) []R {
 		chunk := args[:c]
 		args = args[c:]
 
-		t0 := u.rec.Start(i)
-		tt := u.stats.Trace.OpStart(i)
+		op := u.stats.Start(i)
 		if u.n == 1 {
 			var zero A
-			_, res = u.applySoloVec(t, t0, tt, zero, chunk, res)
+			_, res = u.applySoloVec(t, op, zero, chunk, res)
 			continue
 		}
 		u.announce.Publish(i, chunk)
@@ -486,10 +392,10 @@ func (u *PSim[S, A, R]) ApplyBatch(i int, args []A, res []R) []R {
 		t.bo.Wait()
 		if c == 1 {
 			var r R
-			r, res = u.applyAnnounced(i, t, t0, tt, 1, res)
+			r, res = u.applyAnnounced(i, t, op, 1, res)
 			res = append(res, r)
 		} else {
-			_, res = u.applyAnnounced(i, t, t0, tt, c, res)
+			_, res = u.applyAnnounced(i, t, op, c, res)
 		}
 	}
 	return res
@@ -500,9 +406,8 @@ func (u *PSim[S, A, R]) ApplyBatch(i int, args []A, res []R) []R {
 // For m == 1 the response is returned directly (res is untouched and may be
 // nil); for m > 1 the m responses are appended to res. The caller has
 // already announced, toggled, and backed off.
-func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], t0, tt obs.Stamp, m int, res []R) (R, []R) {
+func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int, res []R) (R, []R) {
 	st := u.stats
-	tr := st.Trace
 	um := uint64(m)
 	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
 
@@ -514,8 +419,7 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], t0, tt obs.St
 		ls, ok := u.haz.Acquire(i, &u.state, hazardAttempts)
 		u.counter.Add(i, 2)
 		if !ok {
-			st.CASFail.Inc(i)
-			tr.Instant(i, trace.KindCASFail, uint64(j), 1)
+			st.CASFailed(i, j, 1)
 			continue
 		}
 		SchedYield(i, PointCollect)
@@ -535,10 +439,7 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], t0, tt obs.St
 				res = append(res, ls.brvals[i]...)
 			}
 			u.haz.Clear(i) // don't pin ls while parked outside Apply
-			st.Ops.Add(i, um)
-			st.ServedBy.Add(i, um)
-			u.rec.OpDone(i, t0)
-			tr.OpServed(i, tt)
+			st.Served(i, op, um)
 			return r, res
 		}
 		solo := t.diffs.IsOnlyBit(myWord, myMask)
@@ -612,17 +513,9 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], t0, tt obs.St
 			u.counter.Inc(i)
 			SchedYield(i, PointCAS)
 			if u.state.CompareAndSwap(ls, ns) {
-				u.haz.Clear(i)  // unpin ls before retiring it to the plane
-				u.retire(t, ls) // line 26's pool rotation: retire the old record
-				st.Ops.Add(i, um)
-				st.CASSuccess.Inc(i)
-				st.Combined.Add(i, ops)
-				u.rec.OpPublished(i, t0, slots)
-				var act uint64
-				if tt != 0 {
-					act = uint64(t.active.PopCount()) // sampled rounds only
-				}
-				tr.OpCommit(i, tt, slots, act, ops)
+				u.haz.Clear(i)        // unpin ls before retiring it to the plane
+				u.pool.Put(t.blk, ls) // line 26's pool rotation: retire the old record
+				st.Committed(i, op, um, slots, op.Act(t.active), ops)
 				if j == 0 || solo {
 					t.bo.Shrink() // low contention: waiting was wasted
 				}
@@ -630,11 +523,10 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], t0, tt obs.St
 			}
 			res = res[:base] // speculative copies die with the failed round
 		}
-		u.retire(t, ns) // never published — immediately reusable
-		st.CASFail.Inc(i)
-		tr.Instant(i, trace.KindCASFail, uint64(j), 0)
+		u.pool.Put(t.blk, ns) // never published — immediately reusable
+		st.CASFailed(i, j, 0)
 		if j == 0 {
-			t.bo.Grow() // line 13: contention detected — widen the window
+			st.BackoffGrew(i, t.bo) // line 13: contention detected — widen the window
 			t.bo.Wait()
 		}
 	}
@@ -654,10 +546,7 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], t0, tt obs.St
 		res = append(res, ls.brvals[i]...)
 	}
 	u.haz.Clear(i)
-	st.Ops.Add(i, um)
-	st.ServedBy.Add(i, um)
-	u.rec.OpDone(i, t0)
-	tr.OpServed(i, tt)
+	st.Served(i, op, um)
 	return r, res
 }
 
@@ -666,10 +555,10 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], t0, tt obs.St
 // single-thread instance can never have one. When batch is nil the single
 // operation arg is applied and its response returned; otherwise every
 // operation of batch is applied in order and the responses appended to res.
-// Records still rotate through the ring with a hazard scan so concurrent
-// Read()ers stay safe.
-func (u *PSim[S, A, R]) applySoloVec(t *psimThread[S, R], t0, tt obs.Stamp, arg A, batch []A, res []R) (R, []R) {
-	ls := u.state.Load() // current record: never in the ring, safe to read
+// Records still rotate through the memory plane's hazard-guarded reissue so
+// concurrent Read()ers stay safe.
+func (u *PSim[S, A, R]) applySoloVec(t *psimThread[S, R], op Op, arg A, batch []A, res []R) (R, []R) {
+	ls := u.state.Load() // current record: never retired, safe to read
 	ns := u.record(0, t)
 	// applied stays all-zero (Act is never toggled on this path), but copy
 	// it anyway so the record is well-formed if n==1 invariants ever change.
@@ -692,14 +581,9 @@ func (u *PSim[S, A, R]) applySoloVec(t *psimThread[S, R], t0, tt obs.Stamp, arg 
 		ns.rvals[0] = rv
 	}
 	u.state.Store(ns) // sole writer: plain atomic publish
-	u.retire(t, ls)
+	u.pool.Put(t.blk, ls)
 	u.counter.Add(0, 2)
-	st := u.stats
-	st.Ops.Add(0, ops)
-	st.CASSuccess.Inc(0)
-	st.Combined.Add(0, ops)
-	u.rec.OpPublished(0, t0, 1)
-	st.Trace.OpCommit(0, tt, 1, 1, ops)
+	u.stats.Committed(0, op, ops, 1, 1, ops)
 	return rv, res
 }
 

@@ -205,11 +205,13 @@ const readScratchSlots = 4
 // Call before any Apply.
 func (u *PSimWord) SetBackoff(lower, upper int) { u.boLower, u.boUpper = lower, upper }
 
-// SetTracer attaches a flight recorder (see PSim's SetTracer). The pooled
-// variant recycles through its fixed pool rather than a ring, so recycling
-// events do not appear; rounds, serves, publish failures, and backoff
-// growth do. Call before the first operation.
-func (u *PSimWord) SetTracer(tr *trace.Tracer) { u.stats.Trace = tr }
+// Attach connects the instance's instrument (see PSim's Attach). The pooled
+// variant recycles through its fixed pool rather than the memory plane, so
+// recycling events do not appear; rounds, serves, publish failures and
+// backoff growth do. Call once, before the first operation.
+func (u *PSimWord) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	u.stats.Attach(reg, prefix, rec, tr)
+}
 
 // N returns the number of threads.
 func (u *PSimWord) N() int { return u.n }
@@ -223,10 +225,6 @@ func (u *PSimWord) thread(i int) *wordThread {
 			upper = 0 // no helper can exist: waiting is pure overhead
 		}
 		t.bo = backoff.NewAdaptive(u.boLower, upper)
-		if tr := u.stats.Trace; tr != nil {
-			id := i
-			t.bo.OnGrow(func(w int) { tr.Rare(id, trace.KindBackoffGrow, uint64(w), 0) })
-		}
 		t.applied = xatomic.NewSnapshot(u.n)
 		t.active = xatomic.NewSnapshot(u.n)
 		t.diffs = xatomic.NewSnapshot(u.n)
@@ -267,7 +265,7 @@ func (u *PSimWord) copyState(src *wordState, t *wordThread) (st uint64, ok bool)
 // Each process id must be driven by a single goroutine.
 func (u *PSimWord) Apply(i int, arg uint64) uint64 {
 	t := u.thread(i)
-	tt := u.stats.Trace.OpStart(i)
+	op := u.stats.Start(i)
 
 	an := &u.announce[i]
 	an.args[0].Store(arg) // line 1: announce (a vector of one)
@@ -275,7 +273,7 @@ func (u *PSimWord) Apply(i int, arg uint64) uint64 {
 	t.toggler.Toggle() // lines 2–3: toggle pi's bit in Act
 	t.bo.Wait()        // line 4: backoff
 
-	r, _ := u.applyAnnounced(i, t, tt, 1, nil)
+	r, _ := u.applyAnnounced(i, t, op, 1, nil)
 	return r
 }
 
@@ -301,7 +299,7 @@ func (u *PSimWord) ApplyBatch(i int, args []uint64, res []uint64) []uint64 {
 			res = append(res, u.Apply(i, chunk[0]))
 			continue
 		}
-		tt := u.stats.Trace.OpStart(i)
+		op := u.stats.Start(i)
 		an := &u.announce[i]
 		for j, a := range chunk {
 			an.args[j].Store(a)
@@ -309,7 +307,7 @@ func (u *PSimWord) ApplyBatch(i int, args []uint64, res []uint64) []uint64 {
 		an.cnt.Store(uint64(m))
 		t.toggler.Toggle()
 		t.bo.Wait()
-		_, res = u.applyAnnounced(i, t, tt, m, res)
+		_, res = u.applyAnnounced(i, t, op, m, res)
 	}
 	return res
 }
@@ -318,9 +316,8 @@ func (u *PSimWord) ApplyBatch(i int, args []uint64, res []uint64) []uint64 {
 // read for process i's just-announced vector of m operations. For m == 1 the
 // response is returned directly (res untouched, may be nil); for m > 1 the m
 // responses are appended to res. The caller has announced and toggled.
-func (u *PSimWord) applyAnnounced(i int, t *wordThread, tt obs.Stamp, m int, res []uint64) (uint64, []uint64) {
+func (u *PSimWord) applyAnnounced(i int, t *wordThread, op Op, m int, res []uint64) (uint64, []uint64) {
 	st := u.stats
-	tr := st.Trace
 	um := uint64(m)
 	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
 
@@ -339,9 +336,7 @@ func (u *PSimWord) applyAnnounced(i int, t *wordThread, tt obs.Stamp, m int, res
 
 		// line 12: already applied? return the recorded responses.
 		if t.diffs[myWord]&myMask == 0 {
-			st.Ops.Add(i, um)
-			st.ServedBy.Add(i, um)
-			tr.OpServed(i, tt)
+			st.Served(i, op, um)
 			if m == 1 {
 				return t.rvals[i], res
 			}
@@ -398,14 +393,7 @@ func (u *PSimWord) applyAnnounced(i int, t *wordThread, tt obs.Stamp, m int, res
 		// word below the wrap horizon, a cell swap above it).
 		if u.p.SC(lpTag, uint16(i*u.c+t.poolIndex), lpStamp+1) {
 			t.poolIndex = (t.poolIndex + 1) % u.c // line 26
-			st.Ops.Add(i, um)
-			st.CASSuccess.Inc(i)
-			st.Combined.Add(i, ops)
-			var act uint64
-			if tt != 0 {
-				act = uint64(t.active.PopCount()) // sampled rounds only
-			}
-			tr.OpCommit(i, tt, slots, act, ops)
+			st.Committed(i, op, um, slots, op.Act(t.active), ops)
 			if j == 0 {
 				t.bo.Shrink()
 			}
@@ -414,10 +402,9 @@ func (u *PSimWord) applyAnnounced(i int, t *wordThread, tt obs.Stamp, m int, res
 			}
 			return 0, appendRow(res, t.brv, t.bn, i)
 		}
-		st.CASFail.Inc(i)
-		tr.Instant(i, trace.KindCASFail, uint64(j), 0)
+		st.CASFailed(i, j, 0)
 		if j == 0 { // line 13's compute_backoff, applied on failure
-			t.bo.Grow()
+			st.BackoffGrew(i, t.bo)
 			t.bo.Wait()
 		}
 	}
@@ -428,9 +415,7 @@ func (u *PSimWord) applyAnnounced(i int, t *wordThread, tt obs.Stamp, m int, res
 	// first (the unchecked read is only unsafe if the record is recycled
 	// mid-read, which needs C further publishes by one thread — the same
 	// window the paper's unchecked read tolerates).
-	st.Ops.Add(i, um)
-	st.ServedBy.Add(i, um)
-	tr.OpServed(i, tt)
+	st.Served(i, op, um)
 	for tries := 0; tries < 64; tries++ {
 		lpIdx, _ := u.p.Load()
 		src := &u.pool[lpIdx]

@@ -143,9 +143,11 @@ func NewPSimWordsHorizon(n, c int, init []uint64, apply func(st []uint64, pid in
 // Call before any Apply.
 func (u *PSimWords) SetBackoff(lower, upper int) { u.boLower, u.boUpper = lower, upper }
 
-// SetTracer attaches a flight recorder (see PSimWord's SetTracer). Call
-// before the first operation.
-func (u *PSimWords) SetTracer(tr *trace.Tracer) { u.stats.Trace = tr }
+// Attach connects the instance's instrument (see PSimWord's Attach). Call
+// once, before the first operation.
+func (u *PSimWords) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	u.stats.Attach(reg, prefix, rec, tr)
+}
 
 // N returns the number of threads.
 func (u *PSimWords) N() int { return u.n }
@@ -162,10 +164,6 @@ func (u *PSimWords) thread(i int) *wordsThread {
 			upper = 0 // no helper can exist: waiting is pure overhead
 		}
 		t.bo = backoff.NewAdaptive(u.boLower, upper)
-		if tr := u.stats.Trace; tr != nil {
-			id := i
-			t.bo.OnGrow(func(w int) { tr.Rare(id, trace.KindBackoffGrow, uint64(w), 0) })
-		}
 		t.applied = xatomic.NewSnapshot(u.n)
 		t.active = xatomic.NewSnapshot(u.n)
 		t.diffs = xatomic.NewSnapshot(u.n)
@@ -206,7 +204,7 @@ func (u *PSimWords) copyState(src *wordsState, t *wordsThread) bool {
 // Apply announces arg for process i and returns the operation's response.
 func (u *PSimWords) Apply(i int, arg uint64) uint64 {
 	t := u.thread(i)
-	tt := u.stats.Trace.OpStart(i)
+	op := u.stats.Start(i)
 
 	an := &u.announce[i]
 	an.args[0].Store(arg)
@@ -214,7 +212,7 @@ func (u *PSimWords) Apply(i int, arg uint64) uint64 {
 	t.toggler.Toggle()
 	t.bo.Wait()
 
-	r, _ := u.applyAnnounced(i, t, tt, 1, nil)
+	r, _ := u.applyAnnounced(i, t, op, 1, nil)
 	return r
 }
 
@@ -239,7 +237,7 @@ func (u *PSimWords) ApplyBatch(i int, args []uint64, res []uint64) []uint64 {
 			res = append(res, u.Apply(i, chunk[0]))
 			continue
 		}
-		tt := u.stats.Trace.OpStart(i)
+		op := u.stats.Start(i)
 		an := &u.announce[i]
 		for j, a := range chunk {
 			an.args[j].Store(a)
@@ -247,16 +245,15 @@ func (u *PSimWords) ApplyBatch(i int, args []uint64, res []uint64) []uint64 {
 		an.cnt.Store(uint64(m))
 		t.toggler.Toggle()
 		t.bo.Wait()
-		_, res = u.applyAnnounced(i, t, tt, m, res)
+		_, res = u.applyAnnounced(i, t, op, m, res)
 	}
 	return res
 }
 
 // applyAnnounced runs the two-round protocol plus the fallback read for
 // process i's just-announced vector of m operations (see PSimWord).
-func (u *PSimWords) applyAnnounced(i int, t *wordsThread, tt obs.Stamp, m int, res []uint64) (uint64, []uint64) {
+func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []uint64) (uint64, []uint64) {
 	st := u.stats
-	tr := st.Trace
 	um := uint64(m)
 	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
 
@@ -269,9 +266,7 @@ func (u *PSimWords) applyAnnounced(i int, t *wordsThread, tt obs.Stamp, m int, r
 		t.applied.XorInto(t.active, t.diffs)
 
 		if t.diffs[myWord]&myMask == 0 {
-			st.Ops.Add(i, um)
-			st.ServedBy.Add(i, um)
-			tr.OpServed(i, tt)
+			st.Served(i, op, um)
 			if m == 1 {
 				return t.rvals[i], res
 			}
@@ -327,14 +322,7 @@ func (u *PSimWords) applyAnnounced(i int, t *wordsThread, tt obs.Stamp, m int, r
 
 		if u.p.SC(lpTag, uint16(i*u.c+t.poolIndex), lpStamp+1) {
 			t.poolIndex = (t.poolIndex + 1) % u.c
-			st.Ops.Add(i, um)
-			st.CASSuccess.Inc(i)
-			st.Combined.Add(i, ops)
-			var act uint64
-			if tt != 0 {
-				act = uint64(t.active.PopCount()) // sampled rounds only
-			}
-			tr.OpCommit(i, tt, slots, act, ops)
+			st.Committed(i, op, um, slots, op.Act(t.active), ops)
 			if j == 0 {
 				t.bo.Shrink()
 			}
@@ -343,17 +331,14 @@ func (u *PSimWords) applyAnnounced(i int, t *wordsThread, tt obs.Stamp, m int, r
 			}
 			return 0, appendRow(res, t.brv, t.bn, i)
 		}
-		st.CASFail.Inc(i)
-		tr.Instant(i, trace.KindCASFail, uint64(j), 0)
+		st.CASFailed(i, j, 0)
 		if j == 0 {
-			t.bo.Grow()
+			st.BackoffGrew(i, t.bo)
 			t.bo.Wait()
 		}
 	}
 
-	st.Ops.Add(i, um)
-	st.ServedBy.Add(i, um)
-	tr.OpServed(i, tt)
+	st.Served(i, op, um)
 	for tries := 0; tries < 64; tries++ {
 		lpIdx, _ := u.p.Load()
 		if u.copyState(&u.pool[lpIdx], t) {

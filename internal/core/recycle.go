@@ -7,8 +7,8 @@ import (
 )
 
 // This file carries the state-record recycling discipline of the GC-based
-// P-Sim variants: a per-thread Ring of retired records plus a Hazards table
-// that tells recyclers which retired records are still being read.
+// P-Sim variants: a Hazards table that tells recyclers (the memory plane,
+// internal/alloc) which retired records are still being read.
 //
 // The paper's pooled layout (PSimWord) recycles records under seq1/seq2
 // stamps and lets readers *detect* a torn copy after the fact. That is not
@@ -29,8 +29,8 @@ import (
 // reader's validating re-load is ordered after the record's retirement and
 // therefore fails, so the reader never touches the record.
 //
-// Progress guarantees. Recyclers never wait: PopFree skips protected
-// records and the caller allocates fresh when every resident is protected.
+// Progress guarantees. Recyclers never wait: the plane skips protected
+// records and allocates fresh when every candidate is protected.
 // Readers are lock-free, not wait-free: a protection attempt fails only
 // when a concurrent CAS publishes a new record between the two loads, so
 // every retry is paid for by another operation's success, but a bounded
@@ -58,17 +58,11 @@ type Hazards[T any] struct {
 	// of parked readers does not permanently tax every later Hazarded scan.
 	extra atomic.Pointer[anonSlot[T]]
 
-	// onOverflow, when set, is invoked each time a reader is about to push an
-	// overflow slot (the flight recorder counts these growth events). Called
-	// from arbitrary reader goroutines concurrently; the hook must be safe for
-	// that, and must never block — it sits on a path that exists precisely so
-	// readers never wait.
-	onOverflow func()
+	// stats records overflow growth events (nil = none); tab tells a
+	// construction's tables apart in the event payload.
+	stats *StatsPlane
+	tab   uint64
 }
-
-// SetOverflowHook attaches the overflow notification hook (nil detaches).
-// Not safe to call concurrently with readers; set it before operations start.
-func (h *Hazards[T]) SetOverflowHook(f func()) { h.onOverflow = f }
 
 // anonSlot is one claimable hazard slot; claim word and pointer sit on the
 // same (padded) line because they are always touched together. next links
@@ -87,8 +81,9 @@ func (s *anonSlot[T]) tryClaim() bool {
 }
 
 // NewHazards returns a table with `fixed` per-process slots and `anon`
-// claimable reader slots.
-func NewHazards[T any](fixed, anon int) *Hazards[T] {
+// claimable reader slots. Overflow growth is reported to st (nil = nowhere)
+// as table tab.
+func NewHazards[T any](fixed, anon int, st *StatsPlane, tab uint64) *Hazards[T] {
 	if fixed < 0 {
 		fixed = 0
 	}
@@ -98,6 +93,8 @@ func NewHazards[T any](fixed, anon int) *Hazards[T] {
 	return &Hazards[T]{
 		fixed: make([]pad.Pointer[T], fixed),
 		anon:  make([]anonSlot[T], anon),
+		stats: st,
+		tab:   tab,
 	}
 }
 
@@ -148,9 +145,7 @@ func (h *Hazards[T]) AcquireAnon(src *atomic.Pointer[T]) (*T, *anonSlot[T]) {
 			}
 		}
 	}
-	if h.onOverflow != nil {
-		h.onOverflow()
-	}
+	h.stats.HazardOverflowed(h.tab)
 	s := &anonSlot[T]{}
 	s.claimed.Store(1)
 	for {
@@ -212,8 +207,8 @@ func (h *Hazards[T]) shrinkOverflow() {
 // Clear resets fixed slot `slot`. Operations clear their slot when they
 // return so a thread that goes quiet does not permanently pin the last
 // record it protected (pinning retains that record's rvals and state
-// references for reference-typed objects, and keeps it out of its owner's
-// recycling ring).
+// references for reference-typed objects, and keeps it from being reissued
+// by the memory plane).
 func (h *Hazards[T]) Clear(slot int) {
 	h.fixed[slot].P.Store(nil)
 }
@@ -237,56 +232,4 @@ func (h *Hazards[T]) Hazarded(p *T) bool {
 		}
 	}
 	return false
-}
-
-// Ring is a single-owner FIFO of retired records awaiting reuse — the GC
-// variant's analogue of the paper's per-thread pool of C State records. A
-// thread pushes the record its successful CAS retired (or a record it built
-// but failed to publish) and pops the oldest record no reader holds. The
-// ring is not safe for concurrent use; each thread owns one.
-type Ring[T any] struct {
-	buf  []*T
-	head int // index of the oldest resident
-	n    int // residents
-}
-
-// NewRing returns a ring holding at most capacity retired records.
-func NewRing[T any](capacity int) *Ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring[T]{buf: make([]*T, capacity)}
-}
-
-// Len returns the number of resident records.
-func (r *Ring[T]) Len() int { return r.n }
-
-// Push retires x into the ring. When the ring is full x is dropped and the
-// garbage collector reclaims it — capacity bounds the recycling working set,
-// not correctness.
-func (r *Ring[T]) Push(x *T) {
-	if r.n == len(r.buf) {
-		return
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = x
-	r.n++
-}
-
-// PopFree removes and returns the oldest resident no hazard slot protects,
-// probing each resident at most once (hazarded residents rotate to the
-// back). It returns nil when every resident is protected — the caller then
-// allocates a fresh record, which keeps the hot path wait-free: recycling is
-// an optimization, never a wait.
-func (r *Ring[T]) PopFree(h *Hazards[T]) *T {
-	for probes := r.n; probes > 0; probes-- {
-		x := r.buf[r.head]
-		r.buf[r.head] = nil
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-		if !h.Hazarded(x) {
-			return x
-		}
-		r.Push(x)
-	}
-	return nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHazardsAcquireValidates(t *testing.T) {
-	h := NewHazards[int](2, 1)
+	h := NewHazards[int](2, 1, nil, 0)
 	var src atomic.Pointer[int]
 	x := new(int)
 	src.Store(x)
@@ -24,7 +24,7 @@ func TestHazardsAcquireValidates(t *testing.T) {
 }
 
 func TestHazardsAnonClaimRelease(t *testing.T) {
-	h := NewHazards[int](0, 2)
+	h := NewHazards[int](0, 2, nil, 0)
 	var src atomic.Pointer[int]
 	x := new(int)
 	src.Store(x)
@@ -53,7 +53,7 @@ func TestHazardsAnonClaimRelease(t *testing.T) {
 // list, and the overflow slot participates in Hazarded scans and is
 // reclaimable for later readers.
 func TestHazardsAnonOverflow(t *testing.T) {
-	h := NewHazards[int](0, 1)
+	h := NewHazards[int](0, 1, nil, 0)
 	var src atomic.Pointer[int]
 	x := new(int)
 	src.Store(x)
@@ -92,7 +92,7 @@ func (h *Hazards[T]) overflowLen() int {
 // overflow slots no longer tax Hazarded scans forever.
 func TestHazardsAnonOverflowShrinks(t *testing.T) {
 	const burst = 20
-	h := NewHazards[int](0, 1)
+	h := NewHazards[int](0, 1, nil, 0)
 	var src atomic.Pointer[int]
 	x := new(int)
 	src.Store(x)
@@ -139,65 +139,4 @@ func TestHazardsAnonOverflowShrinks(t *testing.T) {
 		t.Fatalf("AcquireAnon after shrink = %p, want %p", p, x)
 	}
 	h.ReleaseAnon(s)
-}
-
-func TestRingPushPopFIFO(t *testing.T) {
-	h := NewHazards[int](1, 0)
-	r := NewRing[int](4)
-	a, b := new(int), new(int)
-	r.Push(a)
-	r.Push(b)
-	if got := r.PopFree(h); got != a {
-		t.Fatalf("PopFree = %p, want oldest %p", got, a)
-	}
-	if got := r.PopFree(h); got != b {
-		t.Fatalf("PopFree = %p, want %p", got, b)
-	}
-	if got := r.PopFree(h); got != nil {
-		t.Fatalf("PopFree on empty ring = %p, want nil", got)
-	}
-}
-
-func TestRingPopFreeSkipsHazarded(t *testing.T) {
-	h := NewHazards[int](1, 0)
-	r := NewRing[int](4)
-	a, b := new(int), new(int)
-	var src atomic.Pointer[int]
-	src.Store(a)
-	if _, ok := h.Acquire(0, &src, 1); !ok {
-		t.Fatal("acquire failed")
-	}
-	r.Push(a) // protected: must be skipped
-	r.Push(b)
-	if got := r.PopFree(h); got != b {
-		t.Fatalf("PopFree = %p, want unprotected %p", got, b)
-	}
-	// a rotated to the back and stays resident while protected.
-	if got := r.PopFree(h); got != nil {
-		t.Fatalf("PopFree = %p, want nil (sole resident is hazarded)", got)
-	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
-	}
-	// Dropping protection frees it.
-	src.Store(nil)
-	h.Acquire(0, &src, 1)
-	if got := r.PopFree(h); got != a {
-		t.Fatalf("PopFree after release = %p, want %p", got, a)
-	}
-}
-
-func TestRingDropsWhenFull(t *testing.T) {
-	r := NewRing[int](2)
-	a, b, c := new(int), new(int), new(int)
-	r.Push(a)
-	r.Push(b)
-	r.Push(c) // dropped: capacity bounds the working set
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	h := NewHazards[int](0, 0)
-	if got := r.PopFree(h); got != a {
-		t.Fatalf("PopFree = %p, want %p (c was dropped)", got, a)
-	}
 }

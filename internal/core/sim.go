@@ -37,7 +37,6 @@ type Sim[S, R any] struct {
 	s        *xatomic.LLSC[simState[S, R]]
 
 	counter *xatomic.AccessCounter // optional shared-access instrumentation
-	rec     *obs.SimRecorder       // optional observability plane (nil = off)
 	stats   *StatsPlane
 }
 
@@ -76,23 +75,12 @@ func NewSim[S, R any](n, d int, init S, apply func(st S, pid int, op uint64) (S,
 // ApplyOp.
 func (u *Sim[S, R]) SetAccessCounter(c *xatomic.AccessCounter) { u.counter = c }
 
-// SetRecorder attaches a distribution recorder (see PSim's SetRecorder).
-// Not safe to call concurrently with ApplyOp.
-func (u *Sim[S, R]) SetRecorder(rec *obs.SimRecorder) { u.rec = rec }
-
-// SetTracer attaches a flight recorder (see PSim's SetTracer). Sim never
+// Attach connects the instance's instrument (see PSim's Attach). Sim never
 // recycles records, so only round, served and cas_fail events appear; each
 // ApplyOp traces as one round event whose degree sums its (up to four) SC
-// rounds. Not safe to call concurrently with ApplyOp.
-func (u *Sim[S, R]) SetTracer(tr *trace.Tracer) { u.stats.Trace = tr }
-
-// Instrument publishes the instance in reg under prefix (see PSim's
-// Instrument). Call before the first operation.
-func (u *Sim[S, R]) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	u.stats.Register(reg, prefix)
-	rec := obs.NewSimRecorder(reg, prefix, u.n)
-	u.SetRecorder(rec)
-	return rec
+// rounds. Call once, before the first operation.
+func (u *Sim[S, R]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	u.stats.Attach(reg, prefix, rec, tr)
 }
 
 // N returns the number of processes.
@@ -120,9 +108,7 @@ func (u *Sim[S, R]) ApplyOp(i int, op uint64) R {
 		panic(fmt.Sprintf("core: opcode %#x exceeds %d bits", op, u.d))
 	}
 	upd := u.updater(i)
-	t0 := u.rec.Start(i)
-	tr := u.stats.Trace
-	tt := tr.OpStart(i)
+	op0 := u.stats.Start(i)
 
 	upd.Update(op) // line 1: announce op
 	SchedYield(i, PointAnnounce)
@@ -135,13 +121,7 @@ func (u *Sim[S, R]) ApplyOp(i int, op uint64) R {
 
 	rv := u.s.Read().rvals[i] // line 5
 	u.countAccess(i, 1)
-	u.stats.Ops.Inc(i)
-	u.rec.OpDone(i, t0)
-	if combined > 0 {
-		tr.OpCommit(i, tt, combined, 0, combined) // at least one SC of ours published
-	} else {
-		tr.OpServed(i, tt) // every SC lost: a helper applied our op
-	}
+	u.stats.simDone(i, op0, combined)
 	return rv
 }
 
@@ -150,7 +130,6 @@ func (u *Sim[S, R]) ApplyOp(i int, op uint64) R {
 // returns the total combining degree of its successful SC rounds.
 func (u *Sim[S, R]) attempt(i int) uint64 {
 	st := u.stats
-	tr := st.Trace
 	total := uint64(0)
 	ops := make([]uint64, u.n)
 	for j := 0; j < 2; j++ {
@@ -178,13 +157,10 @@ func (u *Sim[S, R]) attempt(i int) uint64 {
 
 		SchedYield(i, PointCAS)
 		if u.s.SC(tag, ns) { // line 14
-			st.CASSuccess.Inc(i)
-			st.Combined.Add(i, combined)
-			u.rec.CombineObserved(i, combined)
+			st.simPublished(i, combined)
 			total += combined
 		} else {
-			st.CASFail.Inc(i)
-			tr.Instant(i, trace.KindCASFail, uint64(j), 0)
+			st.CASFailed(i, j, 0)
 		}
 		u.countAccess(i, 1)
 	}
@@ -204,3 +180,24 @@ func (u *Sim[S, R]) Stats() Stats { return u.stats.Aggregate() }
 
 // ResetStats zeroes the statistics counters.
 func (u *Sim[S, R]) ResetStats() { u.stats.Reset() }
+
+// simPublished records one of Sim's successful SC rounds: Sim publishes up
+// to four times per ApplyOp, so its combining degrees are observed per round
+// (under the operation's sampling decision), decoupled from its close.
+func (p *StatsPlane) simPublished(i int, degree uint64) {
+	p.CASSuccess.Inc(i)
+	p.Combined.Add(i, degree)
+	p.Rec.CombineObserved(i, degree)
+}
+
+// simDone closes a Sim operation: one round event if at least one of its SC
+// rounds published (combined > 0), a served event if a helper applied it.
+func (p *StatsPlane) simDone(i int, op Op, combined uint64) {
+	p.Ops.Inc(i)
+	p.Rec.OpDone(i, op.rec)
+	if combined > 0 {
+		p.Trace.OpCommit(i, op.tr, combined, 0, combined)
+	} else {
+		p.Trace.OpServed(i, op.tr)
+	}
+}

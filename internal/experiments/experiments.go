@@ -21,6 +21,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/herlihy"
 	"repro/internal/lsim"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/queue"
 	"repro/internal/stack"
@@ -28,12 +29,14 @@ import (
 	"repro/internal/xatomic"
 )
 
-// traceHook returns the implementation's SetTracer method when it has one,
-// so the harness can attach a flight recorder; implementations without
-// tracing hooks (locks, plain CAS loops, …) return nil and run untraced.
+// traceHook returns a flight-recorder attach for implementations with an
+// instrument (Sim-family Attach); implementations without one (locks, plain
+// CAS loops, …) return nil and run untraced.
 func traceHook(o any) func(*trace.Tracer) {
-	if t, ok := o.(interface{ SetTracer(*trace.Tracer) }); ok {
-		return t.SetTracer
+	if a, ok := o.(interface {
+		Attach(*obs.Registry, string, *obs.SimRecorder, *trace.Tracer)
+	}); ok {
+		return func(tr *trace.Tracer) { a.Attach(nil, "", nil, tr) }
 	}
 	return nil
 }
@@ -212,22 +215,6 @@ func Fig3QueueMakers() []harness.Maker {
 		queueMaker(func(n int) queue.Interface[uint64] { return queue.NewTwoLockQueue[uint64](n) }, nil),
 		queueMaker(func(n int) queue.Interface[uint64] { return queue.NewFCQueue[uint64](n, 0, 0) },
 			func(q queue.Interface[uint64]) float64 { return q.(*queue.FCQueue[uint64]).Stats().AvgCombine }),
-	}
-}
-
-// AllocChurnMakers compares the unified memory plane (internal/alloc) against
-// the pre-plane per-thread recycling rings on the allocation-heaviest hot
-// path: P-Sim's state-record churn, where every committed round retires one
-// O(n)-sized record and reissues another. The two arms run the identical
-// protocol — only the reclamation scheme differs (core.WithLegacyRings) — so
-// the spread is the cost (or win) of the plane itself; the CI smoke gates
-// the plane arm at ≥ 0.8× ring throughput.
-func AllocChurnMakers() []harness.Maker {
-	return []harness.Maker{
-		fmulMaker("P-Sim rings", func(n int) fmul.Interface {
-			return fmul.NewPSim(n, core.WithLegacyRings[uint64]())
-		}, nil),
-		fmulMaker("P-Sim plane", func(n int) fmul.Interface { return fmul.NewPSim(n) }, nil),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/ingest"
+	"repro/internal/obs/trace"
 	"repro/internal/workload"
 )
 
@@ -44,7 +45,7 @@ func IngestMakers(batches []int) []harness.Maker {
 					seqs[id] = p.AppendBatch(id, pay, seqs[id][:0])
 					p.Drain(id, b)
 				},
-				Trace: p.SetTracer,
+				Trace: func(tr *trace.Tracer) { p.Attach(nil, "", tr) },
 			}
 		})
 	}

@@ -71,18 +71,11 @@ func (o *PSim) Name() string { return "P-Sim" }
 // Stats exposes combining statistics (Figure 2 right).
 func (o *PSim) Stats() core.Stats { return o.u.Stats() }
 
-// SetRecorder attaches a distribution recorder to the underlying P-Sim
-// (used by BenchmarkObsOverhead). Call before any operation.
-func (o *PSim) SetRecorder(rec *obs.SimRecorder) { o.u.SetRecorder(rec) }
-
-// SetTracer attaches a flight recorder to the underlying P-Sim (see
-// core.PSim.SetTracer). Call before any operation.
-func (o *PSim) SetTracer(tr *trace.Tracer) { o.u.SetTracer(tr) }
-
-// Instrument publishes the instance in reg under prefix (see
-// core.PSim.Instrument). Call before any operation.
-func (o *PSim) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	return o.u.Instrument(reg, prefix)
+// Attach connects the underlying P-Sim's instrument (see core.PSim.Attach;
+// BenchmarkObsOverhead and BenchmarkTraceOverhead measure its cost). Call
+// once, before any operation.
+func (o *PSim) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	o.u.Attach(reg, prefix, rec, tr)
 }
 
 // --- P-Sim (pooled, faithful layout) ---
@@ -117,9 +110,11 @@ func (o *PSimPooled) Name() string { return "P-Sim(pool)" }
 // Stats exposes combining statistics.
 func (o *PSimPooled) Stats() core.Stats { return o.u.Stats() }
 
-// SetTracer attaches a flight recorder to the underlying pooled P-Sim.
-// Call before any operation.
-func (o *PSimPooled) SetTracer(tr *trace.Tracer) { o.u.SetTracer(tr) }
+// Attach connects the underlying pooled P-Sim's instrument (see
+// core.PSimWord.Attach). Call once, before any operation.
+func (o *PSimPooled) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	o.u.Attach(reg, prefix, rec, tr)
+}
 
 // --- CLH / MCS spin locks ---
 

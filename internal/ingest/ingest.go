@@ -198,18 +198,15 @@ func (p *Pipeline) Queue() *queue.SimQueue[Event] { return p.q }
 // Spool exposes the storage stage (retention runners attach here).
 func (p *Pipeline) Spool() *spool.Spool[Event] { return p.sp }
 
-// SetTracer attaches one flight recorder to both constructions: queue
-// splices and spool rounds interleave in one timeline.
-func (p *Pipeline) SetTracer(tr *trace.Tracer) {
-	p.q.SetTracer(tr)
-	p.sp.SetTracer(tr)
-}
-
-// Instrument registers both stages' combining counters plus the pipeline's
-// own stage counters under prefix.
-func (p *Pipeline) Instrument(reg *obs.Registry, prefix string) {
-	p.q.Instrument(reg, obs.Join(prefix, "_queue"))
-	p.sp.Instrument(reg, obs.Join(prefix, "_spool"))
+// Attach connects both stages' instruments: in reg under prefix, the
+// queue's and the spool's combining counters and recorders (<prefix>_queue_*,
+// <prefix>_spool_*) plus the pipeline's own stage counters; both stages'
+// events (queue splices, spool rounds) interleave in tr. reg and tr may be
+// nil. Call once, before any operation.
+func (p *Pipeline) Attach(reg *obs.Registry, prefix string, tr *trace.Tracer) {
+	qp, sp := obs.Join(prefix, "_queue"), obs.Join(prefix, "_spool")
+	p.q.Attach(reg, qp, obs.NewSimRecorder(reg, qp, p.n), tr)
+	p.sp.Attach(reg, sp, obs.NewSimRecorder(reg, sp, p.n), tr)
 	reg.AttachCounter(obs.Join(prefix, "_appended_total"), p.appended)
 	reg.AttachCounter(obs.Join(prefix, "_flushes_total"), p.flushed)
 	reg.AttachCounter(obs.Join(prefix, "_drained_total"), p.drained)

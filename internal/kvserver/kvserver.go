@@ -95,10 +95,9 @@ type Server struct {
 	closed   bool
 	conns    map[net.Conn]struct{} // in-flight connections, closed by Close
 	wg       sync.WaitGroup
-	maxConn  int
 
 	reg    *obs.Registry
-	tracer *trace.Tracer // nil until EnableFlightRecorder
+	tracer *trace.Tracer // nil without WithFlightRecorder
 	// per-command counters, indexed by client slot (single writer per slot:
 	// a slot serves one connection at a time).
 	cPut, cGet, cDel, cLen, cStats, cErr *obs.Counter
@@ -110,10 +109,12 @@ type Server struct {
 type Option func(*serverCfg)
 
 type serverCfg struct {
-	shards    int
-	pipeline  int
-	largeVals bool
-	threshold int
+	shards       int
+	pipeline     int
+	largeVals    bool
+	threshold    int
+	flight       int // flight-recorder ring capacity; <= 0 disables
+	flightSample int
 }
 
 // WithShards partitions the store into k independent shards (rounded up to
@@ -132,6 +133,14 @@ func WithPipeline(depth int) Option { return func(c *serverCfg) { c.pipeline = d
 // records; threshold <= 0 selects simmap.DefaultLargeThreshold.
 func WithLargeValues(threshold int) Option {
 	return func(c *serverCfg) { c.largeVals, c.threshold = true, threshold }
+}
+
+// WithFlightRecorder attaches a wait-free flight recorder to the store: one
+// event ring per client slot, capacity events each (<= 0 keeps the recorder
+// off), recording one in sampleEvery operations (min 1). Tracer returns it
+// for snapshotting (cmd/simkvd's /debug/flight endpoint).
+func WithFlightRecorder(capacity, sampleEvery int) Option {
+	return func(c *serverCfg) { c.flight, c.flightSample = capacity, sampleEvery }
 }
 
 // New returns a server allowing maxClients concurrent connections, with the
@@ -153,7 +162,6 @@ func New(maxClients, stripes int, opts ...Option) *Server {
 		pipeline: cfg.pipeline,
 		ids:      make(chan int, maxClients),
 		conns:    map[net.Conn]struct{}{},
-		maxConn:  maxClients,
 		reg:      reg,
 		cPut:     reg.Counter("kv_put_total", maxClients),
 		cGet:     reg.Counter("kv_get_total", maxClients),
@@ -163,23 +171,37 @@ func New(maxClients, stripes int, opts ...Option) *Server {
 		cErr:     reg.Counter("kv_err_total", maxClients),
 		gConns:   reg.Gauge("kv_connections"),
 	}
+	if cfg.flight > 0 {
+		opts := []trace.Option{trace.WithCapacity(cfg.flight)}
+		if cfg.flightSample > 1 {
+			opts = append(opts, trace.WithSampleEvery(cfg.flightSample))
+		}
+		s.tracer = trace.New(maxClients, opts...)
+	}
 	// Record every operation's latency: map mutations sit behind network
 	// round-trips here, so the default distribution sampling would only thin
-	// out an already low-rate signal.
+	// out an already low-rate signal. Shards, stripes and the blob store all
+	// share the tracer: a multi-key call touches shards one after another,
+	// so per-pid rings keep a single writer, and one interleaved stream is
+	// the right shape for /debug/flight.
 	if cfg.shards > 1 {
 		s.sh = simmap.NewSharded[string, uint64](maxClients, cfg.shards, stripes)
 		s.store = s.sh
-		for _, rec := range s.sh.Instrument(reg, "map") {
+		for _, rec := range s.sh.Attach(reg, "map", s.tracer) {
 			rec.SetSampleEvery(1)
 		}
 	} else {
 		s.m = simmap.New[string, uint64](maxClients, stripes)
 		s.store = s.m
-		s.m.Instrument(reg, "map").SetSampleEvery(1)
+		rec := obs.NewSimRecorder(reg, "map", maxClients)
+		rec.SetSampleEvery(1)
+		s.m.Attach(reg, "map", rec, s.tracer)
 	}
 	if cfg.largeVals {
 		s.blob = simmap.NewTiered[string](maxClients, stripes, cfg.threshold)
-		s.blob.Instrument(reg, "blob").SetSampleEvery(1)
+		rec := obs.NewSimRecorder(reg, "blob", maxClients)
+		rec.SetSampleEvery(1)
+		s.blob.Attach(reg, "blob", rec, s.tracer)
 		s.cBPut = reg.Counter("kv_bput_total", maxClients)
 		s.cBGet = reg.Counter("kv_bget_total", maxClients)
 		s.cBDel = reg.Counter("kv_bdel_total", maxClients)
@@ -193,40 +215,7 @@ func New(maxClients, stripes int, opts ...Option) *Server {
 // Registry returns the server's metrics registry, for HTTP export.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// EnableFlightRecorder attaches a wait-free flight recorder to the striped
-// map: one event ring per client slot, capacity events each (0 selects the
-// default), recording one in sampleEvery operations (min 1). Call before
-// Listen — attaching while operations run is not supported. Returns the
-// tracer for snapshotting (cmd/simkvd's /debug/flight endpoint).
-func (s *Server) EnableFlightRecorder(capacity, sampleEvery int) *trace.Tracer {
-	opts := []trace.Option{}
-	if capacity > 0 {
-		opts = append(opts, trace.WithCapacity(capacity))
-	}
-	if sampleEvery > 1 {
-		opts = append(opts, trace.WithSampleEvery(sampleEvery))
-	}
-	s.tracer = trace.New(s.maxConn, opts...)
-	if s.sh != nil {
-		// One shared tracer across shards: a multi-key call touches shards
-		// one after another, so per-pid rings keep a single writer, and one
-		// interleaved stream is the right shape for /debug/flight.
-		trs := make([]*trace.Tracer, s.sh.Shards())
-		for i := range trs {
-			trs[i] = s.tracer
-		}
-		s.sh.SetTracer(trs)
-	} else {
-		s.m.SetTracer(s.tracer)
-	}
-	if s.blob != nil {
-		s.blob.SetTracer(s.tracer)
-	}
-	return s.tracer
-}
-
-// Tracer returns the flight recorder, or nil when EnableFlightRecorder was
-// never called.
+// Tracer returns the flight recorder, or nil without WithFlightRecorder.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and

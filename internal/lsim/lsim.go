@@ -175,7 +175,6 @@ type LSim[V, A, R any] struct {
 
 	stats        *core.StatsPlane
 	itemsWritten *obs.Counter // committed item write-backs (write-set sizes)
-	rec          *obs.SimRecorder
 	counter      *xatomic.AccessCounter
 }
 
@@ -190,12 +189,14 @@ func New[V, A, R any](n int) *LSim[V, A, R] {
 		announce:     collect.NewBatchAnnounce[lop[V, A, R]](n),
 		act:          collect.NewActSet(n),
 		members:      make([]*collect.Member, n),
-		haz:          core.NewHazards[lsimState[R]](n, anonStateSlots),
-		ihaz:         core.NewHazards[itemBody[V]](n, anonItemSlots),
 		threads:      make([]lthread[V, A, R], n),
 		stats:        core.NewStatsPlane(n),
 		itemsWritten: obs.NewCounter(n),
 	}
+	// Overflow events tell the tables apart by their B payload: 0 = round
+	// records, 1 = item bodies (as the recycling events do).
+	l.haz = core.NewHazards[lsimState[R]](n, anonStateSlots, l.stats, 0)
+	l.ihaz = core.NewHazards[itemBody[V]](n, anonItemSlots, l.stats, 1)
 	for i := range l.members {
 		l.members[i] = l.act.Member(i)
 	}
@@ -206,11 +207,11 @@ func New[V, A, R any](n int) *LSim[V, A, R] {
 		brvals:   make([][]R, n),
 		varList:  &newList{},
 	})
-	// Memory plane: round records carry cache 2(n+1) per thread (the old
-	// rings held 2n+2); item bodies a deeper cache (one round may retire up
-	// to a whole write-set of bodies). Neither pool Resets at Put — a retired
-	// record or body may still be hazard-protected, so it is only mutated at
-	// reissue, after the guard probe clears it.
+	// Memory plane: round records carry cache 2(n+1) per thread; item
+	// bodies a deeper cache (one round may retire up to a whole write-set of
+	// bodies). Neither pool Resets at Put — a retired record or body may
+	// still be hazard-protected, so it is only mutated at reissue, after the
+	// guard probe clears it.
 	l.rpool = alloc.NewTyped(alloc.NewPool(n, alloc.Config[lsimState[R]]{
 		New: func() *lsimState[R] {
 			return &lsimState[R]{
@@ -253,50 +254,19 @@ func (l *LSim[V, A, R]) NewRootItem(init V) *Item[V] {
 // safe to call concurrently with ApplyOp.
 func (l *LSim[V, A, R]) SetAccessCounter(c *xatomic.AccessCounter) { l.counter = c }
 
-// SetRecorder attaches a distribution recorder: sampled per-operation
-// latency and combining degree are recorded into rec's per-thread slots
-// (single-writer, no coherence traffic — see internal/obs). Pass nil to
-// disable. Not safe to call concurrently with operations.
-func (l *LSim[V, A, R]) SetRecorder(rec *obs.SimRecorder) { l.rec = rec }
-
-// SetTracer attaches a flight recorder (see internal/obs/trace): committed
-// rounds (with combining degree and ops applied), publish failures,
-// recycling hits/misses on both the round-record and item-body rings
-// (distinguished by the event's B payload: 0 = round records, 1 = item
-// bodies), and hazard overflow events are recorded into tr's per-thread
-// rings. Pass nil to disable; the steady state stays allocation-free either
-// way. Not safe to call concurrently with operations.
-func (l *LSim[V, A, R]) SetTracer(tr *trace.Tracer) {
-	l.stats.Trace = tr
-	l.rpool.Pool().SetTracer(tr)
-	l.ipool.Pool().SetTracer(tr)
-	if tr != nil {
-		l.haz.SetOverflowHook(func() { tr.AnonInstant(trace.KindHazardOverflow, 0, 0) })
-		l.ihaz.SetOverflowHook(func() { tr.AnonInstant(trace.KindHazardOverflow, 0, 1) })
-	} else {
-		l.haz.SetOverflowHook(nil)
-		l.ihaz.SetOverflowHook(nil)
-	}
-}
-
-// RegisterStats publishes the instance's exact hot-path counters in reg
-// under prefix (see core.StatsPlane.Register) plus
-// <prefix>_items_written_total, the number of committed per-item write-backs
-// (the sum of round write-set sizes).
-func (l *LSim[V, A, R]) RegisterStats(reg *obs.Registry, prefix string) {
-	l.stats.Register(reg, prefix)
+// Attach connects the instance's instrument (see core.StatsPlane.Attach):
+// in reg under prefix, the exact hot-path counters, the memory plane, and
+// <prefix>_items_written_total — the number of committed per-item
+// write-backs (the sum of round write-set sizes); sampled latency and
+// combining degree into rec; and into tr, committed rounds (with combining
+// degree and ops applied), publish failures, recycling hits/misses on both
+// the round-record and item-body pools (distinguished by the event's B
+// payload: 0 = round records, 1 = item bodies), and hazard overflows. Any
+// argument may be nil; the steady state stays allocation-free either way.
+// Call once, before the first operation.
+func (l *LSim[V, A, R]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	l.stats.Attach(reg, prefix, rec, tr)
 	reg.AttachCounter(prefix+"_items_written_total", l.itemsWritten)
-}
-
-// Instrument publishes the instance in reg under prefix: the exact counters
-// the hot path already maintains plus a new SimRecorder for the latency and
-// combining-degree histograms, which is attached and returned. Call before
-// the first operation.
-func (l *LSim[V, A, R]) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	l.RegisterStats(reg, prefix)
-	rec := obs.NewSimRecorder(reg, prefix, l.n)
-	l.SetRecorder(rec)
-	return rec
 }
 
 // Stats aggregates combining statistics across processes (see core.Stats;
@@ -341,19 +311,18 @@ func (l *LSim[V, A, R]) ApplyOp(i int, op OpFunc[V, A, R], arg A) R {
 		panic(fmt.Sprintf("lsim: process id %d out of range [0,%d)", i, l.n))
 	}
 	t := l.thread(i)
-	t0 := l.rec.Start(i)
-	tt := l.stats.Trace.OpStart(i)
+	op0 := l.stats.Start(i)
 
 	l.announce.PublishOne(i, lop[V, A, R]{fn: op, arg: arg}) // line 1
 	l.count(i, 1)
 	l.members[i].Join() // line 2
 	l.count(i, 1)
 	won := false
-	l.attempt(i, t, t0, tt, &won) // lines 3–4
-	l.attempt(i, t, t0, tt, &won)
+	l.attempt(i, t, op0, &won) // lines 3–4
+	l.attempt(i, t, op0, &won)
 	l.members[i].Leave() // line 5
 	l.count(i, 1)
-	l.attempt(i, t, t0, tt, &won) // line 6: eliminate the evidence of op
+	l.attempt(i, t, op0, &won) // line 6: eliminate the evidence of op
 
 	// line 7: read the committed response from the current record while it
 	// is hazard-protected (records recycle; an unprotected read could see a
@@ -362,7 +331,7 @@ func (l *LSim[V, A, R]) ApplyOp(i int, op OpFunc[V, A, R], arg A) R {
 	rv := ls.rvals[i]
 	l.count(i, 1)
 
-	l.opDone(i, t0, tt, won)
+	l.opDone(i, op0, won)
 	l.release(i)
 	return rv
 }
@@ -384,8 +353,7 @@ func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R)
 		return append(res[:0], l.ApplyOp(i, op, args[0]))
 	}
 	t := l.thread(i)
-	t0 := l.rec.Start(i)
-	tt := l.stats.Trace.OpStart(i)
+	op0 := l.stats.Start(i)
 
 	t.batch = t.batch[:0]
 	for _, a := range args {
@@ -395,28 +363,26 @@ func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R)
 	l.count(i, 1)
 	l.members[i].Join()
 	won := false
-	l.attempt(i, t, t0, tt, &won)
-	l.attempt(i, t, t0, tt, &won)
+	l.attempt(i, t, op0, &won)
+	l.attempt(i, t, op0, &won)
 	l.members[i].Leave()
-	l.attempt(i, t, t0, tt, &won)
+	l.attempt(i, t, op0, &won)
 
 	ls, _ := l.haz.Acquire(i, &l.state, 0)
 	res = append(res[:0], ls.brvals[i]...)
 	l.count(i, 1)
 
-	l.opDone(i, t0, tt, won)
+	l.opDone(i, op0, won)
 	l.release(i)
 	return res
 }
 
 // opDone finishes an operation's accounting: operations that never won a
-// publish were served by another thread's round.
-func (l *LSim[V, A, R]) opDone(i int, t0 obs.Stamp, tt obs.Stamp, won bool) {
-	l.stats.Ops.Inc(i)
+// publish were served by another thread's round (a won one was closed at
+// its first publish).
+func (l *LSim[V, A, R]) opDone(i int, op core.Op, won bool) {
 	if !won {
-		l.stats.ServedBy.Inc(i)
-		l.rec.OpDone(i, t0)
-		l.stats.Trace.OpServed(i, tt)
+		l.stats.Served(i, op, 1)
 	}
 }
 
@@ -436,16 +402,15 @@ func (obsoleteError) Error() string { return "lsim: state obsolete" }
 
 // attempt is Attempt of Algorithm 8: two rounds of
 // read-state/simulate/write-back/publish, on recycled round records.
-func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], t0 obs.Stamp, tt obs.Stamp, won *bool) {
-	tr := l.stats.Trace
+func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *bool) {
+	st := l.stats
 	for j := 0; j < 2; j++ { // line 9
 		ls, ok := l.haz.Acquire(i, &l.state, hazardAttempts) // line 11 (LL)
 		l.count(i, 1)
 		if !ok {
 			// hazardAttempts publishes raced the protected load; the round
 			// is as doomed as a failed SC.
-			l.stats.CASFail.Inc(i)
-			tr.Instant(i, trace.KindCASFail, 1, 0)
+			st.CASFailed(i, 1, 0)
 			continue
 		}
 		l.act.GetSetInto(t.lact) // line 12
@@ -477,8 +442,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], t0 obs.Stamp, tt obs
 
 		if l.state.Load() != ls { // line 38 (VL): the state we read is obsolete
 			l.count(i, 1)
-			l.stats.CASFail.Inc(i)
-			tr.Instant(i, trace.KindCASFail, 1, 0)
+			st.CASFailed(i, 1, 0)
 			l.rpool.Put(t.blk, ns)
 			continue
 		}
@@ -493,20 +457,16 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], t0 obs.Stamp, tt obs
 
 		if l.state.CompareAndSwap(ls, ns) { // line 45 (SC)
 			l.rpool.Put(t.blk, ls) // retire the replaced record
-			l.stats.CASSuccess.Inc(i)
-			l.stats.Combined.Add(i, opsApplied)
 			l.itemsWritten.Add(i, wrote)
 			if !*won {
 				*won = true
-				l.rec.OpPublished(i, t0, degree)
-				tr.OpCommit(i, tt, degree, actPop, opsApplied)
+				st.Committed(i, op, 1, degree, actPop, opsApplied)
 			} else {
-				tr.Instant(i, trace.KindRound, degree, opsApplied)
+				st.Round(i, degree, opsApplied)
 			}
 		} else {
 			l.rpool.Put(t.blk, ns)
-			l.stats.CASFail.Inc(i)
-			tr.Instant(i, trace.KindCASFail, 0, 0)
+			st.CASFailed(i, 0, 0)
 		}
 		l.count(i, 1)
 	}
@@ -518,12 +478,9 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], t0 obs.Stamp, tt obs
 // hazard-protected (its items, if any survived, are owned by the object by
 // now).
 func (l *LSim[V, A, R]) record(i int, t *lthread[V, A, R]) *lsimState[R] {
-	tr := l.stats.Trace
 	ns, fresh := l.rpool.Get(t.blk)
-	if fresh {
-		tr.Rare(i, trace.KindRecycleMiss, uint64(t.blk.Cached()), 0)
-	} else {
-		tr.Instant(i, trace.KindRecycleHit, uint64(t.blk.Cached()), 0)
+	l.stats.Recycled(i, fresh, t.blk.Cached(), 0)
+	if !fresh {
 		ns.varList.head.next.Store(nil)
 	}
 	return ns
@@ -532,13 +489,8 @@ func (l *LSim[V, A, R]) record(i int, t *lthread[V, A, R]) *lsimState[R] {
 // body returns an item body for a write-back, reissued through the guarded
 // plane (never one a reader still holds).
 func (l *LSim[V, A, R]) body(i int, t *lthread[V, A, R]) *itemBody[V] {
-	tr := l.stats.Trace
 	b, fresh := l.ipool.Get(t.iblk)
-	if fresh {
-		tr.Rare(i, trace.KindRecycleMiss, uint64(t.iblk.Cached()), 1)
-	} else {
-		tr.Instant(i, trace.KindRecycleHit, uint64(t.iblk.Cached()), 1)
-	}
+	l.stats.Recycled(i, fresh, t.iblk.Cached(), 1)
 	return b
 }
 

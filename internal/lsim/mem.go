@@ -36,7 +36,7 @@ type dirEnt[V any] struct {
 const dirScanMax = 16
 
 // reset re-arms the directory for a new round. Entries keep their backing
-// storage (a bounded scratch working set, like the recycling rings).
+// storage (a bounded scratch working set).
 func (m *Mem[V, A, R]) reset(seq uint64, ltop *newVar) {
 	m.seq = seq
 	m.ents = m.ents[:0]

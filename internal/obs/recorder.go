@@ -27,7 +27,8 @@ type sampleSlot struct {
 
 // SimRecorder bundles the distribution metrics a Sim-family instance
 // (core.PSim, core.Sim, queue.SimQueue, …) reports on top of its exact
-// StatsPlane counters: per-operation latency, the combining-degree
+// counters — the Rec channel of its core.StatsPlane: per-operation latency,
+// the combining-degree
 // distribution (Figure 2 right as a histogram, not just a mean), and backoff
 // window growth events. All methods are nil-receiver safe no-ops, so a nil
 // *SimRecorder IS the no-op recorder — instrumented code calls
@@ -44,8 +45,12 @@ type SimRecorder struct {
 // NewSimRecorder registers a recorder's metrics under prefix in reg for n
 // process ids: <prefix>_op_latency_ns, <prefix>_combine_degree,
 // <prefix>_backoff_grow_total (a labeled prefix keeps its label block
-// trailing, see Join). Sampling starts at DefaultSampleEvery.
+// trailing, see Join). Sampling starts at DefaultSampleEvery. A nil reg
+// yields the nil recorder: distributions nobody can read are not recorded.
 func NewSimRecorder(reg *Registry, prefix string, n int) *SimRecorder {
+	if reg == nil {
+		return nil
+	}
 	if n < 1 {
 		n = 1
 	}

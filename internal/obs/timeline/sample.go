@@ -37,7 +37,7 @@
 // labeled-name convention (obs.Labeled) rather than bespoke plumbing.
 //
 // Memory-plane size classes are discovered the same way: every counter
-// alloc_blocks_total{class="C"} (published by alloc.Pool.Register, wired
+// alloc_blocks_total{class="C"} (published by alloc.Pool.Attach, wired
 // through core.StatsPlane.AttachAllocPool) declares the series
 // alloc{class="C"}, with the plane's families mapped onto the sample
 // columns — Ops = blocks issued, CASSuccess = shared-pool chain handoffs,

@@ -134,7 +134,7 @@ type Timeline struct {
 // current contents: every counter named <prefix>_ops_total declares the
 // series <prefix> (labeled names included — see the package doc), and every
 // memory-plane size class (a counter alloc_blocks_total{class="C"}, see
-// alloc.Pool.Register) declares the series alloc{class="C"} with the plane's
+// alloc.Pool.Attach) declares the series alloc{class="C"} with the plane's
 // families mapped onto the sample columns — Ops carries blocks issued,
 // CASSuccess shared-pool handoffs, CASFail guard starvation, Combined fresh
 // heap allocations. Metrics registered AFTER New are not scraped, so
@@ -185,10 +185,16 @@ func New(reg *obs.Registry, cfg Config) *Timeline {
 		t.series = append(t.series, ss)
 		t.names = append(t.names, prefix)
 	}
+	// Preallocate what the active segment can actually hold: a segment
+	// never outgrows SegSamples, and a sample cap trims it below MaxSamples.
+	prealloc := cfg.SegSamples
+	if cfg.MaxSamples > 0 {
+		prealloc = min(prealloc, cfg.MaxSamples)
+	}
 	t.sp = spool.New[Sample](pidCount, spool.Config{
 		SegEvents:      cfg.SegSamples,
 		BucketNs:       cfg.Interval.Nanoseconds() * int64(cfg.SegSamples),
-		PreallocEvents: cfg.SegSamples,
+		PreallocEvents: prealloc,
 	})
 	t.ret = retention.NewRunner[Sample](t.sp, pidRetention, retention.Policy{
 		MaxAge:    cfg.Retain,

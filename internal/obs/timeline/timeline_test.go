@@ -233,7 +233,7 @@ func TestAllocSeriesDiscovery(t *testing.T) {
 		Next:    func(b *planeBlock) *planeBlock { return b.next },
 		SetNext: func(b, nx *planeBlock) { b.next = nx },
 	})
-	pool.Register(reg, "fmul_state")
+	pool.Attach(reg, "fmul_state", nil)
 	clk := &fakeClock{now: 1}
 	tl := New(reg, Config{Interval: time.Second, Now: clk.Now})
 

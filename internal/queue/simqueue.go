@@ -90,8 +90,6 @@ type SimQueue[V any] struct {
 	enqStats   *core.StatsPlane
 	deqStats   *core.StatsPlane
 
-	rec *obs.SimRecorder // optional observability plane, shared by both ends
-
 	boLower, boUpper int
 }
 
@@ -158,10 +156,10 @@ func NewSimQueue[V any](n int) *SimQueue[V] {
 		n:           n,
 		enqAnnounce: collect.NewBatchAnnounce[V](n),
 		enqAct:      xatomic.NewSharedBits(n),
-		enqHaz:      core.NewHazards[enqState[V]](2*n, 0),
+		enqHaz:      core.NewHazards[enqState[V]](2*n, 0, nil, 0),
 		deqAct:      xatomic.NewSharedBits(n),
 		deqCounts:   make([]pad.Uint64, n),
-		deqHaz:      core.NewHazards[deqState[V]](n, 0),
+		deqHaz:      core.NewHazards[deqState[V]](n, 0, nil, 0),
 		enqThreads:  make([]sqThread[V], n),
 		deqThreads:  make([]sqThread[V], n),
 		enqStats:    core.NewStatsPlane(n),
@@ -179,10 +177,10 @@ func NewSimQueue[V any](n int) *SimQueue[V] {
 		rvals:   make([]deqRes[V], n),
 		brvals:  make([][]deqRes[V], n),
 	})
-	// Memory plane: record pools carry cache 2(n+1) per thread (the old rings
-	// held 2n+2) and reissue through the end's hazard table; records are NOT
-	// reset at Put — a retired record may still be hazard-protected, so it may
-	// only be mutated at reissue, after the guard probe clears it.
+	// Memory plane: record pools carry cache 2(n+1) per thread and reissue
+	// through the end's hazard table; records are NOT reset at Put — a
+	// retired record may still be hazard-protected, so it may only be
+	// mutated at reissue, after the guard probe clears it.
 	q.estate = alloc.NewTyped(alloc.NewPool(n, alloc.Config[enqState[V]]{
 		New:     func() *enqState[V] { return &enqState[V]{applied: xatomic.NewSnapshot(n)} },
 		Next:    func(s *enqState[V]) *enqState[V] { return s.nextFree },
@@ -228,34 +226,15 @@ func NewSimQueue[V any](n int) *SimQueue[V] {
 // Call before any operation.
 func (q *SimQueue[V]) SetBackoff(lower, upper int) { q.boLower, q.boUpper = lower, upper }
 
-// SetRecorder attaches a distribution recorder shared by the enqueue and
-// dequeue instances (see core.PSim.SetRecorder). Call before any operation.
-func (q *SimQueue[V]) SetRecorder(rec *obs.SimRecorder) { q.rec = rec }
-
-// SetTracer attaches a flight recorder shared by the enqueue and dequeue
-// instances (see core.PSim.SetTracer); batch hand-offs additionally appear
-// as splice events. Sharing one tracer across both ends is safe for the
-// same reason sharing the recorder is: process id i is driven by one
-// goroutine at a time, whichever end it operates on. Call before any
-// operation.
-func (q *SimQueue[V]) SetTracer(tr *trace.Tracer) {
-	q.enqStats.Trace = tr
-	q.deqStats.Trace = tr
-	q.estate.Pool().SetTracer(tr)
-	q.dstate.Pool().SetTracer(tr)
-	q.nodes.SetTracer(tr)
-}
-
-// Instrument publishes the queue in reg under prefix: both ends' exact
-// counters attach to the same metric names (the registry sums them, matching
-// Stats) plus one shared SimRecorder for the latency and combining-degree
-// histograms, which is attached and returned. Call before any operation.
-func (q *SimQueue[V]) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	q.enqStats.Register(reg, prefix)
-	q.deqStats.Register(reg, prefix)
-	rec := obs.NewSimRecorder(reg, prefix, q.n)
-	q.SetRecorder(rec)
-	return rec
+// Attach connects the queue's instrument (see core.StatsPlane.Attach): both
+// ends' exact counters and memory planes attach in reg under prefix (the
+// registry sums the two ends, matching Stats), and both ends share rec and
+// tr — process id i is driven by one goroutine at a time, whichever end it
+// operates on. Batch hand-offs additionally appear as splice events. Any
+// argument may be nil. Call once, before any operation.
+func (q *SimQueue[V]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	q.enqStats.Attach(reg, prefix, rec, tr)
+	q.deqStats.Attach(reg, prefix, rec, tr)
 }
 
 func (q *SimQueue[V]) thread(ts []sqThread[V], act *xatomic.SharedBits, i int) *sqThread[V] {
@@ -267,13 +246,6 @@ func (q *SimQueue[V]) thread(ts []sqThread[V], act *xatomic.SharedBits, i int) *
 			upper = 0 // no helper can exist: waiting is pure overhead
 		}
 		t.bo = backoff.NewAdaptive(q.boLower, upper)
-		if q.rec != nil {
-			t.bo.Instrument(q.rec.Retries, i)
-		}
-		if tr := q.enqStats.Trace; tr != nil {
-			id := i
-			t.bo.OnGrow(func(w int) { tr.Rare(id, trace.KindBackoffGrow, uint64(w), 0) })
-		}
 		t.active = xatomic.NewSnapshot(q.n)
 		t.diffs = xatomic.NewSnapshot(q.n)
 		if &ts[0] == &q.enqThreads[0] {
@@ -316,12 +288,7 @@ func (t *sqThread[V]) freeNodes(first, last *qnode[V]) {
 // combiner still reads).
 func (q *SimQueue[V]) enqRecord(id int, t *sqThread[V]) *enqState[V] {
 	ns, fresh := q.estate.Get(t.eblk)
-	tr := q.enqStats.Trace
-	if fresh {
-		tr.Rare(id, trace.KindRecycleMiss, uint64(t.eblk.Cached()), 0)
-	} else {
-		tr.Instant(id, trace.KindRecycleHit, uint64(t.eblk.Cached()), 0)
-	}
+	q.enqStats.Recycled(id, fresh, t.eblk.Cached(), 0)
 	return ns
 }
 
@@ -329,12 +296,7 @@ func (q *SimQueue[V]) enqRecord(id int, t *sqThread[V]) *enqState[V] {
 // batch into, reissued through the guarded plane.
 func (q *SimQueue[V]) deqRecord(id int, t *sqThread[V]) *deqState[V] {
 	ns, fresh := q.dstate.Get(t.dblk)
-	tr := q.deqStats.Trace
-	if fresh {
-		tr.Rare(id, trace.KindRecycleMiss, uint64(t.dblk.Cached()), 0)
-	} else {
-		tr.Instant(id, trace.KindRecycleHit, uint64(t.dblk.Cached()), 0)
-	}
+	q.deqStats.Recycled(id, fresh, t.dblk.Cached(), 0)
 	return ns
 }
 
@@ -355,11 +317,10 @@ func splice[V any](es *enqState[V]) {
 // Enqueue appends v on behalf of process id (Algorithm 5).
 func (q *SimQueue[V]) Enqueue(id int, v V) {
 	t := q.thread(q.enqThreads, q.enqAct, id)
-	t0 := q.rec.Start(id)
-	tt := q.enqStats.Trace.OpStart(id)
+	op := q.enqStats.Start(id)
 
 	if q.n == 1 {
-		q.enqueueSolo(t, t0, tt, v)
+		q.enqueueSolo(t, op, v)
 		return
 	}
 
@@ -368,7 +329,7 @@ func (q *SimQueue[V]) Enqueue(id int, v V) {
 	t.toggler.Toggle() // lines 2–3
 	t.bo.Wait()        // line 4
 
-	q.enqueueAnnounced(id, t, t0, tt, 1)
+	q.enqueueAnnounced(id, t, op, 1)
 }
 
 // EnqueueBatch appends every value of vals, in order, on behalf of process
@@ -387,25 +348,23 @@ func (q *SimQueue[V]) EnqueueBatch(id int, vals []V) {
 		vals = vals[m:]
 
 		t := q.thread(q.enqThreads, q.enqAct, id)
-		t0 := q.rec.Start(id)
-		tt := q.enqStats.Trace.OpStart(id)
+		op := q.enqStats.Start(id)
 		if q.n == 1 {
-			q.enqueueSoloBatch(t, t0, tt, chunk)
+			q.enqueueSoloBatch(t, op, chunk)
 			continue
 		}
 		q.enqAnnounce.Publish(id, chunk)
 		core.SchedYield(id, core.PointAnnounce)
 		t.toggler.Toggle()
 		t.bo.Wait()
-		q.enqueueAnnounced(id, t, t0, tt, m)
+		q.enqueueAnnounced(id, t, op, m)
 	}
 }
 
 // enqueueAnnounced runs the two-round combining protocol plus the fallback
 // for process id's just-published vector of m values.
-func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp, m int) {
+func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], op core.Op, m int) {
 	st := q.enqStats
-	tr := st.Trace
 	um := uint64(m)
 	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
 
@@ -414,8 +373,7 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 		// record cannot be recycled while we use it.
 		ls, ok := q.enqHaz.Acquire(id, &q.enqP, hazardAttempts)
 		if !ok {
-			st.CASFail.Inc(id)
-			tr.Instant(id, trace.KindCASFail, uint64(j), 1)
+			st.CASFailed(id, j, 1)
 			continue
 		}
 		core.SchedYield(id, core.PointCollect)
@@ -426,10 +384,7 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 			// Our batch B ≤ ls: if B < ls it was spliced before being
 			// replaced, and splice(ls) above covers B == ls.
 			q.enqHaz.Clear(id) // don't pin ls while parked outside Enqueue
-			st.Ops.Add(id, um)
-			st.ServedBy.Add(id, um)
-			q.rec.OpDone(id, t0)
-			tr.OpServed(id, tt)
+			st.Served(id, op, um)
 			return
 		}
 
@@ -472,10 +427,9 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 		q.enqAnnounce.Clear(id) // done reading other processes' boxes
 		if abandoned {
 			t.freeNodes(first, last) // the list was never published: reuse it
-			st.CASFail.Inc(id)
-			tr.Instant(id, trace.KindCASFail, uint64(j), 2)
+			st.CASFailed(id, j, 2)
 			if j == 0 {
-				t.bo.Grow()
+				st.BackoffGrew(id, t.bo)
 				t.bo.Wait()
 			}
 			continue
@@ -494,16 +448,8 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 			oldTail.next.CompareAndSwap(nil, first)
 			q.enqHaz.Clear(id)       // unpin ls before retiring it
 			q.estate.Put(t.eblk, ls) // retire the replaced record for reuse
-			st.Ops.Add(id, um)
-			st.CASSuccess.Inc(id)
-			st.Combined.Add(id, ops)
-			q.rec.OpPublished(id, t0, slots)
-			var act uint64
-			if tt != 0 {
-				act = uint64(t.active.PopCount()) // sampled rounds only
-			}
-			tr.Instant(id, trace.KindSplice, 0, 0) // own-batch hand-off
-			tr.OpCommit(id, tt, slots, act, ops)
+			st.Spliced(id, 0)        // own-batch hand-off
+			st.Committed(id, op, um, slots, op.Act(t.active), ops)
 			if j == 0 {
 				t.bo.Shrink()
 			}
@@ -511,10 +457,9 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 		}
 		t.freeNodes(first, last) // the list was never published: reuse it
 		q.estate.Put(t.eblk, ns) // likewise the record
-		st.CASFail.Inc(id)
-		tr.Instant(id, trace.KindCASFail, uint64(j), 0)
+		st.CASFailed(id, j, 0)
 		if j == 0 {
-			t.bo.Grow()
+			st.BackoffGrew(id, t.bo)
 			t.bo.Wait()
 		}
 	}
@@ -526,10 +471,7 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 		splice(es)
 	}
 	q.enqHaz.Clear(id)
-	st.Ops.Add(id, um)
-	st.ServedBy.Add(id, um)
-	q.rec.OpDone(id, t0)
-	tr.OpServed(id, tt)
+	st.Served(id, op, um)
 }
 
 // enqueueSolo is Enqueue for n == 1: no helper can exist, so skip announce,
@@ -537,7 +479,7 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 // enqP). Records rotate through the plane's record cache and nodes through
 // its node pool (consumed chains flow back from the dequeue-side handle via
 // the pool's shared slots), so the steady-state path allocates nothing.
-func (q *SimQueue[V]) enqueueSolo(t *sqThread[V], t0, tt obs.Stamp, v V) {
+func (q *SimQueue[V]) enqueueSolo(t *sqThread[V], op core.Op, v V) {
 	ls := q.enqP.Load() // current record: never retired, safe to read
 	nd := q.node(t, v)
 	ns := q.enqRecord(0, t)
@@ -550,17 +492,12 @@ func (q *SimQueue[V]) enqueueSolo(t *sqThread[V], t0, tt obs.Stamp, v V) {
 	// enqueues, so the tail's next is nil until this CAS.
 	ns.oldTail.next.CompareAndSwap(nil, nd)
 	q.estate.Put(t.eblk, ls)
-	st := q.enqStats
-	st.Ops.Inc(0)
-	st.CASSuccess.Inc(0)
-	st.Combined.Add(0, 1)
-	q.rec.OpPublished(0, t0, 1)
-	st.Trace.OpCommit(0, tt, 1, 1, 1)
+	q.enqStats.Committed(0, op, 1, 1, 1, 1)
 }
 
 // enqueueSoloBatch is EnqueueBatch for n == 1: the whole chunk becomes one
 // private chain spliced with a single record rotation.
-func (q *SimQueue[V]) enqueueSoloBatch(t *sqThread[V], t0, tt obs.Stamp, vals []V) {
+func (q *SimQueue[V]) enqueueSoloBatch(t *sqThread[V], op core.Op, vals []V) {
 	ls := q.enqP.Load()
 	first := q.node(t, vals[0])
 	last := first
@@ -578,12 +515,7 @@ func (q *SimQueue[V]) enqueueSoloBatch(t *sqThread[V], t0, tt obs.Stamp, vals []
 	ns.oldTail.next.CompareAndSwap(nil, first)
 	q.estate.Put(t.eblk, ls)
 	m := uint64(len(vals))
-	st := q.enqStats
-	st.Ops.Add(0, m)
-	st.CASSuccess.Inc(0)
-	st.Combined.Add(0, m)
-	q.rec.OpPublished(0, t0, 1)
-	st.Trace.OpCommit(0, tt, 1, 1, m)
+	q.enqStats.Committed(0, op, m, 1, 1, m)
 }
 
 // announceDeqCount publishes process id's dequeue count for the next toggle.
@@ -600,11 +532,10 @@ func (q *SimQueue[V]) announceDeqCount(id int, t *sqThread[V], m uint64) {
 // (Algorithm 6); ok is false if the queue was empty.
 func (q *SimQueue[V]) Dequeue(id int) (V, bool) {
 	t := q.thread(q.deqThreads, q.deqAct, id)
-	t0 := q.rec.Start(id)
-	tt := q.deqStats.Trace.OpStart(id)
+	op := q.deqStats.Start(id)
 
 	if q.n == 1 {
-		r := q.dequeueSolo(t, t0, tt, 1, nil)
+		r := q.dequeueSolo(t, op, 1, nil)
 		return r.v, r.ok
 	}
 
@@ -613,7 +544,7 @@ func (q *SimQueue[V]) Dequeue(id int) (V, bool) {
 	t.toggler.Toggle() // lines 39–40 (a dequeue announces only its count)
 	t.bo.Wait()        // line 41
 
-	r, _ := q.dequeueAnnounced(id, t, t0, tt, 1, nil)
+	r, _ := q.dequeueAnnounced(id, t, op, 1, nil)
 	return r.v, r.ok
 }
 
@@ -633,16 +564,15 @@ func (q *SimQueue[V]) DequeueBatch(id int, want int, out []V) []V {
 		want -= m
 
 		t := q.thread(q.deqThreads, q.deqAct, id)
-		t0 := q.rec.Start(id)
-		tt := q.deqStats.Trace.OpStart(id)
+		op := q.deqStats.Start(id)
 		before := len(out)
 		if q.n == 1 {
 			if m == 1 {
-				if r := q.dequeueSolo(t, t0, tt, 1, nil); r.ok {
+				if r := q.dequeueSolo(t, op, 1, nil); r.ok {
 					out = append(out, r.v)
 				}
 			} else {
-				out = q.dequeueSoloBatch(t, t0, tt, m, out)
+				out = q.dequeueSoloBatch(t, op, m, out)
 			}
 		} else {
 			q.announceDeqCount(id, t, uint64(m))
@@ -650,12 +580,12 @@ func (q *SimQueue[V]) DequeueBatch(id int, want int, out []V) []V {
 			t.toggler.Toggle()
 			t.bo.Wait()
 			if m == 1 {
-				r, _ := q.dequeueAnnounced(id, t, t0, tt, 1, nil)
+				r, _ := q.dequeueAnnounced(id, t, op, 1, nil)
 				if r.ok {
 					out = append(out, r.v)
 				}
 			} else {
-				_, out = q.dequeueAnnounced(id, t, t0, tt, m, out)
+				_, out = q.dequeueAnnounced(id, t, op, m, out)
 			}
 		}
 		if len(out)-before < m {
@@ -669,17 +599,15 @@ func (q *SimQueue[V]) DequeueBatch(id int, want int, out []V) []V {
 // for process id's just-announced count of m dequeues. For m == 1 the single
 // response is returned directly (out untouched, may be nil); for m > 1 the
 // successful responses are appended to out in dequeue order.
-func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp, m int, out []V) (deqRes[V], []V) {
+func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int, out []V) (deqRes[V], []V) {
 	st := q.deqStats
-	tr := st.Trace
 	um := uint64(m)
 	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
 
 	for j := 0; j < 2; j++ {
 		ls, ok := q.deqHaz.Acquire(id, &q.deqP, hazardAttempts) // lines 43–44
 		if !ok {
-			st.CASFail.Inc(id)
-			tr.Instant(id, trace.KindCASFail, uint64(j), 1)
+			st.CASFailed(id, j, 1)
 			continue
 		}
 		core.SchedYield(id, core.PointCollect)
@@ -693,10 +621,7 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 				out = appendHits(out, ls.brvals[id])
 			}
 			q.deqHaz.Clear(id) // don't pin ls while parked outside Dequeue
-			st.Ops.Add(id, um)
-			st.ServedBy.Add(id, um)
-			q.rec.OpDone(id, t0)
-			tr.OpServed(id, tt)
+			st.Served(id, op, um)
 			return r, out
 		}
 
@@ -707,7 +632,7 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 		// in-flight operations — missing those is linearizable.
 		if es, ok := q.enqHaz.Acquire(q.n+id, &q.enqP, hazardAttempts); ok {
 			splice(es)
-			tr.Instant(id, trace.KindSplice, 1, 0) // dequeuer helped the hand-off
+			st.Spliced(id, 1) // dequeuer helped the hand-off
 		}
 		q.enqHaz.Clear(q.n + id) // help slot done: never leave it set
 
@@ -775,15 +700,7 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 		if q.deqP.CompareAndSwap(ls, ns) { // line 67
 			q.deqHaz.Clear(id) // unpin ls before retiring it
 			q.dstate.Put(t.dblk, ls)
-			st.Ops.Add(id, um)
-			st.CASSuccess.Inc(id)
-			st.Combined.Add(id, ops)
-			q.rec.OpPublished(id, t0, slots)
-			var act uint64
-			if tt != 0 {
-				act = uint64(t.active.PopCount()) // sampled rounds only
-			}
-			tr.OpCommit(id, tt, slots, act, ops)
+			st.Committed(id, op, um, slots, op.Act(t.active), ops)
 			if j == 0 {
 				t.bo.Shrink()
 			}
@@ -791,20 +708,16 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], t0, tt obs.Stamp,
 		}
 		out = out[:base]         // speculative copies die with the failed round
 		q.dstate.Put(t.dblk, ns) // never published — immediately reusable
-		st.CASFail.Inc(id)
-		tr.Instant(id, trace.KindCASFail, uint64(j), 0)
+		st.CASFailed(id, j, 0)
 		if j == 0 {
-			t.bo.Grow()
+			st.BackoffGrew(id, t.bo)
 			t.bo.Wait()
 		}
 	}
 	// lines 70–72: a helper served us; read the published record under
 	// hazard protection (unbounded form is lock-free: each failure implies
 	// a concurrent successful publish).
-	st.Ops.Add(id, um)
-	st.ServedBy.Add(id, um)
-	q.rec.OpDone(id, t0)
-	tr.OpServed(id, tt)
+	st.Served(id, op, um)
 	ls, _ := q.deqHaz.Acquire(id, &q.deqP, 0)
 	var r deqRes[V]
 	if m == 1 {
@@ -833,7 +746,7 @@ func appendHits[V any](out []V, row []deqRes[V]) []V {
 // through the pool's shared slots — nodes strictly before the head are
 // unreachable from every record still in use, and with one process per end
 // no stalled combiner can be traversing them.
-func (q *SimQueue[V]) dequeueSolo(t *sqThread[V], t0, tt obs.Stamp, m int, _ []V) deqRes[V] {
+func (q *SimQueue[V]) dequeueSolo(t *sqThread[V], op core.Op, m int, _ []V) deqRes[V] {
 	ls := q.deqP.Load()
 	head := ls.head
 	next := head.next.Load()
@@ -856,12 +769,7 @@ func (q *SimQueue[V]) dequeueSolo(t *sqThread[V], t0, tt obs.Stamp, m int, _ []V
 		// Get clears the link before reuse so a splice CAS can hit it).
 		t.nblk.Put(head)
 	}
-	st := q.deqStats
-	st.Ops.Inc(0)
-	st.CASSuccess.Inc(0)
-	st.Combined.Add(0, 1)
-	q.rec.OpPublished(0, t0, 1)
-	st.Trace.OpCommit(0, tt, 1, 1, 1)
+	q.deqStats.Committed(0, op, 1, 1, 1, 1)
 	return r
 }
 
@@ -869,7 +777,7 @@ func (q *SimQueue[V]) dequeueSolo(t *sqThread[V], t0, tt obs.Stamp, m int, _ []V
 // consumed in one record rotation and every consumed node retires into the
 // dequeue-side plane handle, so batched pair workloads stay
 // allocation-free.
-func (q *SimQueue[V]) dequeueSoloBatch(t *sqThread[V], t0, tt obs.Stamp, m int, out []V) []V {
+func (q *SimQueue[V]) dequeueSoloBatch(t *sqThread[V], op core.Op, m int, out []V) []V {
 	ls := q.deqP.Load()
 	head := ls.head
 	got := 0
@@ -902,12 +810,7 @@ func (q *SimQueue[V]) dequeueSoloBatch(t *sqThread[V], t0, tt obs.Stamp, m int, 
 		t.nblk.Put(nd)
 		nd = nx
 	}
-	st := q.deqStats
-	st.Ops.Add(0, uint64(m))
-	st.CASSuccess.Inc(0)
-	st.Combined.Add(0, uint64(m))
-	q.rec.OpPublished(0, t0, 1)
-	st.Trace.OpCommit(0, tt, 1, 1, uint64(m))
+	q.deqStats.Committed(0, op, uint64(m), 1, 1, uint64(m))
 	return out
 }
 

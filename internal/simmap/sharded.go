@@ -15,7 +15,7 @@ import (
 // its Act vector, announce array, and observability plane with its siblings
 // inside one Map; a SHARD is a whole Map of its own, so shards share
 // nothing: each has its own stripes, its own hash seed, and (when
-// instrumented) its own StatsPlane and flight recorder. Multi-key
+// attached) its own counters and recorder. Multi-key
 // operations group keys per shard and hand each shard's group to the
 // shard's batched entry points, so a cross-shard MGet/MSet costs one
 // combining round per TOUCHED shard, not per key.
@@ -207,31 +207,22 @@ func (s *Sharded[K, V]) Range(f func(k K, v V) bool) {
 	}
 }
 
-// Instrument publishes every shard in reg as labeled series of one metric
-// family — prefix_ops_total{shard="<i>"}, … — giving each shard its own
-// SimRecorder (returned in shard order) so per-shard load imbalance is
-// visible while `sum by (shard)` still aggregates the family. Call before
-// any mutation.
-func (s *Sharded[K, V]) Instrument(reg *obs.Registry, prefix string) []*obs.SimRecorder {
+// Attach connects every shard's instrument. In reg (nil = unpublished) each
+// shard publishes labeled series of one metric family —
+// prefix_ops_total{shard="<i>"}, … — with its own SimRecorder (returned in
+// shard order; nil without reg), so per-shard load imbalance is visible
+// while `sum by (shard)` still aggregates the family. All shards share tr:
+// multi-key calls touch shards one after another, so process id i stays a
+// single writer, and one interleaved stream is the right shape for a flight
+// recorder. Call once, before any mutation.
+func (s *Sharded[K, V]) Attach(reg *obs.Registry, prefix string, tr *trace.Tracer) []*obs.SimRecorder {
 	recs := make([]*obs.SimRecorder, len(s.shards))
 	for i, m := range s.shards {
-		recs[i] = m.Instrument(reg, obs.Labeled(prefix, "shard", strconv.Itoa(i)))
+		p := obs.Labeled(prefix, "shard", strconv.Itoa(i))
+		recs[i] = obs.NewSimRecorder(reg, p, m.stripes[0].N())
+		m.Attach(reg, p, recs[i], tr)
 	}
 	return recs
-}
-
-// SetTracer attaches one flight recorder per shard (trs aligned with shard
-// indices; nil entries skip that shard), keeping each shard's event stream
-// separate. Sharing one tracer across shards would also be safe — multi-key
-// calls touch shards one after another, so process id i stays a single
-// writer — but separate rings are what per-shard load debugging wants.
-// Call before any mutation.
-func (s *Sharded[K, V]) SetTracer(trs []*trace.Tracer) {
-	for i, m := range s.shards {
-		if i < len(trs) && trs[i] != nil {
-			m.SetTracer(trs[i])
-		}
-	}
 }
 
 // Stats aggregates combining statistics across all shards.

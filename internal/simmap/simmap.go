@@ -294,34 +294,17 @@ func (m *Map[K, V]) Range(f func(k K, v V) bool) {
 // Stripes returns the stripe count.
 func (m *Map[K, V]) Stripes() int { return len(m.stripes) }
 
-// Instrument publishes the map in reg under prefix: every stripe's exact
-// counters attach to the same metric names (the registry sums them, matching
-// Stats), and one SimRecorder — returned, e.g. to adjust its sampling rate —
-// is shared by all stripes for the latency and combining-degree histograms.
-// Sharing one recorder across stripes is safe: process id i is driven by one
-// goroutine at a time, so slot i keeps a single writer no matter which stripe
-// the operation lands on. Call before any mutation.
-func (m *Map[K, V]) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	if len(m.stripes) == 0 {
-		return nil
-	}
-	rec := obs.NewSimRecorder(reg, prefix, m.stripes[0].N())
+// Attach connects every stripe's instrument (see core.StatsPlane.Attach):
+// the stripes' exact counters attach in reg under the same prefix (the
+// registry sums them, matching Stats), and all stripes share rec and tr.
+// Sharing is safe: process id i is driven by one goroutine at a time, so
+// slot i and ring i keep a single writer whichever stripe an operation
+// lands on, and one per-pid event track is exactly the thread's-eye view a
+// flight recorder is for. Any argument may be nil. Call once, before any
+// mutation.
+func (m *Map[K, V]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
 	for _, s := range m.stripes {
-		s.RegisterStats(reg, prefix)
-		s.SetRecorder(rec)
-	}
-	return rec
-}
-
-// SetTracer attaches one flight recorder to every stripe. Sharing a tracer
-// across stripes is safe for the same reason sharing the recorder is:
-// process id i is driven by one goroutine at a time, so ring i keeps a
-// single writer no matter which stripe the operation lands on. Events from
-// different stripes interleave on one per-pid track, which is exactly the
-// thread's-eye view a flight recorder is for. Call before any mutation.
-func (m *Map[K, V]) SetTracer(tr *trace.Tracer) {
-	for _, s := range m.stripes {
-		s.SetTracer(tr)
+		s.Attach(reg, prefix, rec, tr)
 	}
 }
 

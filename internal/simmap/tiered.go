@@ -172,21 +172,15 @@ func (t *Tiered[K]) Stats() TieredStats {
 	}
 }
 
-// Instrument publishes both engines in reg under prefix: the small tier's
-// stripes as <prefix>_*, the L-Sim engine as <prefix>_lsim_*, and the tier
-// routing counters as <prefix>_tier_{small,large}_ops_total. Returns the
-// small tier's recorder (shared across stripes).
-func (t *Tiered[K]) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	rec := t.m.Instrument(reg, prefix)
-	t.ls.RegisterStats(reg, prefix+"_lsim")
+// Attach connects both engines' instruments: in reg under prefix, the small
+// tier's stripes as <prefix>_* (sharing rec), the L-Sim engine's counters
+// as <prefix>_lsim_* (no recorder), and the tier routing counters as
+// <prefix>_tier_{small,large}_ops_total; both engines' events interleave in
+// tr's per-pid rings. Any argument may be nil. Call once, before operations
+// start.
+func (t *Tiered[K]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	t.m.Attach(reg, prefix, rec, tr)
+	t.ls.Attach(reg, prefix+"_lsim", nil, tr)
 	reg.AttachCounter(prefix+"_tier_small_ops_total", t.smallOps)
 	reg.AttachCounter(prefix+"_tier_large_ops_total", t.largeOps)
-	return rec
-}
-
-// SetTracer attaches one flight recorder to both engines (their events
-// interleave in the same per-pid rings). Call before operations start.
-func (t *Tiered[K]) SetTracer(tr *trace.Tracer) {
-	t.m.SetTracer(tr)
-	t.ls.SetTracer(tr)
 }

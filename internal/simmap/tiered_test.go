@@ -115,9 +115,7 @@ func TestTieredRangeAndInstrument(t *testing.T) {
 	const threshold = 16
 	m := NewTiered[uint64](2, 4, threshold)
 	reg := obs.NewRegistry()
-	if rec := m.Instrument(reg, "tmap"); rec == nil {
-		t.Fatal("Instrument returned nil recorder")
-	}
+	m.Attach(reg, "tmap", obs.NewSimRecorder(reg, "tmap", 2), nil)
 	for k := uint64(0); k < 10; k++ {
 		size := 8
 		if k%2 == 1 {

@@ -36,6 +36,8 @@
 package spool
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -96,9 +98,14 @@ type Config struct {
 	// PreallocEvents pre-sizes the active buffer of the initial state (and
 	// the recycled clone buffers as they first fill) so steady-state
 	// workloads below that size never grow a buffer mid-publish. 0 means
-	// grow on demand.
+	// grow on demand; more than MaxPreallocEvents panics.
 	PreallocEvents int
 }
+
+// MaxPreallocEvents bounds Config.PreallocEvents. Preallocation is paid up
+// front in one allocation, so an unbounded request (a segment size meant as
+// "never seal") would reserve memory the spool never uses.
+const MaxPreallocEvents = 1 << 20
 
 func (c Config) withDefaults() Config {
 	if c.SegEvents <= 0 {
@@ -185,6 +192,9 @@ type spoolThread[E Entry] struct {
 
 // New returns a spool for n process ids.
 func New[E Entry](n int, cfg Config) *Spool[E] {
+	if cfg.PreallocEvents > MaxPreallocEvents {
+		panic(fmt.Sprintf("spool: PreallocEvents %d exceeds MaxPreallocEvents (%d)", cfg.PreallocEvents, MaxPreallocEvents))
+	}
 	cfg = cfg.withDefaults()
 	s := &Spool[E]{n: n, cfg: cfg, threads: make([]spoolThread[E], n)}
 	init := state[E]{}
@@ -354,20 +364,11 @@ func (s *Spool[E]) Snapshot() View[E] { return View[E]{st: s.u.Read()} }
 // N returns the number of process ids.
 func (s *Spool[E]) N() int { return s.n }
 
-// SetTracer attaches a flight recorder to the underlying construction.
-func (s *Spool[E]) SetTracer(tr *trace.Tracer) { s.u.SetTracer(tr) }
-
-// SetRecorder attaches a metrics recorder to the underlying construction.
-func (s *Spool[E]) SetRecorder(rec *obs.SimRecorder) { s.u.SetRecorder(rec) }
-
-// Instrument registers the spool's combining counters and latency/degree
-// recorder under prefix.
-func (s *Spool[E]) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	return s.u.Instrument(reg, prefix)
+// Attach connects the underlying construction's instrument (see
+// core.PSim.Attach). Call once, before any operation.
+func (s *Spool[E]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	s.u.Attach(reg, prefix, rec, tr)
 }
-
-// RegisterStats registers only the hot-path counters under prefix.
-func (s *Spool[E]) RegisterStats(reg *obs.Registry, prefix string) { s.u.RegisterStats(reg, prefix) }
 
 // Stats returns the construction's combining statistics.
 func (s *Spool[E]) Stats() core.Stats { return s.u.Stats() }

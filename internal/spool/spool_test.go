@@ -1,6 +1,7 @@
 package spool
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -218,4 +219,18 @@ func TestViewReadWindows(t *testing.T) {
 	if evs, next, skipped := v.Read(99, 10, nil); len(evs) != 0 || next != 99 || skipped != 0 {
 		t.Fatalf("future read: %d events next=%d skipped=%d", len(evs), next, skipped)
 	}
+}
+
+// TestNewRefusesUnboundedPrealloc: preallocation is reserved up front, so a
+// request beyond MaxPreallocEvents must fail loudly at construction instead
+// of exhausting memory.
+func TestNewRefusesUnboundedPrealloc(t *testing.T) {
+	New[Event](1, Config{PreallocEvents: MaxPreallocEvents}) // at the bound: fine
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "PreallocEvents") {
+			t.Fatalf("New with PreallocEvents 1<<30: recovered %q, want a PreallocEvents panic", msg)
+		}
+	}()
+	New[Event](1, Config{PreallocEvents: 1 << 30})
 }

@@ -151,18 +151,10 @@ func (s *SimStack[V]) Len() int {
 // Stats exposes the underlying P-Sim combining statistics.
 func (s *SimStack[V]) Stats() core.Stats { return s.u.Stats() }
 
-// SetRecorder attaches a distribution recorder to the underlying P-Sim
-// instance. Call before any operation.
-func (s *SimStack[V]) SetRecorder(rec *obs.SimRecorder) { s.u.SetRecorder(rec) }
-
-// SetTracer attaches a flight recorder to the underlying P-Sim instance
-// (see core.PSim.SetTracer). Call before any operation.
-func (s *SimStack[V]) SetTracer(tr *trace.Tracer) { s.u.SetTracer(tr) }
-
-// Instrument publishes the stack in reg under prefix (see
-// core.PSim.Instrument). Call before any operation.
-func (s *SimStack[V]) Instrument(reg *obs.Registry, prefix string) *obs.SimRecorder {
-	return s.u.Instrument(reg, prefix)
+// Attach connects the underlying P-Sim instance's instrument (see
+// core.PSim.Attach). Call once, before any operation.
+func (s *SimStack[V]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
+	s.u.Attach(reg, prefix, rec, tr)
 }
 
 // Name implements Interface.
