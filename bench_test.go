@@ -28,7 +28,6 @@ import (
 	"repro/internal/simmap"
 	"repro/internal/stack"
 	"repro/internal/workload"
-	"repro/internal/xatomic"
 )
 
 // benchThreads are the thread counts each family sweeps. The paper's x axis
@@ -148,49 +147,56 @@ func BenchmarkFigure3Queue(b *testing.B) {
 // --- Table 1: measured shared-memory accesses per operation ---
 
 func BenchmarkTable1(b *testing.B) {
-	b.Run("Sim", func(b *testing.B) {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-				u := core.NewSim(n, 8, uint64(0), func(st uint64, _ int, op uint64) (uint64, uint64) {
-					return st + op, st
+	type run struct {
+		op       func(id int)
+		accesses func() uint64
+	}
+	cases := []struct {
+		name  string
+		build func(n int) run
+	}{
+		{"Sim", func(n int) run {
+			u := core.NewSim(n, 8, uint64(0), func(st uint64, _ int, op uint64) (uint64, uint64) {
+				return st + op, st
+			})
+			return run{func(id int) { u.ApplyOp(id, 1) }, func() uint64 { return u.Stats().SharedAccesses }}
+		}},
+		{"PSim", func(n int) run {
+			u := core.NewPSim(n, uint64(0), func(st *uint64, _ int, arg uint64) uint64 {
+				prev := *st
+				*st = prev + arg
+				return prev
+			})
+			return run{func(id int) { u.Apply(id, 1) }, func() uint64 { return u.Stats().SharedAccesses }}
+		}},
+		{"LSim", func(n int) run {
+			l := lsim.New[uint64, uint64, uint64](n)
+			item := l.NewRootItem(0)
+			op := func(m *lsim.Mem[uint64, uint64, uint64], arg uint64) uint64 {
+				v := m.Read(item)
+				m.Write(item, v+arg)
+				return v
+			}
+			return run{func(id int) { l.ApplyOp(id, op, 1) }, func() uint64 { return l.Stats().SharedAccesses }}
+		}},
+		{"Herlihy", func(n int) run {
+			u := herlihy.New(n, uint64(0), func(st uint64, _ int, arg uint64) (uint64, uint64) {
+				return st + arg, st
+			})
+			return run{func(id int) { u.Apply(id, 1) }, u.SharedAccesses}
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for _, n := range benchThreads {
+				b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+					r := c.build(n)
+					runConcurrent(b, n, func(id int, _ *workload.RNG) { r.op(id) })
+					b.ReportMetric(float64(r.accesses())/float64(b.N), "accesses/op")
 				})
-				c := xatomic.NewAccessCounter(n)
-				u.SetAccessCounter(c)
-				runConcurrent(b, n, func(id int, _ *workload.RNG) { u.ApplyOp(id, 1) })
-				b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
-			})
-		}
-	})
-	b.Run("LSim", func(b *testing.B) {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-				l := lsim.New[uint64, uint64, uint64](n)
-				item := l.NewRootItem(0)
-				op := func(m *lsim.Mem[uint64, uint64, uint64], arg uint64) uint64 {
-					v := m.Read(item)
-					m.Write(item, v+arg)
-					return v
-				}
-				c := xatomic.NewAccessCounter(n)
-				l.SetAccessCounter(c)
-				runConcurrent(b, n, func(id int, _ *workload.RNG) { l.ApplyOp(id, op, 1) })
-				b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
-			})
-		}
-	})
-	b.Run("Herlihy", func(b *testing.B) {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-				u := herlihy.New(n, uint64(0), func(st uint64, _ int, arg uint64) (uint64, uint64) {
-					return st + arg, st
-				})
-				c := xatomic.NewAccessCounter(n)
-				u.SetAccessCounter(c)
-				runConcurrent(b, n, func(id int, _ *workload.RNG) { u.Apply(id, 1) })
-				b.ReportMetric(float64(c.Total())/float64(b.N), "accesses/op")
-			})
-		}
-	})
+			}
+		})
+	}
 }
 
 // --- Ablations (design choices called out in DESIGN.md) ---

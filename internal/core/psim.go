@@ -76,7 +76,6 @@ type PSim[S, A, R any] struct {
 
 	threads []psimThread[S, R]
 	stats   *StatsPlane
-	counter *xatomic.AccessCounter // optional Table 1 instrumentation
 
 	boLower, boUpper int
 	batchBudget      int
@@ -254,12 +253,6 @@ func NewPSim[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, op
 // N returns the number of threads the instance was built for.
 func (u *PSim[S, A, R]) N() int { return u.n }
 
-// SetAccessCounter attaches shared-memory-access instrumentation (the
-// Table 1 experiment: P-Sim performs O(k) accesses — the announce-array
-// reads replace the theoretical construction's O(1) collect). Not safe to
-// call concurrently with Apply.
-func (u *PSim[S, A, R]) SetAccessCounter(c *xatomic.AccessCounter) { u.counter = c }
-
 // Attach connects the instance's instrument (see StatsPlane.Attach): its
 // counters and memory plane published in reg under prefix, sampled latency
 // and combining-degree histograms into rec, and committed rounds, publish
@@ -347,7 +340,7 @@ func (u *PSim[S, A, R]) Apply(i int, arg A) R {
 	u.announce.PublishOne(i, arg)
 	SchedYield(i, PointAnnounce)
 	t.toggler.Toggle() // lines 2–3: toggle pi's bit in Act (one F&A)
-	u.counter.Add(i, 2)
+	u.stats.Accesses.Add(i, 2)
 	t.bo.Wait() // line 4: back off so helpers accumulate work
 
 	r, _ := u.applyAnnounced(i, t, op, 1, nil)
@@ -388,7 +381,7 @@ func (u *PSim[S, A, R]) ApplyBatch(i int, args []A, res []R) []R {
 		u.announce.Publish(i, chunk)
 		SchedYield(i, PointAnnounce)
 		t.toggler.Toggle()
-		u.counter.Add(i, 2)
+		u.stats.Accesses.Add(i, 2)
 		t.bo.Wait()
 		if c == 1 {
 			var r R
@@ -417,14 +410,14 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 		// hazardAttempts publishes succeeded meanwhile; the round is consumed
 		// like a failed seq-stamp check in the pooled variant.
 		ls, ok := u.haz.Acquire(i, &u.state, hazardAttempts)
-		u.counter.Add(i, 2)
+		st.Accesses.Add(i, 2)
 		if !ok {
 			st.CASFailed(i, j, 1)
 			continue
 		}
 		SchedYield(i, PointCollect)
 		u.act.LoadInto(t.active) // line 9: read Act
-		u.counter.Add(i, uint64(u.act.Words()))
+		st.Accesses.Add(i, uint64(u.act.Words()))
 		// line 10: diffs = applied XOR active — the set of processes whose
 		// announced operations have not been applied to ls.
 		ls.applied.XorInto(t.active, t.diffs)
@@ -481,7 +474,7 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 				}
 				vec = b.Vec()
 			}
-			u.counter.Inc(i) // the O(k) announce reads of P-Sim
+			st.Accesses.Inc(i) // the O(k) announce reads of P-Sim
 			if len(vec) == 1 {
 				ns.rvals[k] = u.apply(&ns.st, k, vec[0])
 				ns.brvals[k] = ns.brvals[k][:0]
@@ -510,7 +503,7 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 
 			// lines 22–25: try to publish. CAS on the pointer plays the role
 			// of the CAS on the timestamped pool index.
-			u.counter.Inc(i)
+			st.Accesses.Inc(i)
 			SchedYield(i, PointCAS)
 			if u.state.CompareAndSwap(ls, ns) {
 				u.haz.Clear(i)        // unpin ls before retiring it to the plane
@@ -537,7 +530,7 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 	// witnesses an intervening publish). Read and return under hazard
 	// protection; each failed acquisition implies yet another concurrent
 	// publish, so the unbounded form is lock-free.
-	u.counter.Inc(i)
+	st.Accesses.Inc(i)
 	ls, _ := u.haz.Acquire(i, &u.state, 0)
 	var r R
 	if m == 1 {
@@ -582,7 +575,7 @@ func (u *PSim[S, A, R]) applySoloVec(t *psimThread[S, R], op Op, arg A, batch []
 	}
 	u.state.Store(ns) // sole writer: plain atomic publish
 	u.pool.Put(t.blk, ls)
-	u.counter.Add(0, 2)
+	u.stats.Accesses.Add(0, 2)
 	u.stats.Committed(0, op, ops, 1, 1, ops)
 	return rv, res
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/xatomic"
 )
 
 // faaPSim builds a fetch-and-add object: Apply returns the previous value.
@@ -334,13 +333,11 @@ func TestPSimDistinctArgTypes(t *testing.T) {
 // The O(k) announce-read term is exercised by the contended tests.
 func TestPSimAccessCountSequential(t *testing.T) {
 	u := faaPSim(1)
-	c := xatomic.NewAccessCounter(1)
-	u.SetAccessCounter(c)
 	const per = 100
 	for k := 0; k < per; k++ {
 		u.Apply(0, 1)
 	}
-	if got := float64(c.Total()) / per; got != 2 {
+	if got := float64(u.Stats().SharedAccesses) / per; got != 2 {
 		t.Fatalf("accesses/op = %v, want 2", got)
 	}
 }
@@ -353,8 +350,6 @@ func TestPSimAccessCountSequential(t *testing.T) {
 func TestPSimAccessCountGrowsWithHelping(t *testing.T) {
 	const n, per = 8, 200
 	u := faaPSim(n, WithBackoff[uint64](512, 4096))
-	c := xatomic.NewAccessCounter(n)
-	u.SetAccessCounter(c)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -366,7 +361,7 @@ func TestPSimAccessCountGrowsWithHelping(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	perOp := float64(c.Total()) / float64(n*per)
+	perOp := float64(u.Stats().SharedAccesses) / float64(n*per)
 	if perOp < 4 || perOp > 20 {
 		t.Fatalf("accesses/op = %v, expected small constant + amortized k", perOp)
 	}

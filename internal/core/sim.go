@@ -21,10 +21,12 @@ const OpBottom uint64 = 0
 // width); the sequential object is supplied as a pure function mapping
 // (state, pid, opcode) to (new state, response). With nd ≤ 64 the collect is
 // a single Fetch&Add word and every ApplyOp performs a CONSTANT number of
-// shared memory accesses — 2 F&A updates + 2·(LL + collect + SC) = 8 — which
-// is the paper's headline result (Theorem 3.1) beating Jayanti's Ω(log n)
-// LL/SC lower bound. With nd > 64 the collect costs ⌈nd/64⌉ reads and the
-// bound becomes O(nd/b), also per Theorem 3.1.
+// shared memory accesses — 2 F&A updates + 2 Attempts × 2 rounds × (LL +
+// 1-word collect + SC) + 1 response read = 15 — which is the paper's
+// headline result (Theorem 3.1) beating Jayanti's Ω(log n) LL/SC lower
+// bound. With nd > 64 the collect costs ⌈nd/64⌉ reads and the bound becomes
+// O(nd/b), also per Theorem 3.1. The stats plane's Accesses counter bills
+// every access (Stats().SharedAccesses).
 //
 // Sim is wait-free: ApplyOp runs Attempt exactly twice after announcing and
 // twice after withdrawing, never waiting on other processes.
@@ -36,8 +38,7 @@ type Sim[S, R any] struct {
 	updaters []*collect.Updater
 	s        *xatomic.LLSC[simState[S, R]]
 
-	counter *xatomic.AccessCounter // optional shared-access instrumentation
-	stats   *StatsPlane
+	stats *StatsPlane
 }
 
 // simState is the contents of the LL/SC object (struct State of §3).
@@ -69,11 +70,6 @@ func NewSim[S, R any](n, d int, init S, apply func(st S, pid int, op uint64) (S,
 	})
 	return u
 }
-
-// SetAccessCounter attaches a shared-memory-access counter (Table 1
-// instrumentation). Pass nil to detach. Not safe to call concurrently with
-// ApplyOp.
-func (u *Sim[S, R]) SetAccessCounter(c *xatomic.AccessCounter) { u.counter = c }
 
 // Attach connects the instance's instrument (see PSim's Attach). Sim never
 // recycles records, so only round, served and cas_fail events appear; each
@@ -108,20 +104,21 @@ func (u *Sim[S, R]) ApplyOp(i int, op uint64) R {
 		panic(fmt.Sprintf("core: opcode %#x exceeds %d bits", op, u.d))
 	}
 	upd := u.updater(i)
-	op0 := u.stats.Start(i)
+	st := u.stats
+	op0 := st.Start(i)
 
 	upd.Update(op) // line 1: announce op
 	SchedYield(i, PointAnnounce)
-	u.countAccess(i, 1)
+	st.Accesses.Inc(i)
 	combined := u.attempt(i) // line 2
 
 	upd.Update(OpBottom) // line 3: withdraw the announcement
-	u.countAccess(i, 1)
+	st.Accesses.Inc(i)
 	combined += u.attempt(i) // line 4: eliminate the evidence of op
 
 	rv := u.s.Read().rvals[i] // line 5
-	u.countAccess(i, 1)
-	u.stats.simDone(i, op0, combined)
+	st.Accesses.Inc(i)
+	st.simDone(i, op0, combined)
 	return rv
 }
 
@@ -135,9 +132,9 @@ func (u *Sim[S, R]) attempt(i int) uint64 {
 	for j := 0; j < 2; j++ {
 		ls, tag := u.s.LL() // line 7
 		SchedYield(i, PointCollect)
-		u.countAccess(i, 1)
+		st.Accesses.Inc(i)
 		u.col.CollectInto(ops) // line 8
-		u.countAccess(i, uint64(u.col.Words()))
+		st.Accesses.Add(i, uint64(u.col.Words()))
 
 		// lines 9–13: local loop — apply every announced-but-unapplied
 		// operation to a local copy of the state.
@@ -162,13 +159,9 @@ func (u *Sim[S, R]) attempt(i int) uint64 {
 		} else {
 			st.CASFailed(i, j, 0)
 		}
-		u.countAccess(i, 1)
+		st.Accesses.Inc(i)
 	}
 	return total
-}
-
-func (u *Sim[S, R]) countAccess(i int, n uint64) {
-	u.counter.Add(i, n)
 }
 
 // Read returns the current simulated state (immutable by the purity

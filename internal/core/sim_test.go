@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/xatomic"
 )
 
 // faaSim builds a theoretical-Sim fetch-and-add object: opcode = delta.
@@ -122,13 +121,11 @@ func TestSimLinearizableHistories(t *testing.T) {
 
 // TestSimAccessCountConstant: the headline Theorem 3.1 property — shared
 // accesses per op are a constant independent of n while the collect stays
-// single-word (8 accesses: 2 updates + 2×(LL + 1-word collect + SC), plus 1
-// for the final rvals read in our accounting).
+// single-word (15 accesses: 2 updates + 2 attempts × 2 rounds × (LL +
+// 1-word collect + SC) + 1 final rvals read).
 func TestSimAccessCountConstant(t *testing.T) {
 	perOp := func(n int) float64 {
 		u := faaSim(n, 4) // nd ≤ 64 for n ≤ 16
-		c := xatomic.NewAccessCounter(n)
-		u.SetAccessCounter(c)
 		const per = 50
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
@@ -141,7 +138,7 @@ func TestSimAccessCountConstant(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-		return float64(c.Total()) / float64(n*per)
+		return float64(u.Stats().SharedAccesses) / float64(n*per)
 	}
 	a1, a4, a16 := perOp(1), perOp(4), perOp(16)
 	if a1 != a4 || a4 != a16 {
@@ -156,12 +153,10 @@ func TestSimAccessCountConstant(t *testing.T) {
 // 4·(extra collect words) — the ⌈nd/b⌉ term of Theorem 3.1.
 func TestSimAccessCountMultiWord(t *testing.T) {
 	u := faaSim(32, 8) // nd = 256 -> 4 words
-	c := xatomic.NewAccessCounter(32)
-	u.SetAccessCounter(c)
 	u.ApplyOp(0, 1)
 	// 2 updates + 4 attempt-rounds × (1 LL + 4 collect + 1 SC) + 1 read
 	want := uint64(2 + 4*6 + 1)
-	if got := c.Total(); got != want {
+	if got := u.Stats().SharedAccesses; got != want {
 		t.Fatalf("accesses = %d, want %d", got, want)
 	}
 }

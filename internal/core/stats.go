@@ -11,9 +11,11 @@ import (
 // channels behind one small event vocabulary:
 //
 //   - exact counters, one padded single-writer slot per process id per
-//     counter (obs.Counter), always on — Stats() and Figure 2's degree of
-//     helping read them, and Attach publishes the very same slots, so
-//     observing never adds a second accounting plane to the operation path;
+//     counter (obs.Counter), always on — Stats(), Figure 2's degree of
+//     helping and Table 1's shared-access count read them, and Attach
+//     publishes the very same slots (all but Accesses, which has no metric
+//     family yet), so observing never adds a second accounting plane to the
+//     operation path;
 //   - Rec, the sampled latency / combining-degree histograms (nil = off);
 //   - Trace, the flight recorder (nil = off).
 //
@@ -27,6 +29,7 @@ type StatsPlane struct {
 	CASFail    *obs.Counter // failed state-publish CAS/SC
 	Combined   *obs.Counter // operations applied while combining
 	ServedBy   *obs.Counter // own ops completed by another thread's combine
+	Accesses   *obs.Counter // shared-memory accesses (Table 1); unpublished
 
 	Rec   *obs.SimRecorder // sampled distributions (nil = off); set by Attach
 	Trace *trace.Tracer    // flight recorder (nil = off); set by Attach
@@ -63,6 +66,7 @@ func NewStatsPlane(n int) *StatsPlane {
 		CASFail:    obs.NewCounter(n),
 		Combined:   obs.NewCounter(n),
 		ServedBy:   obs.NewCounter(n),
+		Accesses:   obs.NewCounter(n),
 	}
 }
 
@@ -207,11 +211,12 @@ func (p *StatsPlane) HazardOverflowed(tab uint64) {
 // make an interval appear to shrink.
 func (p *StatsPlane) Aggregate() Stats {
 	s := Stats{
-		Ops:           p.Ops.Total(),
-		CASSuccesses:  p.CASSuccess.Total(),
-		CASFailures:   p.CASFail.Total(),
-		Combined:      p.Combined.Total(),
-		ServedByOther: p.ServedBy.Total(),
+		Ops:            p.Ops.Total(),
+		CASSuccesses:   p.CASSuccess.Total(),
+		CASFailures:    p.CASFail.Total(),
+		Combined:       p.Combined.Total(),
+		ServedByOther:  p.ServedBy.Total(),
+		SharedAccesses: p.Accesses.Total(),
 	}
 	if s.CASSuccesses > 0 {
 		s.AvgHelping = float64(s.Combined) / float64(s.CASSuccesses)
@@ -234,6 +239,7 @@ func (p *StatsPlane) Reset() {
 	p.CASFail.Reset()
 	p.Combined.Reset()
 	p.ServedBy.Reset()
+	p.Accesses.Reset()
 }
 
 // Stats aggregates the combining behaviour of a construction instance. The
@@ -241,23 +247,25 @@ func (p *StatsPlane) Reset() {
 // the right part of Figure 2: how many announced operations each successful
 // state change applied.
 type Stats struct {
-	Ops           uint64  // total completed operations
-	CASSuccesses  uint64  // total successful publishes
-	CASFailures   uint64  // total failed publishes
-	Combined      uint64  // total operations applied inside combines
-	ServedByOther uint64  // operations completed for a thread by a helper
-	AvgHelping    float64 // Combined / CASSuccesses
+	Ops            uint64  // total completed operations
+	CASSuccesses   uint64  // total successful publishes
+	CASFailures    uint64  // total failed publishes
+	Combined       uint64  // total operations applied inside combines
+	ServedByOther  uint64  // operations completed for a thread by a helper
+	SharedAccesses uint64  // shared-memory accesses (Table 1; Sim, P-Sim, L-Sim)
+	AvgHelping     float64 // Combined / CASSuccesses
 }
 
 // Add returns the element-wise sum of two Stats (AvgHelping recomputed), for
 // structures built from several instances.
 func (s Stats) Add(o Stats) Stats {
 	r := Stats{
-		Ops:           s.Ops + o.Ops,
-		CASSuccesses:  s.CASSuccesses + o.CASSuccesses,
-		CASFailures:   s.CASFailures + o.CASFailures,
-		Combined:      s.Combined + o.Combined,
-		ServedByOther: s.ServedByOther + o.ServedByOther,
+		Ops:            s.Ops + o.Ops,
+		CASSuccesses:   s.CASSuccesses + o.CASSuccesses,
+		CASFailures:    s.CASFailures + o.CASFailures,
+		Combined:       s.Combined + o.Combined,
+		ServedByOther:  s.ServedByOther + o.ServedByOther,
+		SharedAccesses: s.SharedAccesses + o.SharedAccesses,
 	}
 	if r.CASSuccesses > 0 {
 		r.AvgHelping = float64(r.Combined) / float64(r.CASSuccesses)

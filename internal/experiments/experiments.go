@@ -26,7 +26,6 @@ import (
 	"repro/internal/queue"
 	"repro/internal/stack"
 	"repro/internal/workload"
-	"repro/internal/xatomic"
 )
 
 // traceHook returns a flight-recorder attach for implementations with an
@@ -259,10 +258,11 @@ type Table1Row struct {
 }
 
 // Table1Measure runs opsPerThread operations per thread on each instrumented
-// universal construction — theoretical Sim, L-Sim (on a w=2 object) and
-// Herlihy's construction — and reports measured shared accesses per
-// operation. Sim's column stays flat as n grows (the paper's O(1)); L-Sim
-// grows with contention k (O(kw)); Herlihy's grows with n.
+// universal construction — theoretical Sim, P-Sim, L-Sim (on a w=2 object)
+// and Herlihy's construction — and reports measured shared accesses per
+// operation. Sim's column stays flat as n grows (the paper's O(1)); P-Sim
+// pays O(k) announce reads; L-Sim grows with contention k (O(kw)); Herlihy's
+// grows with n.
 func Table1Measure(threadCounts []int, opsPerThread int) []Table1Row {
 	var rows []Table1Row
 	for _, n := range threadCounts {
@@ -280,12 +280,8 @@ func measurePSim(n, opsPerThread int) Table1Row {
 		*st = prev + arg
 		return prev
 	})
-	c := xatomic.NewAccessCounter(n)
-	u.SetAccessCounter(c)
 	runThreads(n, opsPerThread, func(id, _ int) { u.Apply(id, 1) })
-	total := uint64(n * opsPerThread)
-	return Table1Row{Algorithm: "P-Sim", Threads: n, Ops: total,
-		AccessesPer: float64(c.Total()) / float64(total)}
+	return table1Row("P-Sim", n, opsPerThread, u.Stats().SharedAccesses)
 }
 
 func runThreads(n, opsPerThread int, op func(id, k int)) {
@@ -302,16 +298,19 @@ func runThreads(n, opsPerThread int, op func(id, k int)) {
 	wg.Wait()
 }
 
+// table1Row turns a run's shared-access total into a per-operation row.
+func table1Row(algo string, n, opsPerThread int, accesses uint64) Table1Row {
+	total := uint64(n * opsPerThread)
+	return Table1Row{Algorithm: algo, Threads: n, Ops: total,
+		AccessesPer: float64(accesses) / float64(total)}
+}
+
 func measureSim(n, opsPerThread int) Table1Row {
 	u := core.NewSim(n, 8, uint64(0), func(st uint64, _ int, op uint64) (uint64, uint64) {
 		return st + op, st
 	})
-	c := xatomic.NewAccessCounter(n)
-	u.SetAccessCounter(c)
 	runThreads(n, opsPerThread, func(id, _ int) { u.ApplyOp(id, 1) })
-	total := uint64(n * opsPerThread)
-	return Table1Row{Algorithm: "Sim", Threads: n, Ops: total,
-		AccessesPer: float64(c.Total()) / float64(total)}
+	return table1Row("Sim", n, opsPerThread, u.Stats().SharedAccesses)
 }
 
 func measureLSim(n, opsPerThread int) Table1Row {
@@ -325,24 +324,16 @@ func measureLSim(n, opsPerThread int) Table1Row {
 		m.Write(b, m.Read(b)^v)
 		return v
 	}
-	c := xatomic.NewAccessCounter(n)
-	l.SetAccessCounter(c)
 	runThreads(n, opsPerThread, func(id, _ int) { l.ApplyOp(id, op, 1) })
-	total := uint64(n * opsPerThread)
-	return Table1Row{Algorithm: "L-Sim(w=2)", Threads: n, Ops: total,
-		AccessesPer: float64(c.Total()) / float64(total)}
+	return table1Row("L-Sim(w=2)", n, opsPerThread, l.Stats().SharedAccesses)
 }
 
 func measureHerlihy(n, opsPerThread int) Table1Row {
 	u := herlihy.New(n, uint64(0), func(st uint64, _ int, arg uint64) (uint64, uint64) {
 		return st + arg, st
 	})
-	c := xatomic.NewAccessCounter(n)
-	u.SetAccessCounter(c)
 	runThreads(n, opsPerThread, func(id, _ int) { u.Apply(id, 1) })
-	total := uint64(n * opsPerThread)
-	return Table1Row{Algorithm: "Herlihy-UC", Threads: n, Ops: total,
-		AccessesPer: float64(c.Total()) / float64(total)}
+	return table1Row("Herlihy-UC", n, opsPerThread, u.SharedAccesses())
 }
 
 // Table1Render formats measured rows as a table with one row per thread

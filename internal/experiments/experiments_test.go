@@ -76,6 +76,12 @@ func TestTable1MeasureShapes(t *testing.T) {
 		}
 		byAlgo[r.Algorithm][r.Threads] = r.AccessesPer
 	}
+	// At n=1 no helper exists, so every construction's bill is exact.
+	for algo, want := range map[string]float64{"Sim": 15, "P-Sim": 2, "L-Sim(w=2)": 35, "Herlihy-UC": 9} {
+		if got := byAlgo[algo][1]; got != want {
+			t.Fatalf("%s accesses/op at n=1 = %v, want %v", algo, got, want)
+		}
+	}
 	// Sim must be flat in n (single-word collect regime at these sizes).
 	if byAlgo["Sim"][1] != byAlgo["Sim"][4] {
 		t.Fatalf("Sim accesses/op not constant: %v", byAlgo["Sim"])

@@ -11,15 +11,15 @@
 // process (s+1) mod n before its own, so an announced operation is threaded
 // after at most n rounds. Each cell carries the full object state after its
 // operation (the state copying that gives the construction its O(n³·s)
-// shared-access bill in Table 1; with our access counter attached the
-// measured per-operation cost is visibly linear in n where Sim's is flat).
+// shared-access bill in Table 1; its always-on access counter measures a
+// per-operation cost linear in n where Sim's is flat).
 package herlihy
 
 import (
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/pad"
-	"repro/internal/xatomic"
 )
 
 // Universal is a Herlihy universal object for n processes.
@@ -30,7 +30,7 @@ type Universal[S, A, R any] struct {
 	announce []pad.Pointer[cell[S, A, R]]
 	head     []pad.Pointer[cell[S, A, R]]
 
-	counter *xatomic.AccessCounter
+	accesses *obs.Counter // shared-memory accesses (Table 1), by process
 }
 
 // cell is one history node. next is the consensus object deciding the
@@ -58,6 +58,7 @@ func New[S, A, R any](n int, init S, apply func(st S, pid int, arg A) (S, R)) *U
 		apply:    apply,
 		announce: make([]pad.Pointer[cell[S, A, R]], n),
 		head:     make([]pad.Pointer[cell[S, A, R]], n),
+		accesses: obs.NewCounter(n),
 	}
 	root := &cell[S, A, R]{pid: -1}
 	root.done.Store(&threaded[S, R]{seq: 0, state: init})
@@ -67,9 +68,9 @@ func New[S, A, R any](n int, init S, apply func(st S, pid int, arg A) (S, R)) *U
 	return u
 }
 
-// SetAccessCounter attaches shared-access instrumentation (Table 1). Not
-// safe to call concurrently with Apply.
-func (u *Universal[S, A, R]) SetAccessCounter(c *xatomic.AccessCounter) { u.counter = c }
+// SharedAccesses returns the shared-memory accesses performed so far by
+// every process (the Table 1 count). Safe concurrently with Apply.
+func (u *Universal[S, A, R]) SharedAccesses() uint64 { return u.accesses.Total() }
 
 // N returns the number of processes.
 func (u *Universal[S, A, R]) N() int { return u.n }
@@ -79,28 +80,28 @@ func (u *Universal[S, A, R]) N() int { return u.n }
 func (u *Universal[S, A, R]) Apply(i int, arg A) R {
 	mine := &cell[S, A, R]{pid: i, arg: arg}
 	u.announce[i].P.Store(mine)
-	u.count(i, 1)
+	u.accesses.Inc(i)
 
 	for mine.done.Load() == nil {
-		u.count(i, 1) // the done check reads shared memory
+		u.accesses.Inc(i) // the done check reads shared memory
 		cur := u.head[i].P.Load()
-		u.count(i, 1)
+		u.accesses.Inc(i)
 		curDone := cur.done.Load()
-		u.count(i, 1)
+		u.accesses.Inc(i)
 
 		// Round-robin helping: prefer the process whose turn it is.
 		turn := int((curDone.seq + 1) % uint64(u.n))
 		pref := u.announce[turn].P.Load()
-		u.count(i, 1)
+		u.accesses.Inc(i)
 		if pref == nil || pref.done.Load() != nil {
 			pref = mine
 		}
 
 		// Consensus on cur's successor.
 		cur.next.CompareAndSwap(nil, pref)
-		u.count(i, 1)
+		u.accesses.Inc(i)
 		next := cur.next.Load()
-		u.count(i, 1)
+		u.accesses.Inc(i)
 
 		// Thread the winner: compute its deterministic result and publish.
 		ns, rv := u.apply(curDone.state, next.pid, next.arg)
@@ -109,9 +110,9 @@ func (u *Universal[S, A, R]) Apply(i int, arg A) R {
 			state: ns,
 			rv:    rv,
 		})
-		u.count(i, 1)
+		u.accesses.Inc(i)
 		u.head[i].P.Store(next)
-		u.count(i, 1)
+		u.accesses.Inc(i)
 	}
 	return mine.done.Load().rv
 }
@@ -128,8 +129,4 @@ func (u *Universal[S, A, R]) Read(i int) S {
 		}
 		cur = next
 	}
-}
-
-func (u *Universal[S, A, R]) count(i int, n uint64) {
-	u.counter.Add(i, n)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/xatomic"
 )
 
 func faa(n int) *Universal[uint64, uint64, uint64] {
@@ -89,8 +88,6 @@ func TestHerlihyLinearizableHistories(t *testing.T) {
 func TestHerlihyAccessGrowth(t *testing.T) {
 	perOp := func(n int) float64 {
 		u := faa(n)
-		c := xatomic.NewAccessCounter(n)
-		u.SetAccessCounter(c)
 		const per = 60
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
@@ -103,7 +100,7 @@ func TestHerlihyAccessGrowth(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-		return float64(c.Total()) / float64(n*per)
+		return float64(u.SharedAccesses()) / float64(n*per)
 	}
 	a1, a16 := perOp(1), perOp(16)
 	if a16 <= a1 {

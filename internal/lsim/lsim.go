@@ -175,7 +175,6 @@ type LSim[V, A, R any] struct {
 
 	stats        *core.StatsPlane
 	itemsWritten *obs.Counter // committed item write-backs (write-set sizes)
-	counter      *xatomic.AccessCounter
 }
 
 // New returns an L-Sim instance for n processes. Items making up the
@@ -250,10 +249,6 @@ func (l *LSim[V, A, R]) NewRootItem(init V) *Item[V] {
 	return newItem(l.ihaz, init)
 }
 
-// SetAccessCounter attaches shared-access instrumentation (Table 1). Not
-// safe to call concurrently with ApplyOp.
-func (l *LSim[V, A, R]) SetAccessCounter(c *xatomic.AccessCounter) { l.counter = c }
-
 // Attach connects the instance's instrument (see core.StatsPlane.Attach):
 // in reg under prefix, the exact hot-path counters, the memory plane, and
 // <prefix>_items_written_total — the number of committed per-item
@@ -314,14 +309,14 @@ func (l *LSim[V, A, R]) ApplyOp(i int, op OpFunc[V, A, R], arg A) R {
 	op0 := l.stats.Start(i)
 
 	l.announce.PublishOne(i, lop[V, A, R]{fn: op, arg: arg}) // line 1
-	l.count(i, 1)
+	l.stats.Accesses.Inc(i)
 	l.members[i].Join() // line 2
-	l.count(i, 1)
+	l.stats.Accesses.Inc(i)
 	won := false
 	l.attempt(i, t, op0, &won) // lines 3–4
 	l.attempt(i, t, op0, &won)
 	l.members[i].Leave() // line 5
-	l.count(i, 1)
+	l.stats.Accesses.Inc(i)
 	l.attempt(i, t, op0, &won) // line 6: eliminate the evidence of op
 
 	// line 7: read the committed response from the current record while it
@@ -329,7 +324,7 @@ func (l *LSim[V, A, R]) ApplyOp(i int, op OpFunc[V, A, R], arg A) R {
 	// rewritten rvals slot).
 	ls, _ := l.haz.Acquire(i, &l.state, 0)
 	rv := ls.rvals[i]
-	l.count(i, 1)
+	l.stats.Accesses.Inc(i)
 
 	l.opDone(i, op0, won)
 	l.release(i)
@@ -360,7 +355,7 @@ func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R)
 		t.batch = append(t.batch, lop[V, A, R]{fn: op, arg: a})
 	}
 	l.announce.Publish(i, t.batch)
-	l.count(i, 1)
+	l.stats.Accesses.Inc(i)
 	l.members[i].Join()
 	won := false
 	l.attempt(i, t, op0, &won)
@@ -370,7 +365,7 @@ func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R)
 
 	ls, _ := l.haz.Acquire(i, &l.state, 0)
 	res = append(res[:0], ls.brvals[i]...)
-	l.count(i, 1)
+	l.stats.Accesses.Inc(i)
 
 	l.opDone(i, op0, won)
 	l.release(i)
@@ -406,7 +401,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 	st := l.stats
 	for j := 0; j < 2; j++ { // line 9
 		ls, ok := l.haz.Acquire(i, &l.state, hazardAttempts) // line 11 (LL)
-		l.count(i, 1)
+		l.stats.Accesses.Inc(i)
 		if !ok {
 			// hazardAttempts publishes raced the protected load; the round
 			// is as doomed as a failed SC.
@@ -414,7 +409,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 			continue
 		}
 		l.act.GetSetInto(t.lact) // line 12
-		l.count(i, uint64(l.act.Words()))
+		l.stats.Accesses.Add(i, uint64(l.act.Words()))
 
 		ns := l.record(i, t) // lines 14–18, into a recycled record
 		ns.seq = ls.seq + 1
@@ -441,12 +436,12 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 		}
 
 		if l.state.Load() != ls { // line 38 (VL): the state we read is obsolete
-			l.count(i, 1)
+			l.stats.Accesses.Inc(i)
 			st.CASFailed(i, 1, 0)
 			l.rpool.Put(t.blk, ns)
 			continue
 		}
-		l.count(i, 1)
+		l.stats.Accesses.Inc(i)
 
 		// lines 39–43: write the dirty directory entries back per-item.
 		wrote, later := l.writeBack(i, t, m, ns.seq)
@@ -468,7 +463,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 			l.rpool.Put(t.blk, ns)
 			st.CASFailed(i, 0, 0)
 		}
-		l.count(i, 1)
+		l.stats.Accesses.Inc(i)
 	}
 }
 
@@ -526,7 +521,7 @@ func (l *LSim[V, A, R]) simulate(ls, ns *lsimState[R], m *Mem[V, A, R], degree, 
 	for q := 0; q < l.n; q++ { // line 19
 		if ls.applied[q] && !ls.papplied[q] { // line 20
 			box, okp := l.announce.Protect(m.id, q) // the vector announced by q
-			l.count(m.id, 1)
+			l.stats.Accesses.Inc(m.id)
 			if !okp {
 				return false
 			}
@@ -565,7 +560,7 @@ func (l *LSim[V, A, R]) writeBack(i int, t *lthread[V, A, R], m *Mem[V, A, R], s
 		// the SC below, which gives the CAS true LL/SC semantics (a protected
 		// body is never recycled, so it cannot reappear under the pointer).
 		body, _ := l.ihaz.Acquire(i, &it.p, 0)
-		l.count(i, 1)
+		l.stats.Accesses.Inc(i)
 		if body.seq > seq {
 			return wrote, true // line 40
 		}
@@ -592,13 +587,9 @@ func (l *LSim[V, A, R]) writeBack(i int, t *lthread[V, A, R], m *Mem[V, A, R], s
 			// unpublished build.
 			l.ipool.Put(t.iblk, nb)
 		}
-		l.count(i, 1)
+		l.stats.Accesses.Inc(i)
 	}
 	return wrote, false
-}
-
-func (l *LSim[V, A, R]) count(i int, n uint64) {
-	l.counter.Add(i, n)
 }
 
 // Rvals returns the committed response of process i (test helper).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/xatomic"
 )
 
 type cnt = Mem[uint64, uint64, uint64]
@@ -180,13 +179,11 @@ func TestLSimAccessCountScalesWithW(t *testing.T) {
 			}
 			return 0
 		}
-		c := xatomic.NewAccessCounter(1)
-		l.SetAccessCounter(c)
 		const per = 50
 		for k := 0; k < per; k++ {
 			l.ApplyOp(0, op, 1)
 		}
-		return float64(c.Total()) / per
+		return float64(l.Stats().SharedAccesses) / per
 	}
 	a1, a4 := measure(1), measure(4)
 	if a4 <= a1 {

@@ -96,7 +96,7 @@ func (m *Mem[V, A, R]) Read(it *Item[V]) V {
 	// protection moves on because bodies recycle by overwriting their slots,
 	// never the memory a stored V refers to.
 	body, _ := m.l.ihaz.Acquire(m.id, &it.p, 0)
-	m.l.count(m.id, 1)
+	m.l.stats.Accesses.Inc(m.id)
 	var v V
 	switch {
 	case body.seq == m.seq:
@@ -135,11 +135,11 @@ func (m *Mem[V, A, R]) Alloc() *Item[V] {
 		m.pvar = &newVar{item: newItem(m.l.ihaz, *new(V))}
 	}
 	if m.ltop.next.CompareAndSwap(nil, m.pvar) { // line 23
-		m.l.count(m.id, 1)
+		m.l.stats.Accesses.Inc(m.id)
 		m.pvar = nil // consumed; lines 24–25 preallocate lazily next time
 	}
 	m.ltop = m.ltop.next.Load() // line 26
-	m.l.count(m.id, 1)
+	m.l.stats.Accesses.Inc(m.id)
 	it := m.ltop.item.(*Item[V])
 	if m.lookup(it) < 0 {
 		// line 27: enter it into the directory with its initial value,

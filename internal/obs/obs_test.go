@@ -253,7 +253,8 @@ func TestRegistrySnapshotAndDelta(t *testing.T) {
 }
 
 // TestConcurrentWritersAndReaders is the -race exercise: one writer per
-// slot, concurrent snapshot readers observing monotone counts.
+// slot, concurrent snapshot readers observing monotone counts, and every
+// slot exact afterwards (distinct per-slot deltas never bleed across).
 func TestConcurrentWritersAndReaders(t *testing.T) {
 	const n, perThread = 8, 5000
 	reg := NewRegistry()
@@ -294,7 +295,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(id int) {
 			defer writers.Done()
 			for k := 0; k < perThread; k++ {
-				c.Inc(id)
+				c.Add(id, uint64(id+1))
 				h.Record(id, uint64(k%4096))
 			}
 		}(i)
@@ -303,8 +304,13 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := c.Total(); got != n*perThread {
-		t.Fatalf("counter total = %d, want %d", got, n*perThread)
+	for i := 0; i < n; i++ {
+		if got := c.Value(i); got != uint64((i+1)*perThread) {
+			t.Fatalf("slot %d = %d, want %d", i, got, (i+1)*perThread)
+		}
+	}
+	if got := c.Total(); got != n*(n+1)/2*perThread {
+		t.Fatalf("counter total = %d, want %d", got, n*(n+1)/2*perThread)
 	}
 	if got := h.Snapshot().Count; got != n*perThread {
 		t.Fatalf("histogram count = %d, want %d", got, n*perThread)

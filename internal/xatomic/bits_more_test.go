@@ -78,27 +78,3 @@ func TestLLSCManyGenerations(t *testing.T) {
 		}
 	}
 }
-
-// TestAccessCounterPerThreadIsolated: concurrent increments on distinct
-// slots never bleed into each other.
-func TestAccessCounterPerThreadIsolated(t *testing.T) {
-	const n = 8
-	c := NewAccessCounter(n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for k := 0; k < (id+1)*100; k++ {
-				c.Inc(id)
-			}
-		}(i)
-	}
-	wg.Wait()
-	per := c.PerThread()
-	for i := 0; i < n; i++ {
-		if per[i] != uint64((i+1)*100) {
-			t.Fatalf("slot %d = %d, want %d", i, per[i], (i+1)*100)
-		}
-	}
-}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/lsim"
 	"repro/internal/queue"
 	"repro/internal/simmap"
-	"repro/internal/simset"
 	"repro/internal/snapshot"
 	"repro/internal/stack"
 )
@@ -273,15 +272,6 @@ type ShardedMap[K comparable, V any] = simmap.Sharded[K, V]
 func NewShardedMap[K comparable, V any](n, shards, stripesPerShard int) *ShardedMap[K, V] {
 	return simmap.NewSharded[K, V](n, shards, stripesPerShard)
 }
-
-// SortedSet is a wait-free sorted set of uint64 keys built on L-Sim: nodes
-// are shared items allocated through the construction, and an operation's
-// cost scales with its traversal length, never the set size times the copy
-// cost (the large-object property, §6).
-type SortedSet = simset.Set
-
-// NewSortedSet returns an empty sorted set for n processes.
-func NewSortedSet(n int) *SortedSet { return simset.New(n) }
 
 // Item is one shared data item of a LargeObject.
 type Item[V any] = lsim.Item[V]

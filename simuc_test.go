@@ -224,20 +224,3 @@ func TestFacadeSnapshotConcurrent(t *testing.T) {
 	wg.Wait()
 	<-done
 }
-
-func TestFacadeSortedSet(t *testing.T) {
-	s := simuc.NewSortedSet(2)
-	if !s.Insert(0, 3) || !s.Insert(1, 1) || !s.Insert(0, 2) {
-		t.Fatal("fresh inserts failed")
-	}
-	if s.Insert(1, 2) {
-		t.Fatal("duplicate insert succeeded")
-	}
-	keys := s.Keys()
-	if len(keys) != 3 || keys[0] != 1 || keys[1] != 2 || keys[2] != 3 {
-		t.Fatalf("Keys = %v", keys)
-	}
-	if !s.Remove(0, 2) || !s.Contains(1, 3) || s.Contains(0, 2) {
-		t.Fatal("remove/contains semantics wrong")
-	}
-}
