@@ -17,11 +17,13 @@ package simuc_test
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/queue"
+	"repro/internal/simmap"
 	"repro/internal/stack"
 )
 
@@ -319,4 +321,37 @@ func TestApplyAllocsContendedBatch(t *testing.T) {
 	if got > 0.25 {
 		t.Errorf("PSim n=%d contended batched allocs per logical op = %v, want <= 0.25 amortized", n, got)
 	}
+}
+
+// map16k builds kv-store's map shape: 16384 string keys bound over 16
+// stripes, driven by one process.
+func map16k() (*simmap.Map[string, uint64], []string) {
+	const keys, stripes = 16384, 16
+	m := simmap.New[string, uint64](1, stripes)
+	ks := make([]string, keys)
+	for i := range ks {
+		ks[i] = "key:" + strconv.Itoa(i)
+		m.Put(0, ks[i], uint64(i))
+	}
+	return m, ks
+}
+
+// TestMapPutAllocsBounded: an overwriting Put copies one trie node per
+// level on its key's path, so its allocations stay a handful however many
+// keys the stripe holds. A copy of every entry in front of the key would
+// cost hundreds at this size (~1024 keys per stripe).
+func TestMapPutAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates on its own; bounds only hold without it")
+	}
+	m, ks := map16k()
+	i := 0
+	got := steadyAllocs(256, func() {
+		m.Put(0, ks[(i*7919)%len(ks)], uint64(i))
+		i++
+	})
+	if got > 8 {
+		t.Errorf("overwriting Put allocs/op = %v, want <= 8 (path copy, not prefix copy)", got)
+	}
+	t.Logf("overwriting Put at 16384 keys / 16 stripes: %v allocs/op", got)
 }

@@ -360,6 +360,25 @@ func BenchmarkMapStripes(b *testing.B) {
 	}
 }
 
+// BenchmarkMapPutGet16k: per-op cost of the map at kv-store's shape (16384
+// string keys, 16 stripes, one process) — an overwriting Put copies the
+// trie path to its key, a Get descends it. Run with -benchmem.
+func BenchmarkMapPutGet16k(b *testing.B) {
+	m, ks := map16k()
+	b.Run("put", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Put(0, ks[(i*7919)%len(ks)], uint64(i))
+		}
+	})
+	b.Run("get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Get(ks[(i*7919)%len(ks)])
+		}
+	})
+}
+
 // BenchmarkAblationQueueInstances: SimQueue's two Sim instances vs a single
 // P-Sim simulating the whole queue (head and tail in one state) — the design
 // choice §5 credits for SimQueue's advantage over flat combining.

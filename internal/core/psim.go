@@ -591,12 +591,15 @@ func (u *PSim[S, A, R]) applySoloVec(t *psimThread[S, R], op Op, arg A, batch []
 // Lock-free: a Read retries only when a concurrent Apply publishes.
 func (u *PSim[S, A, R]) Read() S {
 	ls, slot := u.haz.AcquireAnon(&u.state)
-	var s S
 	if u.cloneInto != nil {
+		// Only this branch's s escapes (its address goes to cloneInto), so
+		// the default-clone path below returns without a heap allocation.
+		var s S
 		u.cloneInto(&s, &ls.st)
-	} else {
-		s = u.clone(ls.st)
+		u.haz.ReleaseAnon(slot)
+		return s
 	}
+	s := u.clone(ls.st)
 	u.haz.ReleaseAnon(slot)
 	return s
 }

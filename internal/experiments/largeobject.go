@@ -243,7 +243,7 @@ func MapContentionMakers(stripes int) []harness.Maker {
 // (batch <= 1 degrades to single Puts). One shard is the baseline: it shows
 // what hash-partitioning across independent Sim instances buys on top of
 // striping alone, so stripes-per-shard stays FIXED (8) while the shard
-// count sweeps — total chain length per key is held constant by the 512-key
+// count sweeps — per-stripe trie size is held constant by the 512-key
 // space, matching MapContentionMakers.
 func ShardedMapMakers(shards []int, batch int) []harness.Maker {
 	var makers []harness.Maker

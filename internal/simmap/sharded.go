@@ -229,15 +229,7 @@ func (s *Sharded[K, V]) Attach(reg *obs.Registry, prefix string, tr *trace.Trace
 func (s *Sharded[K, V]) Stats() core.Stats {
 	var total core.Stats
 	for _, m := range s.shards {
-		st := m.Stats()
-		total.Ops += st.Ops
-		total.CASSuccesses += st.CASSuccesses
-		total.CASFailures += st.CASFailures
-		total.Combined += st.Combined
-		total.ServedByOther += st.ServedByOther
-	}
-	if total.CASSuccesses > 0 {
-		total.AvgHelping = float64(total.Combined) / float64(total.CASSuccesses)
+		total = total.Add(m.Stats())
 	}
 	return total
 }

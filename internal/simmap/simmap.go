@@ -4,17 +4,20 @@
 // possibly be overcome by using multiple instances of Sim (as done in our
 // queue implementation)"). SimQueue uses two instances (one per end); simmap
 // generalizes to S stripes, each an independent P-Sim simulating one
-// bucket's immutable entry list. Operations on different stripes proceed in
-// parallel; operations within a stripe combine.
+// stripe's persistent hash trie (trie.go). Operations on different stripes
+// proceed in parallel; operations within a stripe combine. A write copies
+// only the trie nodes on its key's path — one per level, about three at a
+// thousand keys per stripe — and shares the rest with the previous state,
+// the paper's remedy for large states (L-Sim, §6) applied to the map.
 //
-// Gets do not announce at all: a stripe's state is an immutable list behind
+// Gets do not announce at all: a stripe's state is an immutable trie behind
 // one atomic pointer, so reading that pointer is the linearization point —
 // the structural analogue of the paper's observation that reads of the
 // simulated state need no helping. Since core.PSim recycles its state
 // records, the read costs a handful of atomic operations (claim an
 // anonymous hazard slot, validate, release — see internal/core/recycle.go)
-// rather than a bare load, but the entry NODES are immutable and never
-// recycled, so a fetched list stays valid for as long as the caller holds
+// rather than a bare load, but the trie NODES are immutable and never
+// recycled, so a fetched root stays valid for as long as the caller holds
 // it. Under recycling a Get is lock-free rather than wait-free: the hazard
 // validation retries only when a concurrent mutation publishes, so it never
 // waits on a lock holder, but its step count is not bounded.
@@ -29,18 +32,12 @@ import (
 	"repro/internal/pad"
 )
 
-// entry is one immutable node of a stripe's entry list. Nodes are never
-// mutated after publication; updates rebuild the prefix of the list up to
-// the affected key.
-type entry[K comparable, V any] struct {
-	k    K
-	v    V
-	next *entry[K, V]
-}
-
-// mapOp is the announced mutation descriptor.
+// mapOp is the announced mutation descriptor. h is k's hash, computed once
+// per operation: its low bits pick the stripe and the trie walks it from
+// the top.
 type mapOp[K comparable, V any] struct {
 	del bool
+	h   uint64
 	k   K
 	v   V
 }
@@ -54,7 +51,7 @@ type mapRes[V any] struct {
 // Map is a wait-free striped hash map for n processes. Each process id in
 // [0, n) must be driven by one goroutine at a time.
 type Map[K comparable, V any] struct {
-	stripes []*core.PSim[*entry[K, V], mapOp[K, V], mapRes[V]]
+	stripes []*core.PSim[node[K, V], mapOp[K, V], mapRes[V]]
 	seed    maphash.Seed
 	// per-process scratch for the multi-key operations: per-stripe op
 	// buckets, position maps back to caller order, and the result slices
@@ -85,8 +82,9 @@ func (m *Map[K, V]) grouped(id int, keys []K, vals []V, del bool) *mapScratch[K,
 		sc.pos[s] = sc.pos[s][:0]
 	}
 	for i, k := range keys {
-		s := m.stripeIdx(k)
-		op := mapOp[K, V]{del: del, k: k}
+		h := m.hash(k)
+		s := m.stripeIdx(h)
+		op := mapOp[K, V]{del: del, h: h, k: k}
 		if vals != nil {
 			op.v = vals[i]
 		}
@@ -121,86 +119,46 @@ func (m *Map[K, V]) mutateBatch(id int, sc *mapScratch[K, V]) ([]V, []bool) {
 }
 
 // New returns a map with the given number of stripes (rounded up to 1).
-// More stripes mean more inter-key parallelism and shorter chains; a stripe
+// More stripes mean more inter-key parallelism and smaller tries; a stripe
 // count near the expected concurrency level is a good default.
 func New[K comparable, V any](n, stripes int) *Map[K, V] {
 	if stripes < 1 {
 		stripes = 1
 	}
 	m := &Map[K, V]{
-		stripes: make([]*core.PSim[*entry[K, V], mapOp[K, V], mapRes[V]], stripes),
+		stripes: make([]*core.PSim[node[K, V], mapOp[K, V], mapRes[V]], stripes),
 		seed:    maphash.MakeSeed(),
 	}
-	apply := func(head **entry[K, V], _ int, op mapOp[K, V]) mapRes[V] {
+	apply := func(root *node[K, V], _ int, op mapOp[K, V]) (r mapRes[V]) {
 		if op.del {
-			nh, prev, existed := removeKey(*head, op.k)
-			*head = nh
-			return mapRes[V]{prev: prev, existed: existed}
+			*root, r.prev, r.existed = root.delete(op.h, 0, op.k)
+		} else {
+			*root, r.prev, r.existed = root.put(op.h, 0, op.k, op.v)
 		}
-		nh, prev, existed := putKey(*head, op.k, op.v)
-		*head = nh
-		return mapRes[V]{prev: prev, existed: existed}
+		return r
 	}
 	for i := range m.stripes {
-		m.stripes[i] = core.NewPSim[*entry[K, V], mapOp[K, V], mapRes[V]](n, nil, apply)
+		m.stripes[i] = core.NewPSim[node[K, V], mapOp[K, V], mapRes[V]](n, node[K, V]{}, apply)
 	}
 	m.scratch = make([]mapScratch[K, V], n)
 	return m
 }
 
-// putKey returns a new list with k bound to v, plus the previous binding.
-// The prefix before k is copied; the suffix is shared (immutable).
-func putKey[K comparable, V any](head *entry[K, V], k K, v V) (*entry[K, V], V, bool) {
-	var prefix []*entry[K, V]
-	for e := head; e != nil; e = e.next {
-		if e.k == k {
-			nh := &entry[K, V]{k: k, v: v, next: e.next}
-			for i := len(prefix) - 1; i >= 0; i-- {
-				nh = &entry[K, V]{k: prefix[i].k, v: prefix[i].v, next: nh}
-			}
-			return nh, e.v, true
-		}
-		prefix = append(prefix, e)
-	}
-	var zero V
-	return &entry[K, V]{k: k, v: v, next: head}, zero, false
-}
+func (m *Map[K, V]) hash(k K) uint64 { return maphash.Comparable(m.seed, k) }
 
-// removeKey returns a new list without k, plus the removed binding.
-func removeKey[K comparable, V any](head *entry[K, V], k K) (*entry[K, V], V, bool) {
-	var prefix []*entry[K, V]
-	for e := head; e != nil; e = e.next {
-		if e.k == k {
-			nh := e.next
-			for i := len(prefix) - 1; i >= 0; i-- {
-				nh = &entry[K, V]{k: prefix[i].k, v: prefix[i].v, next: nh}
-			}
-			return nh, e.v, true
-		}
-		prefix = append(prefix, e)
-	}
-	var zero V
-	return head, zero, false
-}
-
-func (m *Map[K, V]) stripeIdx(k K) int {
-	h := maphash.Comparable(m.seed, k)
-	return int(h % uint64(len(m.stripes)))
-}
-
-func (m *Map[K, V]) stripe(k K) *core.PSim[*entry[K, V], mapOp[K, V], mapRes[V]] {
-	return m.stripes[m.stripeIdx(k)]
-}
+func (m *Map[K, V]) stripeIdx(h uint64) int { return int(h % uint64(len(m.stripes))) }
 
 // Put binds k to v on behalf of process id and returns the previous binding.
 func (m *Map[K, V]) Put(id int, k K, v V) (prev V, existed bool) {
-	r := m.stripe(k).Apply(id, mapOp[K, V]{k: k, v: v})
+	h := m.hash(k)
+	r := m.stripes[m.stripeIdx(h)].Apply(id, mapOp[K, V]{h: h, k: k, v: v})
 	return r.prev, r.existed
 }
 
 // Delete removes k on behalf of process id and returns the removed binding.
 func (m *Map[K, V]) Delete(id int, k K) (prev V, existed bool) {
-	r := m.stripe(k).Apply(id, mapOp[K, V]{del: true, k: k})
+	h := m.hash(k)
+	r := m.stripes[m.stripeIdx(h)].Apply(id, mapOp[K, V]{del: true, h: h, k: k})
 	return r.prev, r.existed
 }
 
@@ -211,13 +169,9 @@ func (m *Map[K, V]) Delete(id int, k K) (prev V, existed bool) {
 // Put/Delete on the same stripe publishes, never waiting on any thread
 // (see the package comment).
 func (m *Map[K, V]) Get(k K) (V, bool) {
-	for e := m.stripe(k).Read(); e != nil; e = e.next {
-		if e.k == k {
-			return e.v, true
-		}
-	}
-	var zero V
-	return zero, false
+	h := m.hash(k)
+	root := m.stripes[m.stripeIdx(h)].Read()
+	return root.get(h, k)
 }
 
 // MSet binds keys[i] to vals[i] for every i on behalf of process id,
@@ -251,16 +205,10 @@ func (m *Map[K, V]) MGet(id int, keys []K) (vals []V, ok []bool) {
 		if len(ops) == 0 {
 			continue
 		}
-		head := m.stripes[s].Read()
+		root := m.stripes[s].Read()
 		for j, op := range ops {
-			for e := head; e != nil; e = e.next {
-				if e.k == op.k {
-					i := sc.pos[s][j]
-					sc.prevs[i] = e.v
-					sc.oks[i] = true
-					break
-				}
-			}
+			i := sc.pos[s][j]
+			sc.prevs[i], sc.oks[i] = root.get(op.h, op.k)
 		}
 	}
 	return sc.prevs, sc.oks
@@ -272,21 +220,20 @@ func (m *Map[K, V]) MGet(id int, keys []K) (vals []V, ok []bool) {
 func (m *Map[K, V]) Len() int {
 	total := 0
 	for _, s := range m.stripes {
-		for e := s.Read(); e != nil; e = e.next {
-			total++
-		}
+		root := s.Read()
+		total += root.size()
 	}
 	return total
 }
 
 // Range calls f for every entry of a point-in-time per-stripe snapshot,
-// stopping early if f returns false. Same consistency caveat as Len.
+// stopping early if f returns false. The order is unspecified. Same
+// consistency caveat as Len.
 func (m *Map[K, V]) Range(f func(k K, v V) bool) {
 	for _, s := range m.stripes {
-		for e := s.Read(); e != nil; e = e.next {
-			if !f(e.k, e.v) {
-				return
-			}
+		root := s.Read()
+		if !root.each(f) {
+			return
 		}
 	}
 }
@@ -312,15 +259,7 @@ func (m *Map[K, V]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorde
 func (m *Map[K, V]) Stats() core.Stats {
 	var total core.Stats
 	for _, s := range m.stripes {
-		st := s.Stats()
-		total.Ops += st.Ops
-		total.CASSuccesses += st.CASSuccesses
-		total.CASFailures += st.CASFailures
-		total.Combined += st.Combined
-		total.ServedByOther += st.ServedByOther
-	}
-	if total.CASSuccesses > 0 {
-		total.AvgHelping = float64(total.Combined) / float64(total.CASSuccesses)
+		total = total.Add(s.Stats())
 	}
 	return total
 }

@@ -55,14 +55,15 @@ func TestMapGetDuringWrites(t *testing.T) {
 }
 
 // TestMapPrefixSharing: updating one key must not disturb other keys in the
-// same stripe chain (the prefix-copy rebuild).
+// same stripe (a write copies its key's trie path and shares every other
+// node with the previous state).
 func TestMapPrefixSharing(t *testing.T) {
-	m := New[int, int](1, 1) // everything in one stripe chain
+	m := New[int, int](1, 1) // everything in one stripe's trie
 	for k := 0; k < 10; k++ {
 		m.Put(0, k, k*10)
 	}
-	m.Put(0, 5, 999)   // middle of the chain
-	m.Delete(0, 0)     // another chain position
+	m.Put(0, 5, 999)   // overwrite in place
+	m.Delete(0, 0)     // another trie position
 	m.Put(0, 42, 4242) // fresh key
 	for k := 1; k < 10; k++ {
 		want := k * 10
@@ -81,13 +82,14 @@ func TestMapPrefixSharing(t *testing.T) {
 	}
 }
 
-// TestMapDeleteHeadMiddleTail covers removeKey's three list positions.
+// TestMapDeleteHeadMiddleTail deletes a one-stripe map's keys one by one
+// down to an empty trie, checking the remainder after each step.
 func TestMapDeleteHeadMiddleTail(t *testing.T) {
 	m := New[int, int](1, 1)
 	for k := 1; k <= 3; k++ {
 		m.Put(0, k, k)
 	}
-	// Chain order is insertion-dependent; delete all three one by one and
+	// Trie positions are hash-dependent; delete all three one by one and
 	// verify the remainder after each step.
 	m.Delete(0, 2)
 	if _, ok := m.Get(2); ok {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/check"
+	"repro/internal/core"
 )
 
 func TestMapBasics(t *testing.T) {
@@ -69,37 +70,83 @@ func TestMapSingleStripe(t *testing.T) {
 	}
 }
 
-// TestMapQuickEquivalence: random op strings vs the builtin map.
+// TestMapQuickEquivalence: random op strings over every entry point vs the
+// builtin map, with the trie invariants of every stripe checked after each
+// op.
 func TestMapQuickEquivalence(t *testing.T) {
-	f := func(ops []uint16) bool {
-		m := New[uint16, uint64](1, 4)
-		ref := map[uint16]uint64{}
+	f := func(ops []uint32) bool {
+		m := New[uint16, uint32](2, 3)
+		ref := map[uint16]uint32{}
 		for i, o := range ops {
-			k := o % 32
-			switch o % 3 {
-			case 0, 1:
-				v := uint64(i) + 1
-				prev, existed := m.Put(0, k, v)
-				rp, re := ref[k]
-				if existed != re || prev != rp {
+			id := int(o>>31) & 1
+			k := uint16(o>>8) % 48
+			keys := []uint16{k, (k + 7) % 48, (k + 19) % 48}
+			switch o % 8 {
+			case 0, 1, 2:
+				prev, existed := m.Put(id, k, uint32(i)+1)
+				if rp, re := ref[k]; prev != rp || existed != re {
 					return false
 				}
-				ref[k] = v
-			case 2:
-				prev, existed := m.Delete(0, k)
-				rp, re := ref[k]
-				if existed != re || prev != rp {
+				ref[k] = uint32(i) + 1
+			case 3:
+				prev, existed := m.Delete(id, k)
+				if rp, re := ref[k]; prev != rp || existed != re {
 					return false
 				}
 				delete(ref, k)
+			case 4:
+				vals := []uint32{uint32(i), uint32(i) + 1, uint32(i) + 2}
+				prevs, existed := m.MSet(id, keys, vals)
+				for j, key := range keys {
+					if rp, re := ref[key]; prevs[j] != rp || existed[j] != re {
+						return false
+					}
+					ref[key] = vals[j]
+				}
+			case 5:
+				prevs, existed := m.MDelete(id, keys)
+				for j, key := range keys {
+					if rp, re := ref[key]; prevs[j] != rp || existed[j] != re {
+						return false
+					}
+					delete(ref, key)
+				}
+			case 6:
+				vals, ok := m.MGet(id, keys)
+				for j, key := range keys {
+					if rv, rok := ref[key]; vals[j] != rv || ok[j] != rok {
+						return false
+					}
+				}
+			case 7:
+				got := map[uint16]uint32{}
+				m.Range(func(k uint16, v uint32) bool {
+					got[k] = v
+					return true
+				})
+				if len(got) != len(ref) {
+					return false
+				}
+				for k, v := range ref {
+					if gv, ok := got[k]; !ok || gv != v {
+						return false
+					}
+				}
 			}
 			if v, ok := m.Get(k); ok != keyIn(ref, k) || v != ref[k] {
 				return false
 			}
+			if m.Len() != len(ref) {
+				return false
+			}
+			for _, s := range m.stripes {
+				root := s.Read()
+				checkTrie(t, &root)
+			}
 		}
-		return m.Len() == len(ref)
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -216,6 +263,41 @@ func TestMapStats(t *testing.T) {
 	m.Delete(0, 1)
 	if s := m.Stats(); s.Ops != 3 {
 		t.Fatalf("Stats.Ops = %d", s.Ops)
+	}
+}
+
+// TestStatsSumAllFields: Map.Stats sums every field of its stripes' Stats
+// (SharedAccesses included) and Sharded.Stats sums its shards'.
+func TestStatsSumAllFields(t *testing.T) {
+	m := New[int, int](2, 4)
+	for k := 0; k < 40; k++ {
+		m.Put(k%2, k, k)
+	}
+	m.MSet(0, []int{1, 2, 3}, []int{7, 8, 9})
+	m.Delete(1, 5)
+	var want core.Stats
+	for _, s := range m.stripes {
+		want = want.Add(s.Stats())
+	}
+	got := m.Stats()
+	if got.SharedAccesses == 0 {
+		t.Fatal("Map.Stats().SharedAccesses = 0 after puts")
+	}
+	if got != want {
+		t.Fatalf("Map.Stats() = %+v, sum over stripes = %+v", got, want)
+	}
+
+	sh := NewSharded[int, int](2, 4, 2)
+	for k := 0; k < 40; k++ {
+		sh.Put(k%2, k, k)
+	}
+	sh.MDelete(1, []int{1, 2, 3})
+	want = core.Stats{}
+	for i := 0; i < sh.Shards(); i++ {
+		want = want.Add(sh.Shard(i).Stats())
+	}
+	if got := sh.Stats(); got != want || got.SharedAccesses == 0 {
+		t.Fatalf("Sharded.Stats() = %+v, sum over shards = %+v", got, want)
 	}
 }
 

@@ -2,11 +2,11 @@ package simmap
 
 // The large-value tier: a byte-value map that routes each binding to the
 // engine its size deserves. Small values live INLINE in the P-Sim striped
-// map — a put is one stripe round and the value rides the immutable entry
-// list. Large values (>= threshold bytes) live in lsim ItemSV records: the
+// map — a put is one stripe round and the value rides an immutable trie
+// leaf. Large values (>= threshold bytes) live in lsim ItemSV records: the
 // map binds the key to an *lsim.Item, and overwriting the value is ONE
 // L-Sim operation on that item (O(w)=O(1) write-back) instead of a stripe
-// round that rebuilds an entry-list prefix per write. Reads on either tier
+// round that copies the key's trie path per write. Reads on either tier
 // stay lock-free: the map read is hazard-protected, and Item.Current reads
 // the item body under an anonymous hazard slot.
 //
