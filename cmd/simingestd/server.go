@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/ingest"
 	"repro/internal/obs"
@@ -25,8 +26,10 @@ import (
 //
 // Connection slot s publishes into partition s%shards under producer pid
 // s/shards, so every process id keeps the construction's single-writer
-// announce discipline. POLL and HWM read PSim.Read snapshots and need no
-// process id at all — a consumer can never block a producer.
+// announce discipline. POLL copies events straight out of the live spool
+// (spool.Spool.Read, under PSim.ReadFunc) and HWM reads a PSim.Read
+// snapshot; neither needs a process id — a consumer can never block a
+// producer.
 //
 // Protocol (one request per line; responses in request order):
 //
@@ -162,18 +165,21 @@ func newServer(cfg serverConfig) *server {
 // so no accepted event is stranded in the queue.
 func (s *server) drainLoop(p *ingest.Pipeline) {
 	defer s.drainWG.Done()
-	const chunk = 128
+	const chunk, idle = 128, 200 * time.Microsecond
+	tick := time.NewTimer(idle) // one timer for every idle pass
+	defer tick.Stop()
 	for {
 		n := p.Drain(s.drainID, chunk)
 		if n > 0 {
 			continue
 		}
+		tick.Reset(idle)
 		select {
 		case <-s.drainStop:
 			for p.Drain(s.drainID, chunk) > 0 {
 			}
 			return
-		case <-time.After(200 * time.Microsecond):
+		case <-tick.C:
 		}
 	}
 }
@@ -325,30 +331,74 @@ type executor struct {
 	payloads []uint64
 	seqs     []uint64
 	evs      []ingest.Event
+	out      []byte // response scratch: OK/EVT/END lines are appended here
 }
 
 // run executes one batch of request lines; quit reports a QUIT.
 func (ex *executor) run(lines []string) (quit bool) {
 	for _, raw := range lines {
+		if v, ok := parsePub(raw); ok {
+			ex.payloads = append(ex.payloads, v)
+			continue
+		}
 		line := strings.TrimSpace(raw)
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		if strings.EqualFold(fields[0], "PUB") && len(fields) == 2 {
-			if v, err := strconv.ParseUint(fields[1], 10, 64); err == nil {
-				ex.payloads = append(ex.payloads, v)
-				continue
-			}
-		}
 		// Anything else is a run barrier handled one at a time.
 		ex.flushPubs()
-		if ex.handle(fields) {
+		if ex.handle(strings.Fields(line)) {
 			return true
 		}
 	}
 	ex.flushPubs()
 	return false
+}
+
+// parsePub reports whether line is a PUB with a valid payload, exactly as
+// splitting it with strings.Fields would decide: a case-insensitive verb
+// and one decimal field, separated and surrounded by any whitespace. ASCII
+// lines are scanned in place without allocating; a line with any
+// non-ASCII byte, whose spaces only Fields knows, takes the Fields path.
+func parsePub(line string) (uint64, bool) {
+	for i := 0; i < len(line); i++ {
+		if line[i] >= utf8.RuneSelf {
+			f := strings.Fields(line)
+			if len(f) != 2 || !strings.EqualFold(f[0], "PUB") {
+				return 0, false
+			}
+			v, err := strconv.ParseUint(f[1], 10, 64)
+			return v, err == nil
+		}
+	}
+	verb, rest := nextField(line)
+	if !strings.EqualFold(verb, "PUB") {
+		return 0, false
+	}
+	arg, rest := nextField(rest)
+	if extra, _ := nextField(rest); arg == "" || extra != "" {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(arg, 10, 64)
+	return v, err == nil
+}
+
+// nextField splits the first whitespace-separated field off an ASCII line.
+func nextField(s string) (field, rest string) {
+	i := 0
+	for i < len(s) && asciiSpace(s[i]) {
+		i++
+	}
+	j := i
+	for j < len(s) && !asciiSpace(s[j]) {
+		j++
+	}
+	return s[i:j], s[j:]
+}
+
+// asciiSpace is unicode.IsSpace restricted to ASCII.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // flushPubs submits the pending PUB run as one AppendBatch and writes the
@@ -359,10 +409,20 @@ func (ex *executor) flushPubs() {
 	}
 	ex.s.cPub.Add(ex.slot, uint64(len(ex.payloads)))
 	ex.seqs = ex.p.AppendBatch(ex.pid, ex.payloads, ex.seqs[:0])
+	b := ex.out[:0]
 	for _, q := range ex.seqs {
-		fmt.Fprintf(ex.w, "OK %d\n", q)
+		b = append(b, "OK "...)
+		b = strconv.AppendUint(b, q, 10)
+		b = append(b, '\n')
 	}
+	ex.write(b)
 	ex.payloads = ex.payloads[:0]
+}
+
+// write sends b and keeps it as the response scratch for the next lines.
+func (ex *executor) write(b []byte) {
+	ex.w.Write(b)
+	ex.out = b[:0]
 }
 
 // handle serves one non-PUB request; quit reports a QUIT.
@@ -384,17 +444,29 @@ func (ex *executor) handle(fields []string) (quit bool) {
 			return false
 		}
 		s.cPoll.Inc(ex.slot)
-		v := s.parts[part].View()
-		evs, next, skipped := v.Read(cursor, max, ex.evs[:0])
+		evs, next, skipped := s.parts[part].Spool().Read(cursor, max, ex.evs[:0])
 		ex.evs = evs
 		if skipped > 0 {
 			s.pollSkip[part].Add(ex.slot, skipped)
 		}
 		off := next - uint64(len(evs))
+		b := ex.out[:0]
 		for i, ev := range evs {
-			fmt.Fprintf(ex.w, "EVT %d %d %d %d\n", off+uint64(i), ev.Producer, ev.Seq, ev.Payload)
+			b = append(b, "EVT "...)
+			b = strconv.AppendUint(b, off+uint64(i), 10)
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(ev.Producer), 10)
+			b = append(b, ' ')
+			b = strconv.AppendUint(b, ev.Seq, 10)
+			b = append(b, ' ')
+			b = strconv.AppendUint(b, ev.Payload, 10)
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(ex.w, "END %d %d\n", next, skipped)
+		b = append(b, "END "...)
+		b = strconv.AppendUint(b, next, 10)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, skipped, 10)
+		ex.write(append(b, '\n'))
 	case "HWM":
 		if len(fields) != 2 {
 			s.cErr.Inc(ex.slot)

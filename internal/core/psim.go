@@ -604,6 +604,18 @@ func (u *PSim[S, A, R]) Read() S {
 	return s
 }
 
+// ReadFunc runs f on the current simulated state without announcing an
+// operation or copying the state: the record stays protected by the same
+// claimable hazard slot Read takes until f returns, so no recycler rewrites
+// it meanwhile. f must treat the state as immutable and must not retain the
+// pointer or anything reachable only through a buffer the record owns.
+// Lock-free, like Read.
+func (u *PSim[S, A, R]) ReadFunc(f func(*S)) {
+	ls, slot := u.haz.AcquireAnon(&u.state)
+	f(&ls.st)
+	u.haz.ReleaseAnon(slot)
+}
+
 // Stats returns aggregated combining statistics (Figure 2 right: the average
 // degree of helping is Stats().AvgHelping).
 func (u *PSim[S, A, R]) Stats() Stats { return u.stats.Aggregate() }

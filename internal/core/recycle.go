@@ -213,6 +213,11 @@ func (h *Hazards[T]) Clear(slot int) {
 	h.fixed[slot].P.Store(nil)
 }
 
+// Protected returns the record fixed slot i holds (nil when clear). Scans
+// that gate reuse on record contents rather than identity (SimQueue's era
+// rule for consumed nodes) read the slots through it.
+func (h *Hazards[T]) Protected(i int) *T { return h.fixed[i].P.Load() }
+
 // Hazarded reports whether p is protected by any slot. Recyclers call it on
 // retired records before overwriting them.
 func (h *Hazards[T]) Hazarded(p *T) bool {

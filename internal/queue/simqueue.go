@@ -50,13 +50,35 @@ import (
 // (the CAS winner retires the record some OTHER thread published, so record
 // ownership migrates constantly). Queue nodes live in a second pool with one
 // handle per (end, process): failed combining rounds return their private
-// node lists to the enqueue-side handle, and single-thread instances also
-// recycle consumed nodes — the dequeue-side handle's chains flow back to the
-// enqueue side through the pool's shared slots, making the enqueue+dequeue
-// pair allocation-free in steady state. Nodes that were PUBLISHED are never
-// recycled when n > 1 (a stalled combiner may still traverse them). Beyond
-// the plane's O(threads × cache) bound, retired blocks are dropped to the
-// GC — the Blelloch–Wei space guarantee.
+// node lists to the enqueue-side handle, and consumed nodes retire into the
+// dequeue-side handle, whose full chains flow back to the enqueue side
+// through the pool's shared slots — the enqueue+dequeue pair is
+// allocation-free in steady state.
+//
+// Consumed nodes are reissued only once no stale reader can reach them
+// (the era rule). Every record carries a monotone era, ns.era = ls.era + 1.
+// A winning dequeue round that published era r retires its consumed run
+// ls.head..ns.head (exclusive) together with e, the enqueue era read right
+// after the publish; the run may go back to the plane only when
+//
+//   - every dequeue hazard slot is nil or holds a record of era ≥ r (no
+//     stalled combiner can walk into the run: its head is at or past
+//     ns.head), and
+//   - every enqueue hazard slot is nil or holds a record of era > e (no
+//     stale splice can CAS a recycled node's cleared next: the tail is
+//     never strictly before the head, so a record of era > e cannot name
+//     a retired node as oldTail), and
+//   - enqP's era is > e, so no later acquire returns a record of era ≤ e.
+//     While it is still e, the run goes back only up to the current
+//     record's oldTail — the one retired node a later splice of that
+//     record can touch — and the rest waits for a later retire.
+//
+// Runs that are not yet safe wait in a per-dequeuer limbo of at most
+// limboRuns runs, rechecked by one O(3n) hazard scan per retire; past the
+// bound the oldest run is dropped to the GC. Beyond the plane's
+// O(threads × cache) bound and the limbo's, retired blocks are dropped to
+// the GC — the Blelloch–Wei space guarantee. At n == 1 no stale reader can
+// exist, so the solo paths retire consumed nodes straight into the plane.
 //
 // Progress: as in core.PSim, everything up to the Observation-3.2 fallback
 // is bounded, but the fallback's hazard-protected read retries only when a
@@ -110,10 +132,11 @@ type qnode[V any] struct {
 // enqState is the enqueuers' State record (struct EnqState of Algorithm 4).
 type enqState[V any] struct {
 	applied  xatomic.Snapshot
-	oldTail  *qnode[V]    // tail of the queue when this batch was built
-	lfirst   *qnode[V]    // first node of this batch's private list (nil: none)
-	newTail  *qnode[V]    // last node of this batch — the tail after splicing
-	nextFree *enqState[V] // memory-plane chain link; unused while live
+	era      atomic.Uint64 // publish count; atomic: hazard scans read it
+	oldTail  *qnode[V]     // tail of the queue when this batch was built
+	lfirst   *qnode[V]     // first node of this batch's private list (nil: none)
+	newTail  *qnode[V]     // last node of this batch — the tail after splicing
+	nextFree *enqState[V]  // memory-plane chain link; unused while live
 }
 
 // deqState is the dequeuers' State record (struct DeqState of Algorithm 4).
@@ -121,7 +144,8 @@ type enqState[V any] struct {
 // more than one (single dequeues answer through rvals[k] alone).
 type deqState[V any] struct {
 	applied  xatomic.Snapshot
-	head     *qnode[V] // node whose next pointer is the queue front
+	era      atomic.Uint64 // publish count; atomic: hazard scans read it
+	head     *qnode[V]     // node whose next pointer is the queue front
 	rvals    []deqRes[V]
 	brvals   [][]deqRes[V]
 	nextFree *deqState[V] // memory-plane chain link; unused while live
@@ -140,6 +164,7 @@ type sqThread[V any] struct {
 	eblk    *alloc.Handle[enqState[V]] // record cache (enq threads)
 	dblk    *alloc.Handle[deqState[V]] // record cache (deq threads)
 	nblk    *alloc.Handle[qnode[V]]    // node cache (both ends, disjoint ids)
+	limbo   *nodeLimbo[V]              // consumed runs awaiting the era rule (deq threads, n > 1)
 	lastCnt uint64                     // last announced dequeue count (deq threads)
 	inited  bool
 }
@@ -201,20 +226,19 @@ func NewSimQueue[V any](n int) *SimQueue[V] {
 		Chain:   n + 1,
 		Slots:   n,
 	}), q.deqHaz)
-	// Nodes need no guard (reissue is governed by reachability, not hazards:
-	// only never-published or provably unreachable nodes are ever Put). Reset
-	// clears the value so parked nodes do not retain references.
-	nodeSlots := 4
-	if n > nodeSlots {
-		nodeSlots = n
-	}
+	// Nodes need no guard at Get: only never-published nodes and consumed
+	// runs that passed the era rule (retireNodes) are ever Put. Reset clears
+	// the value so parked nodes do not retain references.
+	// The shared slots hold 2n chains of 32 nodes: enough to absorb a queue
+	// backlog of tens of budget-sized batches draining back to the
+	// enqueuers.
 	q.nodes = alloc.NewPool(2*n, alloc.Config[qnode[V]]{
 		New:     func() *qnode[V] { return &qnode[V]{} },
 		Next:    func(nd *qnode[V]) *qnode[V] { return nd.next.Load() },
 		SetNext: func(nd, nx *qnode[V]) { nd.next.Store(nx) },
 		Reset:   func(nd *qnode[V]) { var zero V; nd.v = zero },
-		Chain:   16,
-		Slots:   nodeSlots,
+		Chain:   32,
+		Slots:   max(4, 2*n),
 	})
 	q.enqStats.AttachAllocPool("enq_state", q.estate.Pool())
 	q.enqStats.AttachAllocPool("node", q.nodes)
@@ -254,6 +278,9 @@ func (q *SimQueue[V]) thread(ts []sqThread[V], act *xatomic.SharedBits, i int) *
 		} else {
 			t.dblk = q.dstate.Pool().Handle(i)
 			t.nblk = q.nodes.Handle(q.n + i)
+			if q.n > 1 {
+				t.limbo = &nodeLimbo[V]{}
+			}
 		}
 		t.inited = true
 	}
@@ -281,6 +308,89 @@ func (t *sqThread[V]) freeNodes(first, last *qnode[V]) {
 		}
 		nd = nx
 	}
+}
+
+// limboRuns bounds the consumed runs one dequeuer holds back under the era
+// rule; a run is one winning round's consumption, at most n×batchBudget
+// nodes.
+const limboRuns = 16
+
+// nodeRun is the run first..end (exclusive) consumed by a winning dequeue
+// round that published era r; e is the enqueue era read right after it.
+type nodeRun[V any] struct {
+	first, end *qnode[V]
+	r, e       uint64
+}
+
+// nodeLimbo is a dequeuer's FIFO ring of runs awaiting the era rule. Runs
+// enter in retirement order, so r and e are non-decreasing along the ring
+// and the runs that pass the rule always form a prefix.
+type nodeLimbo[V any] struct {
+	runs       [limboRuns]nodeRun[V]
+	head, size int
+}
+
+// retireNodes parks the run first..end (exclusive) that process id's
+// winning round consumed in publishing dequeue era r, then hands every
+// parked run that now passes the era rule (see the type comment) to the
+// dequeue-side plane handle. Wait-free: one bounded hazard acquire, one
+// scan of the 3n hazard slots, at most limboRuns runs released.
+func (q *SimQueue[V]) retireNodes(id int, t *sqThread[V], first, end *qnode[V], r uint64) {
+	// The enqueue era now, read under the help-splice slot so the record
+	// cannot be reissued (its era rewritten) while it is read. A failed
+	// acquire means enqueuers are publishing fast: leave the run to the GC.
+	es, ok := q.enqHaz.Acquire(q.n+id, &q.enqP, hazardAttempts)
+	if !ok {
+		q.enqHaz.Clear(q.n + id)
+		return
+	}
+	e, pin := es.era.Load(), es.oldTail
+	q.enqHaz.Clear(q.n + id)
+	lb := t.limbo
+	if lb.size == limboRuns {
+		lb.drop() // full: the oldest run goes to the GC
+	}
+	lb.runs[(lb.head+lb.size)%limboRuns] = nodeRun[V]{first: first, end: end, r: r, e: e}
+	lb.size++
+	// enqP's era is e now, so from here on every acquire of enqP protects a
+	// record of era ≥ e; the scan covers the holders that acquired earlier.
+	minDeq, minEnq := ^uint64(0), ^uint64(0)
+	for i := 0; i < q.n; i++ {
+		if s := q.deqHaz.Protected(i); s != nil {
+			minDeq = min(minDeq, s.era.Load())
+		}
+	}
+	for i := 0; i < 2*q.n; i++ {
+		if s := q.enqHaz.Protected(i); s != nil {
+			minEnq = min(minEnq, s.era.Load())
+		}
+	}
+	for lb.size > 0 {
+		c := &lb.runs[lb.head]
+		if c.r > minDeq || c.e >= minEnq {
+			return
+		}
+		for nd := c.first; nd != c.end; {
+			if nd == pin && c.e >= e {
+				// No enqueue published since c retired: an acquirer of the
+				// current record may still splice its oldTail. Keep it and
+				// the rest of c for a later retire.
+				c.first = nd
+				return
+			}
+			nx := nd.next.Load() // Put overwrites the link: read it first
+			t.nblk.Put(nd)
+			nd = nx
+		}
+		lb.drop()
+	}
+}
+
+// drop forgets the oldest run, released or left to the GC.
+func (lb *nodeLimbo[V]) drop() {
+	lb.runs[lb.head] = nodeRun[V]{}
+	lb.head = (lb.head + 1) % limboRuns
+	lb.size--
 }
 
 // enqRecord returns an EnqState record for process id to build the next
@@ -438,6 +548,7 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], op core.Op, m int
 		oldTail := ls.newTail    // capture before CAS: ls may recycle after it
 		ns := q.enqRecord(id, t) // lines 28–31, into a recycled record
 		ns.applied.CopyFrom(t.active)
+		ns.era.Store(ls.era.Load() + 1)
 		ns.oldTail = oldTail
 		ns.lfirst = first
 		ns.newTail = last
@@ -484,6 +595,7 @@ func (q *SimQueue[V]) enqueueSolo(t *sqThread[V], op core.Op, v V) {
 	nd := q.node(t, v)
 	ns := q.enqRecord(0, t)
 	ns.applied.CopyFrom(ls.applied)
+	ns.era.Store(ls.era.Load() + 1)
 	ns.oldTail = ls.newTail
 	ns.lfirst = nd
 	ns.newTail = nd
@@ -508,6 +620,7 @@ func (q *SimQueue[V]) enqueueSoloBatch(t *sqThread[V], op core.Op, vals []V) {
 	}
 	ns := q.enqRecord(0, t)
 	ns.applied.CopyFrom(ls.applied)
+	ns.era.Store(ls.era.Load() + 1)
 	ns.oldTail = ls.newTail
 	ns.lfirst = first
 	ns.newTail = last
@@ -631,14 +744,17 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int
 		// its batch before returning, an unspliced batch can only contain
 		// in-flight operations — missing those is linearizable.
 		if es, ok := q.enqHaz.Acquire(q.n+id, &q.enqP, hazardAttempts); ok {
+			core.SchedYield(id, core.PointCollect)
 			splice(es)
 			st.Spliced(id, 1) // dequeuer helped the hand-off
 		}
 		q.enqHaz.Clear(q.n + id) // help slot done: never leave it set
 
-		head := ls.head
+		oldHead, head := ls.head, ls.head
+		era := ls.era.Load() + 1 // a local: once published, ns may recycle
 		ns := q.deqRecord(id, t) // recycled record: reuse applied and rvals
 		ns.applied.CopyFrom(t.active)
+		ns.era.Store(era)
 		copy(ns.rvals, ls.rvals)
 		for k := 0; k < q.n; k++ { // carry pending batch-response rows forward
 			if len(ls.brvals[k]) == 0 {
@@ -700,6 +816,9 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int
 		if q.deqP.CompareAndSwap(ls, ns) { // line 67
 			q.deqHaz.Clear(id) // unpin ls before retiring it
 			q.dstate.Put(t.dblk, ls)
+			if head != oldHead {
+				q.retireNodes(id, t, oldHead, head, era)
+			}
 			st.Committed(id, op, um, slots, op.Act(t.active), ops)
 			if j == 0 {
 				t.bo.Shrink()
@@ -752,6 +871,7 @@ func (q *SimQueue[V]) dequeueSolo(t *sqThread[V], op core.Op, m int, _ []V) deqR
 	next := head.next.Load()
 	ns := q.deqRecord(0, t)
 	ns.applied.CopyFrom(ls.applied)
+	ns.era.Store(ls.era.Load() + 1)
 	copy(ns.rvals, ls.rvals)
 	ns.brvals[0] = ns.brvals[0][:0]
 	if next != nil {
@@ -793,6 +913,7 @@ func (q *SimQueue[V]) dequeueSoloBatch(t *sqThread[V], op core.Op, m int, out []
 	}
 	ns := q.deqRecord(0, t)
 	ns.applied.CopyFrom(ls.applied)
+	ns.era.Store(ls.era.Load() + 1)
 	copy(ns.rvals, ls.rvals)
 	ns.brvals[0] = ns.brvals[0][:0]
 	ns.head = newHead

@@ -28,8 +28,9 @@
 //     the 2n+2 pooled buffers and allocate nothing.
 //
 // Sealing moves the active buffer — the publishing record's private copy —
-// into a fresh Segment and resets the active slice to nil, so exactly one
-// owner ever existed for that buffer before it froze. Retention (trim
+// into a fresh Segment and gives the record a new buffer of SegEvents
+// capacity, so exactly one owner ever existed for the sealed buffer before
+// it froze and the record never regrows its successor. Retention (trim
 // operations) drops whole sealed segments from the front and may also trim
 // the active segment's prefix in place (the active copy is private to the
 // clone, so an in-place shift is safe and allocation-free).
@@ -95,10 +96,12 @@ type Config struct {
 	// bound drops the oldest segment and advances the low watermark — the
 	// spool is bounded even if no retention pass ever runs.
 	MaxSegments int
-	// PreallocEvents pre-sizes the active buffer of the initial state (and
-	// the recycled clone buffers as they first fill) so steady-state
-	// workloads below that size never grow a buffer mid-publish. 0 means
-	// grow on demand; more than MaxPreallocEvents panics.
+	// PreallocEvents pre-sizes the active buffer of the initial state only,
+	// so a workload that stays below that size never grows it mid-publish.
+	// Recycled clone buffers grow on demand and keep what they reached;
+	// every seal hands the sealing record a fresh buffer of SegEvents
+	// capacity (at most MaxPreallocEvents). 0 means grow on demand; more
+	// than MaxPreallocEvents panics.
 	PreallocEvents int
 }
 
@@ -287,9 +290,9 @@ func (s *Spool[E]) apply(st *state[E], _ int, op Op[E]) uint64 {
 }
 
 // seal freezes the active segment. The publishing clone is the buffer's
-// only owner, so handing it to the (immutable) Segment is safe; the active
-// slice is reset to nil and regrows — the recycled record that next clones
-// this state supplies a fresh private buffer.
+// only owner, so handing it to the (immutable) Segment is safe; the record
+// gets one fresh buffer sized for a whole segment, which later rounds on it
+// reuse instead of regrowing one from nil by doubling.
 func (s *Spool[E]) seal(st *state[E]) {
 	seg := &Segment[E]{
 		Base:    st.active.Base,
@@ -299,7 +302,7 @@ func (s *Spool[E]) seal(st *state[E]) {
 	}
 	st.sealed = append(st.sealed, seg)
 	st.sealedTotal++
-	st.active = Segment[E]{Base: st.next}
+	st.active = Segment[E]{Base: st.next, Entries: make([]E, 0, min(s.cfg.SegEvents, MaxPreallocEvents))}
 	for len(st.sealed) > s.cfg.MaxSegments {
 		s.dropOldest(st)
 	}
@@ -358,8 +361,18 @@ func (s *Spool[E]) Seal(id int) uint64 { return s.u.Apply(id, SealOp[E]()) }
 
 // Snapshot returns a consistent view of the log via PSim.Read: a
 // hazard-protected lock-free read that never announces an operation, so
-// readers never block writers (and need no process id).
+// readers never block writers (and need no process id). A consumer that
+// only copies entries out should call Read, which skips the clone.
 func (s *Spool[E]) Snapshot() View[E] { return View[E]{st: s.u.Read()} }
+
+// Read copies up to max entries starting at offset cursor into out, with
+// exactly Snapshot().Read's results, but reads the live state in place
+// under PSim.ReadFunc instead of cloning the active segment and the sealed
+// pointers first. Allocation-free when out has room for max entries.
+func (s *Spool[E]) Read(cursor uint64, max int, out []E) (evs []E, next uint64, skipped uint64) {
+	s.u.ReadFunc(func(st *state[E]) { evs, next, skipped = readState(st, cursor, max, out) })
+	return evs, next, skipped
+}
 
 // N returns the number of process ids.
 func (s *Spool[E]) N() int { return s.n }

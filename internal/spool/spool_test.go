@@ -1,6 +1,7 @@
 package spool
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +145,33 @@ func TestConcurrentAppendersKeepOffsetsUnique(t *testing.T) {
 	)
 	s := NewEvents(n, Config{SegEvents: 64, MaxSegments: 1 << 20})
 	offs := make([][]uint64, n)
+	// A consumer reads the live state in place (Spool.Read) meanwhile: it
+	// must see every offset once, with each producer's events in order.
+	readErr := make(chan string, 1)
+	go func() {
+		defer close(readErr)
+		var out []Event
+		last := make([]int64, n)
+		for i := range last {
+			last[i] = -1
+		}
+		for cursor := uint64(0); cursor < n*per; {
+			evs, next, skipped := s.Read(cursor, 64, out[:0])
+			if skipped != 0 || next != cursor+uint64(len(evs)) {
+				readErr <- fmt.Sprintf("read at %d: %d events, next %d, skipped %d", cursor, len(evs), next, skipped)
+				return
+			}
+			for _, e := range evs {
+				k := int64(e.Payload & 0xFFFFFFFF)
+				if k <= last[e.Producer] {
+					readErr <- fmt.Sprintf("producer %d event %d read after %d", e.Producer, k, last[e.Producer])
+					return
+				}
+				last[e.Producer] = k
+			}
+			cursor, out = next, evs
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -162,6 +190,9 @@ func TestConcurrentAppendersKeepOffsetsUnique(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if msg, bad := <-readErr; bad {
+		t.Fatal(msg)
+	}
 	seen := make(map[uint64]bool)
 	for id := range offs {
 		for i, o := range offs[id] {
@@ -233,4 +264,56 @@ func TestNewRefusesUnboundedPrealloc(t *testing.T) {
 		}
 	}()
 	New[Event](1, Config{PreallocEvents: 1 << 30})
+}
+
+// TestReadMatchesSnapshotRead: Spool.Read reads the live state in place, so
+// over random append/seal/trim histories it must return exactly what a
+// cloned snapshot's Read returns — for cursors below the low watermark
+// (ranges lost to retention), inside every segment, and past the end — and
+// allocate nothing when out has room.
+func TestReadMatchesSnapshotRead(t *testing.T) {
+	s := NewEvents(1, Config{SegEvents: 8, MaxSegments: 4})
+	seed := uint64(0x9e3779b97f4a7c15)
+	rnd := func(n uint64) uint64 {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return seed % n
+	}
+	var ts int64
+	out := make([]Event, 0, 64)
+	for step := 0; step < 400; step++ {
+		switch k := rnd(10); {
+		case k < 6:
+			for i := rnd(12); i > 0; i-- {
+				ts++
+				s.Append(0, ev(uint64(ts), ts))
+			}
+		case k < 7:
+			s.Seal(0)
+		case k < 8:
+			s.Do(0, TrimToOp[Event](s.Snapshot().LowWater()+rnd(10)))
+		default:
+			s.Do(0, TrimSegmentsOp[Event](int(rnd(3))))
+		}
+		v := s.Snapshot()
+		for _, cursor := range []uint64{0, v.LowWater(), v.LowWater() + rnd(20), v.End(), v.End() + 3} {
+			max := 1 + int(rnd(40))
+			want, wnext, wskip := v.Read(cursor, max, nil)
+			got, next, skip := s.Read(cursor, max, out[:0])
+			if next != wnext || skip != wskip || len(got) != len(want) {
+				t.Fatalf("step %d cursor %d max %d: Read = (%d events, next %d, skipped %d), snapshot = (%d, %d, %d)",
+					step, cursor, max, len(got), next, skip, len(want), wnext, wskip)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("step %d cursor %d: event %d = %+v, snapshot %+v", step, cursor, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	cursor := s.Snapshot().LowWater()
+	if a := testing.AllocsPerRun(100, func() { out, _, _ = s.Read(cursor, 64, out[:0]) }); a != 0 {
+		t.Fatalf("Read with a reused out: %v allocs/op, want 0", a)
+	}
 }

@@ -43,17 +43,23 @@ func (v View[E]) ExpiredTotal() uint64 { return v.st.expiredTotal }
 // entry exactly once, in offset order, with gaps accounted rather than
 // silent.
 func (v View[E]) Read(cursor uint64, max int, out []E) (evs []E, next uint64, skipped uint64) {
+	return readState(&v.st, cursor, max, out)
+}
+
+// readState is View.Read over a state the caller keeps stable: a snapshot's
+// clone, or the live record under PSim.ReadFunc (Spool.Read).
+func readState[E Entry](st *state[E], cursor uint64, max int, out []E) (evs []E, next uint64, skipped uint64) {
 	start := cursor
-	if start < v.st.lwm {
-		skipped = v.st.lwm - start
-		start = v.st.lwm
+	if start < st.lwm {
+		skipped = st.lwm - start
+		start = st.lwm
 	}
 	next = start
-	if max <= 0 || start >= v.st.next {
+	if max <= 0 || start >= st.next {
 		return out, next, skipped
 	}
 	// Sealed segments: skip those wholly below start, then copy.
-	for _, seg := range v.st.sealed {
+	for _, seg := range st.sealed {
 		if seg.End() <= next {
 			continue
 		}
@@ -62,8 +68,8 @@ func (v View[E]) Read(cursor uint64, max int, out []E) (evs []E, next uint64, sk
 			return out, next, skipped
 		}
 	}
-	if len(v.st.active.Entries) > 0 {
-		out, next = copyFrom(out, max, v.st.active.Base, v.st.active.Entries, next)
+	if len(st.active.Entries) > 0 {
+		out, next = copyFrom(out, max, st.active.Base, st.active.Entries, next)
 	}
 	return out, next, skipped
 }
