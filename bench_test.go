@@ -379,6 +379,31 @@ func BenchmarkMapPutGet16k(b *testing.B) {
 	})
 }
 
+// BenchmarkTieredPut: the cost of one large-tier overwrite at kv-blob's
+// shape (4 KiB values, 256 keys, one process) in a Tiered store built for
+// n processes. Each Put is one L-Sim operation of six rounds, so the n=64
+// ÷ n=1 ratio is L-Sim's round cost in n, independent of the host.
+func BenchmarkTieredPut(b *testing.B) {
+	val := make([]byte, 4096)
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("blob-%d", i)
+	}
+	for _, n := range []int{1, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			t := simmap.NewTiered[string](n, n, 1024)
+			for _, k := range keys {
+				t.Put(0, k, val)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Put(0, keys[i%len(keys)], val)
+			}
+		})
+	}
+}
+
 // BenchmarkAblationQueueInstances: SimQueue's two Sim instances vs a single
 // P-Sim simulating the whole queue (head and tail in one state) — the design
 // choice §5 credits for SimQueue's advantage over flat combining.

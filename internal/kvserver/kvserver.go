@@ -15,6 +15,14 @@
 //
 // Malformed requests get "ERR <reason>" and the connection stays open.
 //
+// Fields are separated by runs of white space as unicode.IsSpace defines
+// it (the rule of strings.Fields): ASCII tab, newline, vertical tab, form
+// feed, carriage return and space, plus the Unicode spaces such as U+0085,
+// U+00A0 and U+3000. Invalid UTF-8 never separates. Command words match in
+// any case. Each connection's reply writer holds 64 KiB, the longest
+// request line the unpipelined loop accepts, so an unpipelined reply, or
+// up to 64 KiB of a pipelined batch's replies, leaves in a single Write.
+//
 // Large values (WithLargeValues): the server additionally carries a tiered
 // byte-value store (simmap.Tiered) with its own command family — values are
 // single whitespace-free byte tokens, stored verbatim:
@@ -58,7 +66,6 @@ import (
 	"net"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -318,18 +325,15 @@ func (s *Server) ServeConn(id int, conn net.Conn) {
 			return
 		}
 		sc := bufio.NewScanner(conn)
-		w := bufio.NewWriter(conn)
+		w := bufio.NewWriterSize(conn, replyBufSize)
+		var f [maxFields][]byte
 		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
+			n := fields(sc.Bytes(), &f)
+			if n == 0 {
 				continue
 			}
-			resp, quit := s.handle(id, line)
-			fmt.Fprintln(w, resp)
-			if err := w.Flush(); err != nil {
-				return
-			}
-			if quit {
+			quit := s.handle(id, w, command(f[0]), f[:n])
+			if w.Flush() != nil || quit {
 				return
 			}
 		}
@@ -342,23 +346,19 @@ func (s *Server) ServeConn(id int, conn net.Conn) {
 // immediately), execute the batch, flush all responses at once.
 func (s *Server) servePipelined(id int, conn net.Conn) {
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	w := bufio.NewWriterSize(conn, replyBufSize)
 	ex := newExecutor(s, id, w)
-	lines := make([]string, 0, s.pipeline)
+	var lines lineBatch
 	for {
-		line, err := r.ReadString('\n')
-		if line == "" && err != nil {
+		lines.reset()
+		err := lines.readLine(r)
+		if lines.len() == 0 {
 			return
 		}
-		lines = append(lines[:0], line)
-		for len(lines) < s.pipeline && bufferedLine(r) {
-			line, err = r.ReadString('\n')
-			if line == "" {
-				break
-			}
-			lines = append(lines, line)
+		for lines.len() < s.pipeline && bufferedLine(r) {
+			err = lines.readLine(r)
 		}
-		quit := ex.run(lines)
+		quit := ex.run(&lines)
 		if w.Flush() != nil || quit || err != nil {
 			return
 		}
@@ -378,8 +378,8 @@ func bufferedLine(r *bufio.Reader) bool {
 
 // executor accumulates consecutive same-command requests of a pipelined
 // batch and executes each run as one multi-key map operation. Its slices
-// are reused across batches, so a steady pipelined connection allocates
-// only what the responses themselves need.
+// are reused across batches, so on a steady pipelined connection the codec
+// allocates only the keys a PUT or DEL hands to the store.
 type executor struct {
 	s    *Server
 	id   int
@@ -395,30 +395,32 @@ func newExecutor(s *Server, id int, w *bufio.Writer) *executor {
 
 // run executes one batch of request lines, writing responses in request
 // order; quit reports a QUIT (remaining queued lines are dropped, matching
-// the unpipelined loop which stops reading after QUIT).
-func (ex *executor) run(lines []string) (quit bool) {
-	for _, raw := range lines {
-		line := strings.TrimSpace(raw)
-		if line == "" {
+// the unpipelined loop which stops reading after QUIT). GET keys view the
+// batch's bytes, which stay put until run returns.
+func (ex *executor) run(lines *lineBatch) (quit bool) {
+	var f [maxFields][]byte
+	for k := 0; k < lines.len(); k++ {
+		n := fields(lines.line(k), &f)
+		if n == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch strings.ToUpper(fields[0]) {
+		cmd := command(f[0])
+		switch cmd {
 		case "PUT":
-			if len(fields) == 3 {
-				if v, err := strconv.ParseUint(fields[2], 10, 64); err == nil {
-					ex.push('P', fields[1], v)
+			if n == 3 {
+				if v, ok := parseUint(f[2]); ok {
+					ex.push('P', string(f[1]), v)
 					continue
 				}
 			}
 		case "GET":
-			if len(fields) == 2 {
-				ex.push('G', fields[1], 0)
+			if n == 2 {
+				ex.push('G', lookupKey(f[1]), 0)
 				continue
 			}
 		case "DEL":
-			if len(fields) == 2 {
-				ex.push('D', fields[1], 0)
+			if n == 2 {
+				ex.push('D', string(f[1]), 0)
 				continue
 			}
 		}
@@ -427,9 +429,7 @@ func (ex *executor) run(lines []string) (quit bool) {
 		// unbatched: a large-tier overwrite is already one O(1) item round,
 		// so there is no per-key batching win to chase.)
 		ex.flush()
-		resp, q := ex.s.handle(ex.id, line)
-		fmt.Fprintln(ex.w, resp)
-		if q {
+		if ex.s.handle(ex.id, ex.w, cmd, f[:n]) {
 			return true
 		}
 	}
@@ -457,137 +457,135 @@ func (ex *executor) flush() {
 		ex.kind = 0
 		return
 	}
-	s, id, m := ex.s, ex.id, uint64(len(ex.keys))
+	s, id, w, m := ex.s, ex.id, ex.w, uint64(len(ex.keys))
 	switch ex.kind {
 	case 'P':
 		s.cPut.Add(id, m)
 		prevs, existed := s.store.MSet(id, ex.keys, ex.vals)
-		for i := range prevs {
-			if existed[i] {
-				fmt.Fprintf(ex.w, "OK %d\n", prevs[i])
-			} else {
-				fmt.Fprintln(ex.w, "OK NIL")
-			}
-		}
+		writePrevs(w, prevs, existed)
 	case 'G':
 		s.cGet.Add(id, m)
 		vals, ok := s.store.MGet(id, ex.keys)
 		for i := range vals {
-			if ok[i] {
-				fmt.Fprintf(ex.w, "VAL %d\n", vals[i])
-			} else {
-				fmt.Fprintln(ex.w, "NIL")
-			}
+			writeGet(w, vals[i], ok[i])
 		}
 	case 'D':
 		s.cDel.Add(id, m)
 		prevs, existed := s.store.MDelete(id, ex.keys)
-		for i := range prevs {
-			if existed[i] {
-				fmt.Fprintf(ex.w, "OK %d\n", prevs[i])
-			} else {
-				fmt.Fprintln(ex.w, "OK NIL")
-			}
-		}
+		writePrevs(w, prevs, existed)
 	}
 	ex.keys = ex.keys[:0]
 	ex.vals = ex.vals[:0]
 	ex.kind = 0
 }
 
-// handle executes one request line and returns the response line.
-func (s *Server) handle(id int, line string) (resp string, quit bool) {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
+// writePrevs writes one PUT/DEL reply per previous binding.
+func writePrevs(w *bufio.Writer, prevs []uint64, existed []bool) {
+	for i := range prevs {
+		writePrev(w, prevs[i], existed[i])
+	}
+}
+
+// writePrev writes a PUT/DEL reply: "OK <previous>" or "OK NIL".
+func writePrev(w *bufio.Writer, prev uint64, existed bool) {
+	if existed {
+		writeUint(w, "OK ", prev)
+	} else {
+		writeLine(w, "OK NIL")
+	}
+}
+
+// writeGet writes a GET reply: "VAL <value>" or "NIL".
+func writeGet(w *bufio.Writer, v uint64, ok bool) {
+	if ok {
+		writeUint(w, "VAL ", v)
+	} else {
+		writeLine(w, "NIL")
+	}
+}
+
+const errBlobDisabled = "ERR large-value tier disabled (enable with WithLargeValues / -large-threshold)"
+
+// handle executes one request — cmd is command(f[0]), f its fields as
+// fields returns them — and writes the response line to w.
+func (s *Server) handle(id int, w *bufio.Writer, cmd string, f [][]byte) (quit bool) {
 	switch cmd {
 	case "PUT":
-		if len(fields) != 3 {
-			s.cErr.Inc(id)
-			return "ERR usage: PUT <key> <value>", false
+		if len(f) != 3 {
+			return s.fail(id, w, "ERR usage: PUT <key> <value>")
 		}
-		v, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			s.cErr.Inc(id)
-			return "ERR value must be a uint64", false
+		v, ok := parseUint(f[2])
+		if !ok {
+			return s.fail(id, w, "ERR value must be a uint64")
 		}
 		s.cPut.Inc(id)
-		prev, existed := s.store.Put(id, fields[1], v)
-		if !existed {
-			return "OK NIL", false
-		}
-		return fmt.Sprintf("OK %d", prev), false
+		prev, existed := s.store.Put(id, string(f[1]), v)
+		writePrev(w, prev, existed)
 	case "GET":
-		if len(fields) != 2 {
-			s.cErr.Inc(id)
-			return "ERR usage: GET <key>", false
+		if len(f) != 2 {
+			return s.fail(id, w, "ERR usage: GET <key>")
 		}
 		s.cGet.Inc(id)
-		v, ok := s.store.Get(fields[1])
-		if !ok {
-			return "NIL", false
-		}
-		return fmt.Sprintf("VAL %d", v), false
+		v, ok := s.store.Get(lookupKey(f[1]))
+		writeGet(w, v, ok)
 	case "DEL":
-		if len(fields) != 2 {
-			s.cErr.Inc(id)
-			return "ERR usage: DEL <key>", false
+		if len(f) != 2 {
+			return s.fail(id, w, "ERR usage: DEL <key>")
 		}
 		s.cDel.Inc(id)
-		prev, existed := s.store.Delete(id, fields[1])
-		if !existed {
-			return "OK NIL", false
-		}
-		return fmt.Sprintf("OK %d", prev), false
+		prev, existed := s.store.Delete(id, string(f[1]))
+		writePrev(w, prev, existed)
 	case "BPUT":
 		if s.blob == nil {
-			s.cErr.Inc(id)
-			return "ERR large-value tier disabled (enable with WithLargeValues / -large-threshold)", false
+			return s.fail(id, w, errBlobDisabled)
 		}
-		if len(fields) != 3 {
-			s.cErr.Inc(id)
-			return "ERR usage: BPUT <key> <value>", false
+		if len(f) != 3 {
+			return s.fail(id, w, "ERR usage: BPUT <key> <value>")
 		}
 		s.cBPut.Inc(id)
-		if s.blob.Put(id, fields[1], []byte(fields[2])) {
-			return "OK SET", false
+		// The value is passed straight from the read buffer: Put makes the
+		// store's one owned copy.
+		if s.blob.Put(id, string(f[1]), f[2]) {
+			writeLine(w, "OK SET")
+		} else {
+			writeLine(w, "OK NEW")
 		}
-		return "OK NEW", false
 	case "BGET":
 		if s.blob == nil {
-			s.cErr.Inc(id)
-			return "ERR large-value tier disabled (enable with WithLargeValues / -large-threshold)", false
+			return s.fail(id, w, errBlobDisabled)
 		}
-		if len(fields) != 2 {
-			s.cErr.Inc(id)
-			return "ERR usage: BGET <key>", false
+		if len(f) != 2 {
+			return s.fail(id, w, "ERR usage: BGET <key>")
 		}
 		s.cBGet.Inc(id)
-		v, ok := s.blob.Get(fields[1])
+		v, ok := s.blob.Get(lookupKey(f[1]))
 		if !ok {
-			return "NIL", false
+			writeLine(w, "NIL")
+			break
 		}
-		return "VAL " + string(v), false
+		w.WriteString("VAL ")
+		w.Write(v)
+		w.WriteByte('\n')
 	case "BDEL":
 		if s.blob == nil {
-			s.cErr.Inc(id)
-			return "ERR large-value tier disabled (enable with WithLargeValues / -large-threshold)", false
+			return s.fail(id, w, errBlobDisabled)
 		}
-		if len(fields) != 2 {
-			s.cErr.Inc(id)
-			return "ERR usage: BDEL <key>", false
+		if len(f) != 2 {
+			return s.fail(id, w, "ERR usage: BDEL <key>")
 		}
 		s.cBDel.Inc(id)
-		if s.blob.Delete(id, fields[1]) {
-			return "OK", false
+		if s.blob.Delete(id, string(f[1])) {
+			writeLine(w, "OK")
+		} else {
+			writeLine(w, "OK NIL")
 		}
-		return "OK NIL", false
 	case "LEN":
 		s.cLen.Inc(id)
-		return fmt.Sprintf("LEN %d", s.store.Len()), false
+		writeUint(w, "LEN ", uint64(s.store.Len()))
 	case "STATS":
 		s.cStats.Inc(id)
 		st := s.store.Stats()
-		resp := fmt.Sprintf("STATS ops=%d helping=%.2f cas_fail=%d served_by=%d",
+		fmt.Fprintf(w, "STATS ops=%d helping=%.2f cas_fail=%d served_by=%d",
 			st.Ops, st.AvgHelping, st.CASFailures, st.ServedByOther)
 		if s.blob != nil {
 			// The tier split makes the engine routing observable: blob_small
@@ -595,15 +593,24 @@ func (s *Server) handle(id int, line string) (resp string, quit bool) {
 			// L-Sim item records (lsim_ops announced rounds, lsim_items
 			// committed item write-backs).
 			bs := s.blob.Stats()
-			resp += fmt.Sprintf(" blob_small=%d blob_large=%d lsim_ops=%d lsim_items=%d threshold=%d",
-				bs.SmallOps, bs.LargeOps, bs.Large.Ops, bs.ItemsHeld, s.blob.Threshold())
+			fmt.Fprintf(w, " blob_small=%d blob_large=%d lsim_ops=%d lsim_items=%d threshold=%d",
+				bs.SmallOps, bs.LargeOps, bs.Large.Ops, bs.ItemsWritten, s.blob.Threshold())
 		}
-		return resp, false
+		w.WriteByte('\n')
 	case "QUIT":
-		return "BYE", true
+		writeLine(w, "BYE")
+		return true
+	default:
+		return s.fail(id, w, "ERR unknown command "+cmd)
 	}
+	return false
+}
+
+// fail counts a refused request and writes its error line.
+func (s *Server) fail(id int, w *bufio.Writer, msg string) (quit bool) {
 	s.cErr.Inc(id)
-	return "ERR unknown command " + cmd, false
+	writeLine(w, msg)
+	return false
 }
 
 // Map exposes the underlying map for embedding scenarios and tests; nil

@@ -43,6 +43,7 @@ package lsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/alloc"
@@ -108,14 +109,31 @@ type lop[V, A, R any] struct {
 // batch rows), the round number, and the shared list of items allocated
 // during the round. Records recycle through the memory plane under the
 // state hazard plane.
+//
+// The bit vectors are word-wide snapshots, as in P-Sim: a round copies and
+// scans them 64 processes per word. rows marks the processes whose batch
+// row is non-empty, so forwarding rows costs O(rows + n/64), not O(n). It
+// always matches brvals, a recycled record's included.
 type lsimState[R any] struct {
-	applied  []bool
-	papplied []bool
+	applied  xatomic.Snapshot
+	papplied xatomic.Snapshot
+	rows     xatomic.Snapshot
 	rvals    []R
 	brvals   [][]R // batch-response rows, forwarded round to round
 	seq      uint64
 	varList  *newList
 	nextFree *lsimState[R] // memory-plane chain link; unused while live
+}
+
+func newState[R any](n int) *lsimState[R] {
+	return &lsimState[R]{
+		applied:  xatomic.NewSnapshot(n),
+		papplied: xatomic.NewSnapshot(n),
+		rows:     xatomic.NewSnapshot(n),
+		rvals:    make([]R, n),
+		brvals:   make([][]R, n),
+		varList:  &newList{},
+	}
 }
 
 // newList is the shared new-variable list; head is a dummy node so the
@@ -199,28 +217,14 @@ func New[V, A, R any](n int) *LSim[V, A, R] {
 	for i := range l.members {
 		l.members[i] = l.act.Member(i)
 	}
-	l.state.Store(&lsimState[R]{
-		applied:  make([]bool, n),
-		papplied: make([]bool, n),
-		rvals:    make([]R, n),
-		brvals:   make([][]R, n),
-		varList:  &newList{},
-	})
+	l.state.Store(newState[R](n))
 	// Memory plane: round records carry cache 2(n+1) per thread; item
 	// bodies a deeper cache (one round may retire up to a whole write-set of
 	// bodies). Neither pool Resets at Put — a retired record or body may
 	// still be hazard-protected, so it is only mutated at reissue, after the
 	// guard probe clears it.
 	l.rpool = alloc.NewTyped(alloc.NewPool(n, alloc.Config[lsimState[R]]{
-		New: func() *lsimState[R] {
-			return &lsimState[R]{
-				applied:  make([]bool, n),
-				papplied: make([]bool, n),
-				rvals:    make([]R, n),
-				brvals:   make([][]R, n),
-				varList:  &newList{},
-			}
-		},
+		New:     func() *lsimState[R] { return newState[R](n) },
 		Next:    func(s *lsimState[R]) *lsimState[R] { return s.nextFree },
 		SetNext: func(s, nx *lsimState[R]) { s.nextFree = nx },
 		Chain:   n + 1,
@@ -413,16 +417,11 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 
 		ns := l.record(i, t) // lines 14–18, into a recycled record
 		ns.seq = ls.seq + 1
-		copy(ns.papplied, ls.applied)
+		ns.papplied.CopyFrom(ls.applied)
+		ns.applied.CopyFrom(t.lact)
+		actPop := uint64(t.lact.PopCount())
 		copy(ns.rvals, ls.rvals)
-		actPop := uint64(0)
-		for q := 0; q < l.n; q++ {
-			ns.applied[q] = t.lact.Bit(q)
-			if ns.applied[q] {
-				actPop++
-			}
-		}
-		l.forwardBatchRows(ns, ls)
+		forwardBatchRows(ns, ls)
 
 		m := &t.mem
 		m.reset(ns.seq, &ls.varList.head) // line 13
@@ -492,15 +491,20 @@ func (l *LSim[V, A, R]) body(i int, t *lthread[V, A, R]) *itemBody[V] {
 // forwardBatchRows carries every process's pending batch-response row from
 // ls into ns by content (rows are never shared between records); a process
 // served several rounds ago must still find its responses in whatever
-// record is current when it looks.
-func (l *LSim[V, A, R]) forwardBatchRows(ns, ls *lsimState[R]) {
-	for k := 0; k < l.n; k++ {
-		if len(ls.brvals[k]) == 0 {
+// record is current when it looks. Only non-empty rows are touched: ns's
+// own stale rows are emptied, then ls's are copied.
+func forwardBatchRows[R any](ns, ls *lsimState[R]) {
+	for w := range ns.rows {
+		for stale := ns.rows[w] &^ ls.rows[w]; stale != 0; stale &= stale - 1 {
+			k := w*xatomic.WordBits + bits.TrailingZeros64(stale)
 			ns.brvals[k] = ns.brvals[k][:0]
-			continue
 		}
-		ns.brvals[k] = append(ns.brvals[k][:0], ls.brvals[k]...)
+		for live := ls.rows[w]; live != 0; live &= live - 1 {
+			k := w*xatomic.WordBits + bits.TrailingZeros64(live)
+			ns.brvals[k] = append(ns.brvals[k][:0], ls.brvals[k]...)
+		}
 	}
+	ns.rows.CopyFrom(ls.rows)
 }
 
 // simulate runs every eligible announced vector against m. It reports false
@@ -518,8 +522,11 @@ func (l *LSim[V, A, R]) simulate(ls, ns *lsimState[R], m *Mem[V, A, R], degree, 
 			panic(r)
 		}
 	}()
-	for q := 0; q < l.n; q++ { // line 19
-		if ls.applied[q] && !ls.papplied[q] { // line 20
+	// lines 19–20: every q with applied ∧ ¬papplied, a word at a time and in
+	// ascending pid order, so every helper replays the same sequence.
+	for w := range ls.applied {
+		for pending := ls.applied[w] &^ ls.papplied[w]; pending != 0; pending &= pending - 1 {
+			q := w*xatomic.WordBits + bits.TrailingZeros64(pending)
 			box, okp := l.announce.Protect(m.id, q) // the vector announced by q
 			l.stats.Accesses.Inc(m.id)
 			if !okp {
@@ -529,12 +536,14 @@ func (l *LSim[V, A, R]) simulate(ls, ns *lsimState[R], m *Mem[V, A, R], degree, 
 			if len(vec) == 1 {
 				ns.rvals[q] = vec[0].fn(m, vec[0].arg) // lines 21–37
 				ns.brvals[q] = ns.brvals[q][:0]
+				ns.rows.ClearBit(q)
 			} else {
 				row := ns.brvals[q][:0]
 				for k := range vec {
 					row = append(row, vec[k].fn(m, vec[k].arg))
 				}
 				ns.brvals[q] = row
+				ns.rows.SetBit(q)
 			}
 			*degree++
 			*ops += uint64(len(vec))

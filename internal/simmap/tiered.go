@@ -153,22 +153,22 @@ func (t *Tiered[K]) Range(f func(k K, v []byte) bool) {
 
 // TieredStats is the per-engine view of a Tiered map's combining counters.
 type TieredStats struct {
-	Small     core.Stats // the P-Sim stripes (inline tier + binding changes)
-	Large     core.Stats // the L-Sim instance (large-value overwrites)
-	SmallOps  uint64     // writes routed to the inline tier
-	LargeOps  uint64     // writes routed to the item tier
-	ItemsHeld uint64     // committed item write-backs (L-Sim write-set total)
+	Small        core.Stats // the P-Sim stripes (inline tier + binding changes)
+	Large        core.Stats // the L-Sim instance (large-value overwrites)
+	SmallOps     uint64     // writes routed to the inline tier
+	LargeOps     uint64     // writes routed to the item tier
+	ItemsWritten uint64     // committed item write-backs (L-Sim write-set total)
 }
 
 // Stats aggregates both engines' counters (snapshot semantics; see
 // core.StatsPlane.Aggregate).
 func (t *Tiered[K]) Stats() TieredStats {
 	return TieredStats{
-		Small:     t.m.Stats(),
-		Large:     t.ls.Stats(),
-		SmallOps:  t.smallOps.Total(),
-		LargeOps:  t.largeOps.Total(),
-		ItemsHeld: t.ls.ItemsWritten(),
+		Small:        t.m.Stats(),
+		Large:        t.ls.Stats(),
+		SmallOps:     t.smallOps.Total(),
+		LargeOps:     t.largeOps.Total(),
+		ItemsWritten: t.ls.ItemsWritten(),
 	}
 }
 

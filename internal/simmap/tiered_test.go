@@ -88,7 +88,7 @@ func TestTieredBasic(t *testing.T) {
 	if st.Large.Ops != 1 {
 		t.Fatalf("large-tier engine ops = %d, want 1 (one in-tier overwrite)", st.Large.Ops)
 	}
-	if st.ItemsHeld == 0 {
+	if st.ItemsWritten == 0 {
 		t.Fatal("no committed item write-backs recorded")
 	}
 }
