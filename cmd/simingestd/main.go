@@ -45,28 +45,21 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"time"
 
-	"repro/internal/obs"
-	"repro/internal/obs/timeline"
+	"repro/internal/lineserver"
 	obstrace "repro/internal/obs/trace"
 	"repro/internal/retention"
 	"repro/internal/spool"
 )
 
-// daemon is a running simingestd: the ingest server plus the optional
-// metrics listener and progress watchdog.
+// daemon is a running simingestd: the ingest server plus its operations
+// surface (metrics listener, timeline, progress watchdog).
 type daemon struct {
-	srv       *server
-	addr      string
-	metricsLn net.Listener
-	metricsWG chan struct{}
-	watchdog  *obstrace.Watchdog
-	timeline  *timeline.Timeline
+	ops  *lineserver.Daemon
+	srv  *server
+	addr string
 }
 
 // start boots the ingest server on addr and, when metricsAddr is non-empty,
@@ -76,92 +69,19 @@ func start(addr, metricsAddr string, cfg serverConfig, watchdogBudget int) (*dae
 		cfg.flight = obstrace.DefaultCapacity // watchdog reads the tracer's progress counters
 	}
 	srv := newServer(cfg)
-	bound, err := srv.Listen(addr)
+	ops, err := lineserver.Start(srv, addr, lineserver.Ops{Name: "simingestd", MetricsAddr: metricsAddr,
+		Timeline: cfg.timeline, SLO: cfg.slo, Watchdog: watchdogBudget})
 	if err != nil {
-		srv.Close()
 		return nil, err
 	}
-	d := &daemon{srv: srv, addr: bound}
-	if cfg.timeline > 0 {
-		rules, err := timeline.ParseRules(cfg.slo)
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		d.timeline = timeline.New(srv.Registry(), timeline.Config{
-			Interval: cfg.timeline,
-			Rules:    rules,
-			OnBreach: func(b timeline.Breach) {
-				if b.Cleared {
-					fmt.Fprintf(os.Stderr, "simingestd: slo: %s recovered (value %.4g, violated for %s)\n",
-						b.Rule.Name(), b.Value, time.Duration(b.SinceNs))
-					return
-				}
-				fmt.Fprintf(os.Stderr, "simingestd: slo: BREACH %s (value %.4g)\n", b.Rule.Name(), b.Value)
-			},
-		})
-		d.timeline.Start()
-	} else if cfg.slo != "" {
-		d.close()
-		return nil, fmt.Errorf("-slo requires -timeline")
-	}
-	if watchdogBudget > 0 {
-		tl := d.timeline
-		d.watchdog = obstrace.NewWatchdog(srv.Tracer(), uint64(watchdogBudget), func(s obstrace.Stall) {
-			fmt.Fprintf(os.Stderr, "simingestd: watchdog: pid %d stalled: %d announced op(s) uncommitted for %d rounds (%s)\n",
-				s.Pid, s.Pending, s.Rounds, s.Since)
-			if tl != nil {
-				tl.RecordStall(s.Pid, s.Rounds)
-			}
-		})
-		d.watchdog.Start(100 * time.Millisecond)
-	}
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			d.close()
-			return nil, fmt.Errorf("metrics listener: %w", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(srv.Registry()))
-		var tlHandler http.Handler
-		if d.timeline != nil {
-			tlHandler = timeline.Handler(d.timeline)
-		}
-		obstrace.RegisterDebug(mux, srv.Tracer(), tlHandler)
-		d.metricsLn = ln
-		d.metricsWG = make(chan struct{})
-		go func() {
-			defer close(d.metricsWG)
-			_ = http.Serve(ln, mux) // returns when ln closes
-		}()
-	}
-	return d, nil
+	return &daemon{ops: ops, srv: srv, addr: ops.Addr}, nil
 }
 
 // metricsAddr returns the bound metrics address, or "" if metrics are off.
-func (d *daemon) metricsAddr() string {
-	if d.metricsLn == nil {
-		return ""
-	}
-	return d.metricsLn.Addr().String()
-}
+func (d *daemon) metricsAddr() string { return d.ops.MetricsAddr() }
 
 // close shuts down both listeners and waits for the serve loops to drain.
-func (d *daemon) close() error {
-	if d.watchdog != nil {
-		d.watchdog.Stop()
-	}
-	if d.timeline != nil {
-		d.timeline.Stop()
-	}
-	err := d.srv.Close()
-	if d.metricsLn != nil {
-		d.metricsLn.Close()
-		<-d.metricsWG
-	}
-	return err
-}
+func (d *daemon) close() error { return d.ops.Close() }
 
 func main() {
 	var (
@@ -228,25 +148,5 @@ func main() {
 	}
 	fmt.Printf("simingestd listening on %s (%d client slots, %d partition(s), batch %d, seg %d)\n",
 		d.addr, *clients, *shards, *batch, *segEvents)
-	if ma := d.metricsAddr(); ma != "" {
-		fmt.Printf("simingestd metrics on http://%s/metrics\n", ma)
-		if d.srv.Tracer() != nil {
-			fmt.Printf("simingestd flight recorder on http://%s/debug/flight (pprof under /debug/pprof/)\n", ma)
-		}
-	}
-	if d.watchdog != nil {
-		fmt.Printf("simingestd progress watchdog armed: budget %d rounds\n", *watchdog)
-	}
-	if d.timeline != nil {
-		fmt.Printf("simingestd timeline scraping every %s (%d series)\n", *timelineEvery, len(d.timeline.SeriesNames()))
-		for _, r := range d.timeline.Rules() {
-			fmt.Printf("simingestd slo rule armed: %s\n", r.Name())
-		}
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	fmt.Println("simingestd: shutting down")
-	d.close()
+	d.ops.Run()
 }

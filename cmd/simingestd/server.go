@@ -2,18 +2,17 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/ingest"
+	"repro/internal/lineserver"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/retention"
@@ -22,7 +21,7 @@ import (
 
 // server is the ingest daemon: -shards independent Pipelines (each a
 // SimQueue in front of a P-Sim spool with its own drain loop and retention
-// runner), served over the same pipelined TCP shape as the KV server.
+// runner), served by internal/lineserver like the KV server.
 //
 // Connection slot s publishes into partition s%shards under producer pid
 // s/shards, so every process id keeps the construction's single-writer
@@ -44,6 +43,10 @@ import (
 //	                              STATS appended=… drained=… low=… end=… passes=…
 //	QUIT                       -> BYE
 //
+// A connection beyond -clients is answered "ERR busy" and closed; a line
+// over 64 KiB is answered "ERR line too long" and the connection stays
+// open. Both refusals are counted in ingest_refused_total{reason=...}.
+//
 // Pipelining: consecutive queued PUB lines execute as ONE AppendBatch
 // vector (one EnqueueBatch announce per run instead of one per event);
 // responses are byte-identical to the one-at-a-time protocol.
@@ -55,12 +58,7 @@ type server struct {
 	retID   int
 	batch   int // max queued PUB lines executed as one AppendBatch
 
-	ids    chan int
-	ln     net.Listener
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	lines *lineserver.Server
 
 	drainStop chan struct{}
 	drainWG   sync.WaitGroup
@@ -70,7 +68,6 @@ type server struct {
 
 	cPub, cPoll, cHwm, cStats, cErr *obs.Counter
 	pollSkip                        []*obs.Counter // per partition: events lost to retention before a POLL arrived
-	gConns                          *obs.Gauge
 }
 
 // serverConfig sizes a server.
@@ -111,17 +108,15 @@ func newServer(cfg serverConfig) *server {
 		drainID:   perPart,
 		retID:     perPart + 1,
 		batch:     cfg.batch,
-		ids:       make(chan int, cfg.clients),
-		conns:     map[net.Conn]struct{}{},
 		drainStop: make(chan struct{}),
 		reg:       obs.NewRegistry(),
 	}
+	s.lines = lineserver.New(s.reg, "ingest", cfg.clients, s.serveConn)
 	s.cPub = s.reg.Counter("ingest_pub_total", cfg.clients)
 	s.cPoll = s.reg.Counter("ingest_poll_total", cfg.clients)
 	s.cHwm = s.reg.Counter("ingest_hwm_total", cfg.clients)
 	s.cStats = s.reg.Counter("ingest_stats_total", cfg.clients)
 	s.cErr = s.reg.Counter("ingest_err_total", cfg.clients)
-	s.gConns = s.reg.Gauge("ingest_connections")
 	s.pollSkip = make([]*obs.Counter, cfg.shards)
 	for i := range s.pollSkip {
 		s.pollSkip[i] = s.reg.Counter(
@@ -149,9 +144,6 @@ func newServer(cfg serverConfig) *server {
 			r.Start(cfg.retainTick)
 			s.runners[i] = r
 		}
-	}
-	for i := 0; i < cfg.clients; i++ {
-		s.ids <- i
 	}
 	for i := range s.parts {
 		s.drainWG.Add(1)
@@ -191,79 +183,12 @@ func (s *server) Registry() *obs.Registry { return s.reg }
 func (s *server) Tracer() *trace.Tracer { return s.tracer }
 
 // Listen starts accepting connections and returns the bound address.
-func (s *server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		if !s.track(conn) {
-			conn.Close()
-			continue
-		}
-		slot := <-s.ids
-		s.wg.Add(1)
-		s.gConns.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.gConns.Add(-1)
-			defer func() { s.ids <- slot }()
-			defer s.untrack(conn)
-			defer conn.Close()
-			s.serveConn(slot, conn)
-		}()
-	}
-}
-
-func (s *server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
+func (s *server) Listen(addr string) (string, error) { return s.lines.Listen(addr) }
 
 // Close stops the listener, closes in-flight connections, stops retention
 // and drain loops (after a final queue sweep), and waits for everything.
 func (s *server) Close() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
+	err := s.lines.Close()
 	for _, r := range s.runners {
 		if r != nil {
 			r.Stop()
@@ -275,49 +200,21 @@ func (s *server) Close() error {
 }
 
 // serveConn handles one connection on slot: partition slot%shards, producer
-// pid slot/shards. The loop is the kvserver's pipelined shape — block for
-// one request, drain already-queued complete lines up to the batch depth,
-// execute PUB runs as one AppendBatch, respond in order, flush once.
+// pid slot/shards. Each batch of up to -batch queued lines runs its PUB
+// runs as one AppendBatch, responds in order and flushes once.
 func (s *server) serveConn(slot int, conn net.Conn) {
 	part := slot % len(s.parts)
 	pid := slot / len(s.parts)
 	labels := pprof.Labels("pid", strconv.Itoa(pid), "object", "ingest"+strconv.Itoa(part))
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		r := bufio.NewReader(conn)
 		w := bufio.NewWriter(conn)
 		ex := &executor{s: s, p: s.parts[part], slot: slot, pid: pid, w: w}
-		lines := make([]string, 0, s.batch)
-		for {
-			line, err := r.ReadString('\n')
-			if line == "" && err != nil {
-				return
-			}
-			lines = append(lines[:0], line)
-			for len(lines) < s.batch && bufferedLine(r) {
-				line, err = r.ReadString('\n')
-				if line == "" {
-					break
-				}
-				lines = append(lines, line)
-			}
-			quit := ex.run(lines)
-			if w.Flush() != nil || quit || err != nil {
-				return
-			}
-		}
+		s.lines.Serve(slot, conn, w, s.batch, ex.run)
 	})
 }
 
-// bufferedLine reports whether r holds a complete line that can be read
-// without touching the connection.
-func bufferedLine(r *bufio.Reader) bool {
-	n := r.Buffered()
-	if n == 0 {
-		return false
-	}
-	b, _ := r.Peek(n)
-	return bytes.IndexByte(b, '\n') >= 0
-}
+// commands are the protocol's command words, upper case.
+var commands = []string{"PUB", "POLL", "HWM", "STATS", "QUIT"}
 
 // executor accumulates a run of consecutive PUB payloads and submits each
 // run as one AppendBatch vector. Slices are reused across batches.
@@ -335,70 +232,28 @@ type executor struct {
 }
 
 // run executes one batch of request lines; quit reports a QUIT.
-func (ex *executor) run(lines []string) (quit bool) {
-	for _, raw := range lines {
-		if v, ok := parsePub(raw); ok {
-			ex.payloads = append(ex.payloads, v)
+func (ex *executor) run(lines [][]byte) (quit bool) {
+	var f [lineserver.MaxFields][]byte
+	for _, line := range lines {
+		n := lineserver.Fields(line, &f)
+		if n == 0 {
 			continue
 		}
-		line := strings.TrimSpace(raw)
-		if line == "" {
-			continue
+		cmd := lineserver.Command(f[0], commands)
+		if cmd == "PUB" && n == 2 {
+			if v, ok := lineserver.ParseUint(f[1]); ok {
+				ex.payloads = append(ex.payloads, v)
+				continue
+			}
 		}
 		// Anything else is a run barrier handled one at a time.
 		ex.flushPubs()
-		if ex.handle(strings.Fields(line)) {
+		if ex.handle(cmd, f[:n]) {
 			return true
 		}
 	}
 	ex.flushPubs()
 	return false
-}
-
-// parsePub reports whether line is a PUB with a valid payload, exactly as
-// splitting it with strings.Fields would decide: a case-insensitive verb
-// and one decimal field, separated and surrounded by any whitespace. ASCII
-// lines are scanned in place without allocating; a line with any
-// non-ASCII byte, whose spaces only Fields knows, takes the Fields path.
-func parsePub(line string) (uint64, bool) {
-	for i := 0; i < len(line); i++ {
-		if line[i] >= utf8.RuneSelf {
-			f := strings.Fields(line)
-			if len(f) != 2 || !strings.EqualFold(f[0], "PUB") {
-				return 0, false
-			}
-			v, err := strconv.ParseUint(f[1], 10, 64)
-			return v, err == nil
-		}
-	}
-	verb, rest := nextField(line)
-	if !strings.EqualFold(verb, "PUB") {
-		return 0, false
-	}
-	arg, rest := nextField(rest)
-	if extra, _ := nextField(rest); arg == "" || extra != "" {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(arg, 10, 64)
-	return v, err == nil
-}
-
-// nextField splits the first whitespace-separated field off an ASCII line.
-func nextField(s string) (field, rest string) {
-	i := 0
-	for i < len(s) && asciiSpace(s[i]) {
-		i++
-	}
-	j := i
-	for j < len(s) && !asciiSpace(s[j]) {
-		j++
-	}
-	return s[i:j], s[j:]
-}
-
-// asciiSpace is unicode.IsSpace restricted to ASCII.
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // flushPubs submits the pending PUB run as one AppendBatch and writes the
@@ -425,26 +280,27 @@ func (ex *executor) write(b []byte) {
 	ex.out = b[:0]
 }
 
-// handle serves one non-PUB request; quit reports a QUIT.
-func (ex *executor) handle(fields []string) (quit bool) {
+// handle serves one request other than a valid PUB — cmd is its command
+// word, f its fields — and reports a QUIT.
+func (ex *executor) handle(cmd string, f [][]byte) (quit bool) {
 	s := ex.s
-	switch strings.ToUpper(fields[0]) {
+	switch cmd {
 	case "POLL":
-		if len(fields) != 4 {
+		if len(f) != 4 {
 			s.cErr.Inc(ex.slot)
 			fmt.Fprintln(ex.w, "ERR usage: POLL <part> <cursor> <max>")
 			return false
 		}
-		part, err1 := strconv.Atoi(fields[1])
-		cursor, err2 := strconv.ParseUint(fields[2], 10, 64)
-		max, err3 := strconv.Atoi(fields[3])
-		if err1 != nil || err2 != nil || err3 != nil || part < 0 || part >= len(s.parts) || max < 1 {
+		part, ok1 := lineserver.ParseUint(f[1])
+		cursor, ok2 := lineserver.ParseUint(f[2])
+		max, ok3 := lineserver.ParseUint(f[3])
+		if !ok1 || !ok2 || !ok3 || part >= uint64(len(s.parts)) || max < 1 || max > math.MaxInt {
 			s.cErr.Inc(ex.slot)
 			fmt.Fprintln(ex.w, "ERR POLL arguments out of range")
 			return false
 		}
 		s.cPoll.Inc(ex.slot)
-		evs, next, skipped := s.parts[part].Spool().Read(cursor, max, ex.evs[:0])
+		evs, next, skipped := s.parts[part].Spool().Read(cursor, int(max), ex.evs[:0])
 		ex.evs = evs
 		if skipped > 0 {
 			s.pollSkip[part].Add(ex.slot, skipped)
@@ -468,13 +324,13 @@ func (ex *executor) handle(fields []string) (quit bool) {
 		b = strconv.AppendUint(b, skipped, 10)
 		ex.write(append(b, '\n'))
 	case "HWM":
-		if len(fields) != 2 {
+		if len(f) != 2 {
 			s.cErr.Inc(ex.slot)
 			fmt.Fprintln(ex.w, "ERR usage: HWM <part>")
 			return false
 		}
-		part, err := strconv.Atoi(fields[1])
-		if err != nil || part < 0 || part >= len(s.parts) {
+		part, ok := lineserver.ParseUint(f[1])
+		if !ok || part >= uint64(len(s.parts)) {
 			s.cErr.Inc(ex.slot)
 			fmt.Fprintln(ex.w, "ERR no such partition")
 			return false
@@ -508,7 +364,7 @@ func (ex *executor) handle(fields []string) (quit bool) {
 		return true
 	default:
 		s.cErr.Inc(ex.slot)
-		fmt.Fprintln(ex.w, "ERR unknown command "+strings.ToUpper(fields[0]))
+		fmt.Fprintln(ex.w, "ERR unknown command "+cmd)
 	}
 	return false
 }

@@ -360,11 +360,11 @@ func (c *client) close() {
 }
 
 func (c *client) readLine() (string, error) {
-	line, err := c.r.ReadString('\n')
+	line, err := c.r.ReadBytes('\n')
 	if err != nil {
 		return "", err
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return strings.TrimRight(string(line), "\r\n"), nil
 }
 
 // smokeEvent is one EVT line.

@@ -47,28 +47,20 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"time"
 
 	"repro/internal/kvserver"
-	"repro/internal/obs"
-	"repro/internal/obs/timeline"
+	"repro/internal/lineserver"
 	obstrace "repro/internal/obs/trace"
 )
 
-// daemon is a running simkvd: the KV server plus the optional metrics
-// listener and progress watchdog. Split from main so tests boot and tear
-// down real instances.
+// daemon is a running simkvd: the KV server plus its operations surface
+// (metrics listener, timeline, progress watchdog). Split from main so tests
+// boot and tear down real instances.
 type daemon struct {
-	srv       *kvserver.Server
-	addr      string
-	metricsLn net.Listener
-	metricsWG chan struct{}
-	watchdog  *obstrace.Watchdog
-	timeline  *timeline.Timeline
+	ops  *lineserver.Daemon
+	addr string
 }
 
 // options carries the observability knobs from flags to start.
@@ -96,101 +88,19 @@ func start(addr, metricsAddr string, clients, stripes int, opt options) (*daemon
 	}
 	kvOpts = append(kvOpts, kvserver.WithFlightRecorder(opt.flight, opt.flightSample))
 	srv := kvserver.New(clients, stripes, kvOpts...)
-	bound, err := srv.Listen(addr)
+	ops, err := lineserver.Start(srv, addr, lineserver.Ops{Name: "simkvd", MetricsAddr: metricsAddr,
+		Timeline: opt.timeline, SLO: opt.slo, Watchdog: opt.watchdog})
 	if err != nil {
 		return nil, err
 	}
-	d := &daemon{srv: srv, addr: bound}
-	if opt.timeline > 0 {
-		rules, err := timeline.ParseRules(opt.slo)
-		if err != nil {
-			srv.Close()
-			return nil, err
-		}
-		d.timeline = timeline.New(srv.Registry(), timeline.Config{
-			Interval: opt.timeline,
-			Rules:    rules,
-			OnBreach: func(b timeline.Breach) {
-				if b.Cleared {
-					fmt.Fprintf(os.Stderr, "simkvd: slo: %s recovered (value %.4g, violated for %s)\n",
-						b.Rule.Name(), b.Value, time.Duration(b.SinceNs))
-					return
-				}
-				fmt.Fprintf(os.Stderr, "simkvd: slo: BREACH %s (value %.4g)\n", b.Rule.Name(), b.Value)
-			},
-		})
-		d.timeline.Start()
-	} else if opt.slo != "" {
-		srv.Close()
-		return nil, fmt.Errorf("-slo requires -timeline")
-	}
-	if opt.watchdog > 0 {
-		tl := d.timeline
-		d.watchdog = obstrace.NewWatchdog(srv.Tracer(), uint64(opt.watchdog), func(s obstrace.Stall) {
-			fmt.Fprintf(os.Stderr, "simkvd: watchdog: pid %d stalled: %d announced op(s) uncommitted for %d rounds (%s)\n",
-				s.Pid, s.Pending, s.Rounds, s.Since)
-			if tl != nil {
-				tl.RecordStall(s.Pid, s.Rounds)
-			}
-		})
-		d.watchdog.Start(100 * time.Millisecond)
-	}
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			d.stopWatchdog()
-			d.stopTimeline()
-			srv.Close()
-			return nil, fmt.Errorf("metrics listener: %w", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(srv.Registry()))
-		var tlHandler http.Handler
-		if d.timeline != nil {
-			tlHandler = timeline.Handler(d.timeline)
-		}
-		obstrace.RegisterDebug(mux, srv.Tracer(), tlHandler)
-		d.metricsLn = ln
-		d.metricsWG = make(chan struct{})
-		go func() {
-			defer close(d.metricsWG)
-			_ = http.Serve(ln, mux) // returns when ln closes
-		}()
-	}
-	return d, nil
+	return &daemon{ops: ops, addr: ops.Addr}, nil
 }
 
 // metricsAddr returns the bound metrics address, or "" if metrics are off.
-func (d *daemon) metricsAddr() string {
-	if d.metricsLn == nil {
-		return ""
-	}
-	return d.metricsLn.Addr().String()
-}
-
-func (d *daemon) stopWatchdog() {
-	if d.watchdog != nil {
-		d.watchdog.Stop()
-	}
-}
-
-func (d *daemon) stopTimeline() {
-	if d.timeline != nil {
-		d.timeline.Stop()
-	}
-}
+func (d *daemon) metricsAddr() string { return d.ops.MetricsAddr() }
 
 // close shuts down both listeners and waits for the serve loops to drain.
-func (d *daemon) close() error {
-	d.stopWatchdog()
-	d.stopTimeline()
-	err := d.srv.Close()
-	if d.metricsLn != nil {
-		d.metricsLn.Close()
-		<-d.metricsWG
-	}
-	return err
-}
+func (d *daemon) close() error { return d.ops.Close() }
 
 func main() {
 	var (
@@ -231,25 +141,5 @@ func main() {
 		fmt.Printf("simkvd large-value tier on: values >= %d bytes served by L-Sim items (BPUT/BGET/BDEL)\n",
 			*largeThresh)
 	}
-	if ma := d.metricsAddr(); ma != "" {
-		fmt.Printf("simkvd metrics on http://%s/metrics\n", ma)
-		if d.srv.Tracer() != nil {
-			fmt.Printf("simkvd flight recorder on http://%s/debug/flight (pprof under /debug/pprof/)\n", ma)
-		}
-	}
-	if d.watchdog != nil {
-		fmt.Printf("simkvd progress watchdog armed: budget %d rounds\n", *watchdog)
-	}
-	if d.timeline != nil {
-		fmt.Printf("simkvd timeline scraping every %s (%d series)\n", *timelineEvery, len(d.timeline.SeriesNames()))
-		for _, r := range d.timeline.Rules() {
-			fmt.Printf("simkvd slo rule armed: %s\n", r.Name())
-		}
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	fmt.Println("simkvd: shutting down")
-	d.close()
+	d.ops.Run()
 }

@@ -14,14 +14,19 @@
 //	QUIT                -> BYE (closes the connection)
 //
 // Malformed requests get "ERR <reason>" and the connection stays open.
+// Connections are served by internal/lineserver, with one framing for
+// every batch depth: a connection beyond MaxClients gets "ERR busy" and is
+// closed, and a line over lineserver.MaxLine (64 KiB, its newline
+// included) gets "ERR line too long" while the connection stays open.
+// Both refusals are counted in kv_refused_total{reason=...}.
 //
 // Fields are separated by runs of white space as unicode.IsSpace defines
 // it (the rule of strings.Fields): ASCII tab, newline, vertical tab, form
 // feed, carriage return and space, plus the Unicode spaces such as U+0085,
 // U+00A0 and U+3000. Invalid UTF-8 never separates. Command words match in
 // any case. Each connection's reply writer holds 64 KiB, the longest
-// request line the unpipelined loop accepts, so an unpipelined reply, or
-// up to 64 KiB of a pipelined batch's replies, leaves in a single Write.
+// request line, so the reply to a lone request, or up to 64 KiB of a
+// batch's replies, leaves in a single Write.
 //
 // Large values (WithLargeValues): the server additionally carries a tiered
 // byte-value store (simmap.Tiered) with its own command family — values are
@@ -39,7 +44,7 @@
 // traffic.
 //
 // Pipelining (WithPipeline): clients may send many newline-separated
-// requests without waiting for responses. The server reads up to the
+// requests without waiting for responses. The server takes up to the
 // configured depth of ALREADY-QUEUED complete lines per wakeup, executes
 // consecutive runs of the same command as ONE batched map operation
 // (simmap MSet/MGet/MDelete — one combining round per touched shard
@@ -53,22 +58,22 @@
 //
 // Every server carries an obs.Registry (see internal/obs): the striped map's
 // Sim recorders (map_* metrics: op latency, combining degree, CAS outcomes)
-// plus per-command counters (kv_put_total, …) and a connection gauge
-// (kv_connections). Export it over HTTP with obs.Handler(srv.Registry()) —
-// cmd/simkvd's -metrics-addr does exactly that.
+// plus per-command counters (kv_put_total, …), the refusal counters and a
+// connection gauge (kv_connections). Export it over HTTP with
+// obs.Handler(srv.Registry()) — cmd/simkvd's -metrics-addr does exactly
+// that.
 package kvserver
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"runtime/pprof"
 	"strconv"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/lineserver"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/simmap"
@@ -89,19 +94,14 @@ type Store interface {
 
 // Server is a key-value server instance. Up to MaxClients connections are
 // served concurrently; each holds one of the map's process ids while
-// connected.
+// connected. Listen and Close come from the embedded line server.
 type Server struct {
+	*lineserver.Server
 	store    Store
 	m        *simmap.Map[string, uint64]     // non-nil in unsharded mode
 	sh       *simmap.Sharded[string, uint64] // non-nil in sharded mode
 	blob     *simmap.Tiered[string]          // non-nil with WithLargeValues
-	pipeline int                             // batch depth; <=1 is line-at-a-time
-	ids      chan int                        // free-list of process ids
-	ln       net.Listener
-	mu       sync.Mutex
-	closed   bool
-	conns    map[net.Conn]struct{} // in-flight connections, closed by Close
-	wg       sync.WaitGroup
+	pipeline int                             // batch depth; <=1 is a batch of one
 
 	reg    *obs.Registry
 	tracer *trace.Tracer // nil without WithFlightRecorder
@@ -109,7 +109,6 @@ type Server struct {
 	// a slot serves one connection at a time).
 	cPut, cGet, cDel, cLen, cStats, cErr *obs.Counter
 	cBPut, cBGet, cBDel                  *obs.Counter // nil without WithLargeValues
-	gConns                               *obs.Gauge
 }
 
 // Option configures a Server.
@@ -130,9 +129,9 @@ type serverCfg struct {
 func WithShards(k int) Option { return func(c *serverCfg) { c.shards = k } }
 
 // WithPipeline enables pipelined request handling with the given batch
-// depth: up to depth queued requests are read per wakeup and consecutive
+// depth: up to depth queued requests are taken per wakeup and consecutive
 // same-command runs execute as one batched map operation. Depth <=1
-// keeps the line-at-a-time loop.
+// serves each request as a batch of one.
 func WithPipeline(depth int) Option { return func(c *serverCfg) { c.pipeline = depth } }
 
 // WithLargeValues enables the tiered byte-value store and its BPUT/BGET/BDEL
@@ -167,8 +166,6 @@ func New(maxClients, stripes int, opts ...Option) *Server {
 	reg := obs.NewRegistry()
 	s := &Server{
 		pipeline: cfg.pipeline,
-		ids:      make(chan int, maxClients),
-		conns:    map[net.Conn]struct{}{},
 		reg:      reg,
 		cPut:     reg.Counter("kv_put_total", maxClients),
 		cGet:     reg.Counter("kv_get_total", maxClients),
@@ -176,8 +173,8 @@ func New(maxClients, stripes int, opts ...Option) *Server {
 		cLen:     reg.Counter("kv_len_total", maxClients),
 		cStats:   reg.Counter("kv_stats_total", maxClients),
 		cErr:     reg.Counter("kv_err_total", maxClients),
-		gConns:   reg.Gauge("kv_connections"),
 	}
+	s.Server = lineserver.New(reg, "kv", maxClients, s.ServeConn)
 	if cfg.flight > 0 {
 		opts := []trace.Option{trace.WithCapacity(cfg.flight)}
 		if cfg.flightSample > 1 {
@@ -213,9 +210,6 @@ func New(maxClients, stripes int, opts ...Option) *Server {
 		s.cBGet = reg.Counter("kv_bget_total", maxClients)
 		s.cBDel = reg.Counter("kv_bdel_total", maxClients)
 	}
-	for i := 0; i < maxClients; i++ {
-		s.ids <- i
-	}
 	return s
 }
 
@@ -224,90 +218,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Tracer returns the flight recorder, or nil without WithFlightRecorder.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
-// Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
-// returns the bound address. Serve loops run in background goroutines until
-// Close.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		// Track before blocking on a free slot: Close closes tracked
-		// connections, which both unblocks their ServeConn loops and recycles
-		// their ids, so this receive cannot deadlock a shutdown.
-		if !s.track(conn) {
-			conn.Close() // racing with Close: refuse
-			continue
-		}
-		id := <-s.ids // waits if all client slots are busy
-		s.wg.Add(1)
-		s.gConns.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.gConns.Add(-1)
-			defer func() { s.ids <- id }()
-			defer s.untrack(conn)
-			defer conn.Close()
-			s.ServeConn(id, conn)
-		}()
-	}
-}
-
-// track registers an in-flight connection; false if the server is closed.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// Close stops the listener, closes every in-flight connection (so a slow or
-// idle client cannot stall shutdown or leak its serve goroutine), and waits
-// for all serve loops to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return err
-}
 
 // ServeConn handles one client connection with map process id. Exposed so
 // tests (and in-process embedders) can drive the protocol over net.Pipe.
@@ -320,66 +230,15 @@ func (s *Server) Close() error {
 func (s *Server) ServeConn(id int, conn net.Conn) {
 	labels := pprof.Labels("pid", strconv.Itoa(id), "object", "simmap")
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		if s.pipeline > 1 {
-			s.servePipelined(id, conn)
-			return
-		}
-		sc := bufio.NewScanner(conn)
 		w := bufio.NewWriterSize(conn, replyBufSize)
-		var f [maxFields][]byte
-		for sc.Scan() {
-			n := fields(sc.Bytes(), &f)
-			if n == 0 {
-				continue
-			}
-			quit := s.handle(id, w, command(f[0]), f[:n])
-			if w.Flush() != nil || quit {
-				return
-			}
-		}
+		s.Serve(id, conn, w, s.pipeline, newExecutor(s, id, w).run)
 	})
 }
 
-// servePipelined is the ServeConn loop in pipeline mode: block for one
-// request, then drain up to pipeline-1 further COMPLETE lines the client
-// already queued (never blocking mid-batch — a lone request is still served
-// immediately), execute the batch, flush all responses at once.
-func (s *Server) servePipelined(id int, conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriterSize(conn, replyBufSize)
-	ex := newExecutor(s, id, w)
-	var lines lineBatch
-	for {
-		lines.reset()
-		err := lines.readLine(r)
-		if lines.len() == 0 {
-			return
-		}
-		for lines.len() < s.pipeline && bufferedLine(r) {
-			err = lines.readLine(r)
-		}
-		quit := ex.run(&lines)
-		if w.Flush() != nil || quit || err != nil {
-			return
-		}
-	}
-}
-
-// bufferedLine reports whether r holds a complete line that can be read
-// without touching the connection.
-func bufferedLine(r *bufio.Reader) bool {
-	n := r.Buffered()
-	if n == 0 {
-		return false
-	}
-	b, _ := r.Peek(n)
-	return bytes.IndexByte(b, '\n') >= 0
-}
-
-// executor accumulates consecutive same-command requests of a pipelined
-// batch and executes each run as one multi-key map operation. Its slices
-// are reused across batches, so on a steady pipelined connection the codec
-// allocates only the keys a PUT or DEL hands to the store.
+// executor accumulates consecutive same-command requests of a batch and
+// executes each run as one multi-key map operation. Its slices are reused
+// across batches, so on a steady connection the codec allocates only the
+// keys a PUT or DEL hands to the store.
 type executor struct {
 	s    *Server
 	id   int
@@ -394,35 +253,21 @@ func newExecutor(s *Server, id int, w *bufio.Writer) *executor {
 }
 
 // run executes one batch of request lines, writing responses in request
-// order; quit reports a QUIT (remaining queued lines are dropped, matching
-// the unpipelined loop which stops reading after QUIT). GET keys view the
-// batch's bytes, which stay put until run returns.
-func (ex *executor) run(lines *lineBatch) (quit bool) {
-	var f [maxFields][]byte
-	for k := 0; k < lines.len(); k++ {
-		n := fields(lines.line(k), &f)
+// order; quit reports a QUIT (remaining queued lines are dropped: the
+// connection stops reading after QUIT). GET keys view the batch's bytes,
+// which stay put until run returns.
+func (ex *executor) run(lines [][]byte) (quit bool) {
+	var f [lineserver.MaxFields][]byte
+	for _, line := range lines {
+		n := lineserver.Fields(line, &f)
 		if n == 0 {
 			continue
 		}
-		cmd := command(f[0])
-		switch cmd {
-		case "PUT":
-			if n == 3 {
-				if v, ok := parseUint(f[2]); ok {
-					ex.push('P', string(f[1]), v)
-					continue
-				}
-			}
-		case "GET":
-			if n == 2 {
-				ex.push('G', lookupKey(f[1]), 0)
-				continue
-			}
-		case "DEL":
-			if n == 2 {
-				ex.push('D', string(f[1]), 0)
-				continue
-			}
+		cmd := lineserver.Command(f[0], commands)
+		// A lone request skips the run: its single-key store call costs
+		// less than grouping one key by stripe.
+		if len(lines) > 1 && ex.batch(cmd, f[:n]) {
+			continue
 		}
 		// Anything else — blob commands, LEN, STATS, QUIT, malformed — is a
 		// run barrier served by the single-request handler. (Blob traffic is
@@ -437,9 +282,27 @@ func (ex *executor) run(lines *lineBatch) (quit bool) {
 	return false
 }
 
-// push appends one keyed request to the pending run, flushing first when
-// the command kind changes (responses must stay in request order).
-func (ex *executor) push(kind byte, key string, val uint64) {
+// batch appends a well-formed PUT, GET or DEL to the pending run and
+// reports whether it did, flushing first when the command kind changes
+// (responses must stay in request order).
+func (ex *executor) batch(cmd string, f [][]byte) bool {
+	var kind byte
+	var key string
+	var val uint64
+	switch {
+	case cmd == "PUT" && len(f) == 3:
+		v, ok := lineserver.ParseUint(f[2])
+		if !ok {
+			return false
+		}
+		kind, key, val = 'P', string(f[1]), v
+	case cmd == "GET" && len(f) == 2:
+		kind, key = 'G', lineserver.LookupKey(f[1])
+	case cmd == "DEL" && len(f) == 2:
+		kind, key = 'D', string(f[1])
+	default:
+		return false
+	}
 	if ex.kind != kind {
 		ex.flush()
 		ex.kind = kind
@@ -448,6 +311,7 @@ func (ex *executor) push(kind byte, key string, val uint64) {
 	if kind == 'P' {
 		ex.vals = append(ex.vals, val)
 	}
+	return true
 }
 
 // flush executes the pending run as one batched store call and writes its
@@ -506,15 +370,16 @@ func writeGet(w *bufio.Writer, v uint64, ok bool) {
 
 const errBlobDisabled = "ERR large-value tier disabled (enable with WithLargeValues / -large-threshold)"
 
-// handle executes one request — cmd is command(f[0]), f its fields as
-// fields returns them — and writes the response line to w.
+// handle executes one request — cmd is its command word as
+// lineserver.Command folds it, f its fields as lineserver.Fields returns
+// them — and writes the response line to w.
 func (s *Server) handle(id int, w *bufio.Writer, cmd string, f [][]byte) (quit bool) {
 	switch cmd {
 	case "PUT":
 		if len(f) != 3 {
 			return s.fail(id, w, "ERR usage: PUT <key> <value>")
 		}
-		v, ok := parseUint(f[2])
+		v, ok := lineserver.ParseUint(f[2])
 		if !ok {
 			return s.fail(id, w, "ERR value must be a uint64")
 		}
@@ -526,7 +391,7 @@ func (s *Server) handle(id int, w *bufio.Writer, cmd string, f [][]byte) (quit b
 			return s.fail(id, w, "ERR usage: GET <key>")
 		}
 		s.cGet.Inc(id)
-		v, ok := s.store.Get(lookupKey(f[1]))
+		v, ok := s.store.Get(lineserver.LookupKey(f[1]))
 		writeGet(w, v, ok)
 	case "DEL":
 		if len(f) != 2 {
@@ -558,7 +423,7 @@ func (s *Server) handle(id int, w *bufio.Writer, cmd string, f [][]byte) (quit b
 			return s.fail(id, w, "ERR usage: BGET <key>")
 		}
 		s.cBGet.Inc(id)
-		v, ok := s.blob.Get(lookupKey(f[1]))
+		v, ok := s.blob.Get(lineserver.LookupKey(f[1]))
 		if !ok {
 			writeLine(w, "NIL")
 			break

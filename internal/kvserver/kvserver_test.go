@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/lineserver"
 )
 
 // dialPipe wires a client to ServeConn over an in-memory pipe.
@@ -383,5 +385,38 @@ func TestBlobPipelinedBarrier(t *testing.T) {
 		if got := strings.TrimSpace(line); got != w {
 			t.Fatalf("pipelined response = %q, want %q", got, w)
 		}
+	}
+}
+
+// TestCommandFolding pins the upper-casing corner cases: ASCII commands in
+// any case, and non-ASCII words that strings.ToUpper folds onto a command
+// word (so the server still serves them) or leaves unknown.
+func TestCommandFolding(t *testing.T) {
+	for _, w := range []string{
+		"put", "Get", "dEl", "bput", "BGET", "bdel", "len", "stats", "quit",
+		"quıt", "ſtatſ", "puts", "statsx", "x", "é", "\xff", "ǆ",
+	} {
+		if got, want := lineserver.Command([]byte(w), commands), strings.ToUpper(w); got != want {
+			t.Errorf("Command(%q) = %q, want %q", w, got, want)
+		}
+	}
+}
+
+// TestLineTooLong: both serve loops refuse a line over 64 KiB with one
+// reply and one count, and keep the connection open.
+func TestLineTooLong(t *testing.T) {
+	for _, depth := range []int{1, 32} {
+		s := New(1, 1, WithPipeline(depth))
+		send, done := dialPipe(t, s, 0)
+		if got := send("BPUT k " + strings.Repeat("v", 70<<10)); got != "ERR line too long" {
+			t.Fatalf("pipeline %d: oversized line -> %q", depth, got)
+		}
+		if got := send("PUT k 1"); got != "OK NIL" {
+			t.Fatalf("pipeline %d: request after it -> %q", depth, got)
+		}
+		if got := s.Registry().Snapshot().Counters[`kv_refused_total{reason="line_too_long"}`]; got != 1 {
+			t.Errorf("pipeline %d: kv_refused_total{reason=\"line_too_long\"} = %d, want 1", depth, got)
+		}
+		done()
 	}
 }

@@ -91,6 +91,8 @@ var wantKVNames = []string{
 	"counter kv_get_total",
 	"counter kv_len_total",
 	"counter kv_put_total",
+	"counter kv_refused_total{reason=\"busy\"}",
+	"counter kv_refused_total{reason=\"line_too_long\"}",
 	"counter kv_stats_total",
 	"counter map_backoff_grow_total{shard=\"0\"}",
 	"counter map_backoff_grow_total{shard=\"1\"}",
