@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fmul"
 	"repro/internal/queue"
 	"repro/internal/simmap"
 	"repro/internal/stack"
@@ -68,27 +69,32 @@ func TestApplyAllocsSteadyState(t *testing.T) {
 		}
 	})
 
-	t.Run("PSimWord/n=1", func(t *testing.T) {
-		u := core.NewPSimWord(1, 0, 1, func(st, f uint64) (uint64, uint64) {
-			return st * f, st
-		})
+	t.Run("PSimPooled/n=1", func(t *testing.T) {
+		u := fmul.NewPSimPooled(1)
 		got := steadyAllocs(256, func() { u.Apply(0, 3) })
 		if got != 0 {
-			t.Errorf("PSimWord n=1 allocs/op = %v, want 0", got)
+			t.Errorf("PSimPooled n=1 allocs/op = %v, want 0", got)
 		}
 	})
 
-	t.Run("PSimWord/n=4", func(t *testing.T) {
-		u := core.NewPSimWord(4, 0, 1, func(st, f uint64) (uint64, uint64) {
-			return st * f, st
-		})
+	t.Run("PSimPooled/Read", func(t *testing.T) {
+		u := fmul.NewPSimPooled(4)
+		u.Apply(1, 3)
+		got := steadyAllocs(256, func() { u.Read() })
+		if got != 0 {
+			t.Errorf("PSimPooled Read allocs/op = %v, want 0 (bounded scratch front)", got)
+		}
+	})
+
+	t.Run("PSimPooled/n=4", func(t *testing.T) {
+		u := fmul.NewPSimPooled(4)
 		id := 0
 		got := steadyAllocs(256, func() {
 			u.Apply(id, 3)
 			id = (id + 1) % 4
 		})
 		if got != 0 {
-			t.Errorf("PSimWord n=4 allocs/op = %v, want 0 (word-register announce)", got)
+			t.Errorf("PSimPooled n=4 allocs/op = %v, want 0 (word-register announce)", got)
 		}
 	})
 
@@ -190,10 +196,8 @@ func TestApplyAllocsBatch(t *testing.T) {
 		}
 	})
 
-	t.Run("PSimWord/n=4", func(t *testing.T) {
-		u := core.NewPSimWord(4, 0, 1, func(st, f uint64) (uint64, uint64) {
-			return st * f, st
-		})
+	t.Run("PSimPooled/n=4", func(t *testing.T) {
+		u := fmul.NewPSimPooled(4)
 		wargs := []uint64{3, 3, 3, 3} // WordBatchBudget caps vectors at 8
 		id := 0
 		got := steadyAllocs(256, func() {
@@ -201,7 +205,7 @@ func TestApplyAllocsBatch(t *testing.T) {
 			id = (id + 1) % 4
 		})
 		if got != 0 {
-			t.Errorf("PSimWord n=4 allocs per 4-op batch = %v, want 0", got)
+			t.Errorf("PSimPooled n=4 allocs per 4-op batch = %v, want 0", got)
 		}
 	})
 

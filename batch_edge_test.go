@@ -34,9 +34,9 @@ func TestBatchEmpty(t *testing.T) {
 		t.Errorf("state after empty batches = %d, want 7", got)
 	}
 
-	w := core.NewPSimWord(2, 0, 1, func(st, f uint64) (uint64, uint64) { return st * f, st })
+	w := core.NewPSimWords(2, 0, []uint64{1}, nil) // an empty batch never applies
 	if res := w.ApplyBatch(0, nil, nil); len(res) != 0 {
-		t.Errorf("PSimWord.ApplyBatch(nil) returned %d results, want 0", len(res))
+		t.Errorf("PSimWords.ApplyBatch(nil) returned %d results, want 0", len(res))
 	}
 
 	q := queue.NewSimQueue[uint64](2)
@@ -96,8 +96,12 @@ func TestBatchLargerThanBudget(t *testing.T) {
 		t.Errorf("state = %d, want %d", got, total)
 	}
 
-	// PSimWord chunks at WordBatchBudget (8).
-	w := core.NewPSimWord(2, 0, 0, func(st, f uint64) (uint64, uint64) { return st + f, st })
+	// PSimWords chunks at WordBatchBudget (8).
+	w := core.NewPSimWords(2, 0, []uint64{0}, func(st []uint64, _ int, f uint64) uint64 {
+		prev := st[0]
+		st[0] += f
+		return prev
+	})
 	wargs := make([]uint64, 3*core.WordBatchBudget+1)
 	for i := range wargs {
 		wargs[i] = 1
@@ -105,7 +109,7 @@ func TestBatchLargerThanBudget(t *testing.T) {
 	wres := w.ApplyBatch(1, wargs, nil)
 	for i, r := range wres {
 		if r != uint64(i) {
-			t.Fatalf("PSimWord res[%d] = %d, want %d", i, r, i)
+			t.Fatalf("PSimWords res[%d] = %d, want %d", i, r, i)
 		}
 	}
 

@@ -57,8 +57,9 @@
 // round prints the exact flags that reproduce it plus a minimized
 // preemption budget. -sched-preempt bounds forced preemptions per
 // schedule (-1 = a switch is considered at every preemption point).
-// Only the Sim-family implementations expose preemption points; other
-// impls simply serialize under the scheduler.
+// Only the Sim-family implementations (fmul's psim and pool included)
+// expose preemption points; other impls simply serialize under the
+// scheduler.
 //
 // Exit status 0 means every check passed.
 //

@@ -2,7 +2,7 @@
 // block allocator in the style of "Concurrent Fixed-Size Allocation and Free
 // in Constant Time" (Blelloch & Wei, arXiv 2008.04296), unifying the four
 // ad-hoc recycling schemes the hot paths grew independently (P-Sim state
-// rings, SimQueue node free-lists, L-Sim item bodies, PSimWord read scratch)
+// rings, SimQueue node free-lists, L-Sim item bodies, pooled P-Sim read scratch)
 // behind one space-bounded discipline.
 //
 // # Construction

@@ -8,7 +8,7 @@ import (
 
 // Shared is the plane's anonymous front: a bounded array of padded slots,
 // each holding one free block, for callers with no stable thread id (e.g.
-// PSimWord readers, which may run on any goroutine). It replaces sync.Pool
+// core.PSimWords readers, which may run on any goroutine). It replaces sync.Pool
 // for hot-path scratch with two differences that matter here: retention is
 // strictly bounded (at most Slots blocks — blocks past that are dropped to
 // the GC at Put time, never hoarded until the next GC cycle), and both Get

@@ -8,6 +8,7 @@ import (
 	"repro/internal/check"
 	v2 "repro/internal/check/v2"
 	"repro/internal/core"
+	"repro/internal/fmul"
 	"repro/internal/queue"
 )
 
@@ -112,6 +113,27 @@ func TestSimQueueUnderAdversarialSchedules(t *testing.T) {
 		if err := v2.ForwardQueue(hist); err != nil {
 			t.Fatalf("seed %d (%v): %v\n%s", seed, cfg, err, v2.FormatHistory(hist))
 		}
+	}
+}
+
+// TestPooledPSimReachesPreemptionPoints: the pooled P-Sim yields at the
+// same announce/collect/CAS boundaries as PSim, so a seeded schedule
+// interleaves its combining rounds instead of running workers one after
+// another.
+func TestPooledPSimReachesPreemptionPoints(t *testing.T) {
+	o := fmul.NewPSimPooled(3)
+	st := Exec(Config{Seed: 0xbeef, Threads: 3, Preemptions: -1}, func(pid int) {
+		for k := 0; k < 6; k++ {
+			o.Apply(pid, 3)
+		}
+		o.ApplyBatch(pid, []uint64{5, 7}, nil)
+	})
+	if st.Points == 0 || st.Switches == 0 {
+		t.Fatalf("pooled P-Sim under Exec: %+v, want points and switches", st)
+	}
+	const each = 3 * 3 * 3 * 3 * 3 * 3 * 5 * 7 // one worker's factors
+	if got := o.Read(); got != each*each*each {
+		t.Fatalf("state = %d, want %d", got, each*each*each)
 	}
 }
 

@@ -12,14 +12,16 @@
 //     the garbage collector reclaim them (the idiomatic Go port; no ABA, no
 //     seqlock, race-detector clean).
 //
-//   - PSimWord (Algorithms 2–3, faithful layout): the pooled variant with
+//   - PSimWords (Algorithms 2–3, faithful layout): the pooled variant with
 //     the paper's exact memory discipline — a pool of n·C state records, a
 //     16-bit pool index + 48-bit timestamp packed in the single CAS word,
 //     and seq1/seq2 consistency stamps guarding seqlock-style state copies.
-//     Specialised to word-sized states so that every shared access is a
-//     plain atomic operation.
+//     The state is a fixed vector of words (one word for Fetch&Multiply),
+//     so every shared access is a plain atomic operation.
 //
-// All three are wait-free: an operation completes after at most two Attempt
-// rounds regardless of the progress of other threads (Theorem 3.1; the
-// fallback read of Algorithm 3 lines 28–30).
+// In each an operation completes after at most two Attempt rounds
+// regardless of the progress of other threads, then the fallback read of
+// Algorithm 3 lines 28–30 (Theorem 3.1). Sim and PSimWords bound that read
+// too, so they are wait-free; PSim's hazard-protected fallback read retries
+// only when another operation publishes, so it is lock-free (see psim.go).
 package core

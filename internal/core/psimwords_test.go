@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/xatomic"
 )
 
 // wideCounter builds a PSimWords object with `words` counter cells; each
-// operation adds arg to cell (arg mod words) and returns that cell's
-// previous value.
+// operation adds 1 to cell (arg mod words) and returns that cell's previous
+// value. With words == 1 it is a one-word fetch-and-increment.
 func wideCounter(n, c, words int) *PSimWords {
 	return NewPSimWords(n, c, make([]uint64, words), func(st []uint64, _ int, arg uint64) uint64 {
 		cell := arg % uint64(len(st))
@@ -19,162 +20,370 @@ func wideCounter(n, c, words int) *PSimWords {
 	})
 }
 
-func TestPSimWordsSequential(t *testing.T) {
-	u := wideCounter(1, 2, 4)
-	if got := u.Apply(0, 2); got != 0 {
-		t.Fatalf("first = %d", got)
-	}
-	if got := u.Apply(0, 2); got != 1 {
-		t.Fatalf("second = %d", got)
-	}
-	st := make([]uint64, 4)
-	u.ReadInto(st)
-	if st[2] != 2 || st[0] != 0 {
-		t.Fatalf("state = %v", st)
+// faaWord builds a pooled fetch-and-add object over a one-word state.
+func faaWord(n, c int, horizon uint64) *PSimWords {
+	return NewPSimWordsHorizon(n, c, []uint64{0}, func(st []uint64, _ int, arg uint64) uint64 {
+		prev := st[0]
+		st[0] += arg
+		return prev
+	}, horizon)
+}
+
+// readWord returns the state of a one-word PSimWords.
+func readWord(u *PSimWords) uint64 {
+	var st [1]uint64
+	u.ReadInto(st[:])
+	return st[0]
+}
+
+// assertTimedVar checks that u selected the LL/SC its horizon calls for.
+func assertTimedVar(t *testing.T, u *PSimWords, horizon uint64) {
+	t.Helper()
+	_, safe := u.p.(*xatomic.TimedSafe)
+	if safe != (horizon >= xatomic.TimedStampMax) {
+		t.Fatalf("horizon %d selected %T", horizon, u.p)
 	}
 }
 
-func TestPSimWordsValidation(t *testing.T) {
-	assertPanics(t, func() { NewPSimWords(0, 2, []uint64{0}, nil) })
-	assertPanics(t, func() { NewPSimWords(2, 1, []uint64{0}, nil) })
-	assertPanics(t, func() { NewPSimWords(2, 2, nil, nil) })
-	assertPanics(t, func() {
-		NewPSimWords(8192, 16, []uint64{0}, nil) // pool index overflow
+func TestPSimWordsSequential(t *testing.T) {
+	t.Run("four-word", func(t *testing.T) {
+		u := wideCounter(1, 2, 4)
+		if got := u.Apply(0, 2); got != 0 {
+			t.Fatalf("first = %d", got)
+		}
+		if got := u.Apply(0, 2); got != 1 {
+			t.Fatalf("second = %d", got)
+		}
+		st := make([]uint64, 4)
+		u.ReadInto(st)
+		if st[2] != 2 || st[0] != 0 {
+			t.Fatalf("state = %v", st)
+		}
+	})
+	t.Run("one-word", func(t *testing.T) {
+		u := faaWord(1, 2, DefaultUpdateHorizon)
+		if got := u.Apply(0, 7); got != 0 {
+			t.Fatalf("first = %d", got)
+		}
+		if got := u.Apply(0, 3); got != 7 {
+			t.Fatalf("second = %d", got)
+		}
+		if got := readWord(u); got != 10 {
+			t.Fatalf("state = %d", got)
+		}
+	})
+	t.Run("generic-transition", func(t *testing.T) {
+		// A non-commutative transition: st' = st*3 + arg; response = st.
+		// Responses must chain: resp_{k+1} = resp_k*3 + arg_k.
+		u := NewPSimWords(2, 2, []uint64{1}, func(st []uint64, _ int, arg uint64) uint64 {
+			prev := st[0]
+			st[0] = prev*3 + arg
+			return prev
+		})
+		if prev := u.Apply(0, 5); prev != 1 {
+			t.Fatalf("prev = %d", prev)
+		}
+		if got := u.Apply(1, 2); got != 8 {
+			t.Fatalf("second prev = %d", got)
+		}
+		if got := readWord(u); got != 26 {
+			t.Fatalf("state = %d", got)
+		}
 	})
 }
 
+func TestPSimWordsValidation(t *testing.T) {
+	t.Run("one-word", func(t *testing.T) {
+		assertPanics(t, func() { NewPSimWords(0, 2, []uint64{0}, nil) })
+		assertPanics(t, func() { NewPSimWords(2, 1, []uint64{0}, nil) }) // C must be >= 2
+		assertPanics(t, func() {
+			NewPSimWords(8192, 16, []uint64{0}, nil) // pool index overflows 16 bits
+		})
+		if u := NewPSimWords(2, 0, []uint64{0}, nil); u.c != DefaultPoolPerThread {
+			t.Fatalf("C=0 selected %d records per thread, want the default %d", u.c, DefaultPoolPerThread)
+		}
+	})
+	t.Run("empty-state", func(t *testing.T) {
+		assertPanics(t, func() { NewPSimWords(2, 2, nil, nil) })
+	})
+}
+
+// TestPSimWordsConcurrentSums: concurrent increments sum exactly, with the
+// backoff disabled too, and concurrent anonymous readers see the cell total
+// in range and never going backwards.
 func TestPSimWordsConcurrentSums(t *testing.T) {
-	const n, per, words = 8, 300, 8
-	u := wideCounter(n, 2, words)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for k := 0; k < per; k++ {
-				u.Apply(id, uint64(k))
+	const n, per = 8, 300
+	for _, tc := range []struct {
+		name       string
+		words      int
+		backoffOff bool
+		readers    int
+	}{
+		{"eight-word", 8, false, 0},
+		{"one-word/backoff-off", 1, true, 0},
+		{"one-word/readers", 1, false, 2},
+		{"eight-word/readers", 8, false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := wideCounter(n, 2, tc.words)
+			if tc.backoffOff {
+				u.SetBackoff(1, 0)
 			}
-		}(i)
-	}
-	wg.Wait()
-	st := make([]uint64, words)
-	u.ReadInto(st)
-	var total uint64
-	for _, v := range st {
-		total += v
-	}
-	if total != n*per {
-		t.Fatalf("total = %d, want %d", total, n*per)
+			total := func(st []uint64) uint64 {
+				u.ReadInto(st)
+				var sum uint64
+				for _, v := range st {
+					sum += v
+				}
+				return sum
+			}
+			stop := make(chan struct{})
+			var readers sync.WaitGroup
+			for r := 0; r < tc.readers; r++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					st := make([]uint64, tc.words)
+					var last uint64
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						v := total(st)
+						if v > n*per || v < last {
+							t.Errorf("read %d after %d (max %d)", v, last, n*per)
+							return
+						}
+						last = v
+					}
+				}()
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					for k := 0; k < per; k++ {
+						u.Apply(id, uint64(k))
+					}
+				}(i)
+			}
+			wg.Wait()
+			close(stop)
+			readers.Wait()
+			if got := total(make([]uint64, tc.words)); got != n*per {
+				t.Fatalf("total = %d, want %d", got, n*per)
+			}
+		})
 	}
 }
 
 // TestPSimWordsResponsesPermutationPerCell: per cell, the previous values
-// returned must form a permutation of 0..hits-1 (exactly-once on a
-// multi-word state).
+// returned must form a permutation of 0..hits-1 (exactly-once), on a
+// two-cell state and on a one-word state under both LL/SC variants.
 func TestPSimWordsResponsesPermutationPerCell(t *testing.T) {
-	const n, per = 6, 200
-	u := NewPSimWords(n, 2, make([]uint64, 2), func(st []uint64, _ int, arg uint64) uint64 {
-		prev := st[arg%2]
-		st[arg%2]++
-		return prev
-	})
-	var mu sync.Mutex
-	seen := [2]map[uint64]bool{{}, {}}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			type rec struct{ cell, prev uint64 }
-			local := make([]rec, 0, per)
-			for k := 0; k < per; k++ {
-				cell := uint64(k % 2)
-				local = append(local, rec{cell, u.Apply(id, cell)})
+	const n, per = 8, 240
+	for _, tc := range []struct {
+		name     string
+		c, cells int
+		horizon  uint64
+	}{
+		{"two-word", 2, 2, DefaultUpdateHorizon},
+		{"one-word/packed", 4, 1, DefaultUpdateHorizon},
+		{"one-word/wrap-safe", 4, 1, xatomic.TimedStampMax},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := NewPSimWordsHorizon(n, tc.c, make([]uint64, tc.cells), func(st []uint64, _ int, arg uint64) uint64 {
+				cell := arg % uint64(len(st))
+				prev := st[cell]
+				st[cell]++
+				return prev
+			}, tc.horizon)
+			assertTimedVar(t, u, tc.horizon)
+			hits := uint64(n * per / tc.cells)
+			var mu sync.Mutex
+			seen := make([]map[uint64]bool, tc.cells)
+			for c := range seen {
+				seen[c] = map[uint64]bool{}
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, r := range local {
-				if seen[r.cell][r.prev] {
-					t.Errorf("cell %d: previous value %d duplicated", r.cell, r.prev)
-					return
-				}
-				seen[r.cell][r.prev] = true
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					type rec struct{ cell, prev uint64 }
+					local := make([]rec, 0, per)
+					for k := 0; k < per; k++ {
+						cell := uint64(k % tc.cells)
+						local = append(local, rec{cell, u.Apply(id, cell)})
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					for _, r := range local {
+						if r.prev >= hits || seen[r.cell][r.prev] {
+							t.Errorf("cell %d: previous value %d out of range or duplicated", r.cell, r.prev)
+							return
+						}
+						seen[r.cell][r.prev] = true
+					}
+				}(i)
 			}
-		}(i)
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 func TestPSimWordsLinearizable(t *testing.T) {
-	const n, per, rounds = 3, 4, 15
-	for r := 0; r < rounds; r++ {
-		u := NewPSimWords(n, 2, []uint64{0, 0}, func(st []uint64, _ int, arg uint64) uint64 {
-			prev := st[0]
-			st[0] += arg
-			st[1] ^= prev // second word exercises multi-word copies
-			return prev
+	const n, per, rounds = 3, 4, 20
+	for _, tc := range []struct {
+		name  string
+		words int
+	}{
+		{"one-word", 1},
+		{"two-word", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for r := 0; r < rounds; r++ {
+				u := NewPSimWords(n, 2, make([]uint64, tc.words), func(st []uint64, _ int, arg uint64) uint64 {
+					prev := st[0]
+					st[0] += arg
+					for w := 1; w < len(st); w++ {
+						st[w] ^= prev // further words exercise multi-word copies
+					}
+					return prev
+				})
+				rec := check.NewRecorder(n * per)
+				var wg sync.WaitGroup
+				for i := 0; i < n; i++ {
+					wg.Add(1)
+					go func(id int) {
+						defer wg.Done()
+						for k := 0; k < per; k++ {
+							slot := rec.Invoke(id, check.OpAdd, 1)
+							prev := u.Apply(id, 1)
+							rec.Return(slot, prev, false)
+						}
+					}(i)
+				}
+				wg.Wait()
+				if ok, err := check.Linearizable(rec.Operations(), check.CounterSpec(0)); err != nil {
+					t.Fatalf("linearizability search: %v", err)
+				} else if !ok {
+					t.Fatalf("round %d: history not linearizable:\n%v", r, rec.Operations())
+				}
+			}
 		})
-		rec := check.NewRecorder(n * per)
+	}
+}
+
+func TestPSimWordsStatsAndAccessors(t *testing.T) {
+	t.Run("five-word", func(t *testing.T) {
+		u := wideCounter(3, 2, 5)
+		if u.N() != 3 || u.StateWords() != 5 {
+			t.Fatalf("N=%d StateWords=%d", u.N(), u.StateWords())
+		}
+		u.Apply(0, 1)
+		u.Apply(1, 1)
+		if s := u.Stats(); s.Ops != 2 || s.Combined != 2 {
+			t.Fatalf("stats: %+v", s)
+		}
+		u.ResetStats()
+		if u.Stats().Ops != 0 {
+			t.Fatal("ResetStats failed")
+		}
+	})
+	t.Run("one-word/accessors", func(t *testing.T) {
+		if u := faaWord(5, 2, DefaultUpdateHorizon); u.N() != 5 || u.StateWords() != 1 {
+			t.Fatalf("N=%d StateWords=%d", u.N(), u.StateWords())
+		}
+	})
+	t.Run("one-word/concurrent", func(t *testing.T) {
+		const n, per = 4, 100
+		u := faaWord(n, 4, DefaultUpdateHorizon)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
 				for k := 0; k < per; k++ {
-					slot := rec.Invoke(id, check.OpAdd, 1)
-					prev := u.Apply(id, 1)
-					rec.Return(slot, prev, false)
+					u.Apply(id, 1)
 				}
 			}(i)
 		}
 		wg.Wait()
-		if ok, err := check.Linearizable(rec.Operations(), check.CounterSpec(0)); err != nil {
-			t.Fatalf("linearizability search: %v", err)
-		} else if !ok {
-			t.Fatalf("round %d: history not linearizable:\n%v", r, rec.Operations())
+		if s := u.Stats(); s.Ops != n*per || s.Combined != n*per {
+			t.Fatalf("stats = %+v", s)
 		}
-	}
+		u.ResetStats()
+		if u.Stats().Ops != 0 {
+			t.Fatal("ResetStats did not clear")
+		}
+	})
 }
 
-func TestPSimWordsStatsAndAccessors(t *testing.T) {
-	u := wideCounter(3, 2, 5)
-	if u.N() != 3 || u.StateWords() != 5 {
-		t.Fatalf("N=%d StateWords=%d", u.N(), u.StateWords())
-	}
-	u.Apply(0, 1)
-	u.Apply(1, 1)
-	s := u.Stats()
-	if s.Ops != 2 || s.Combined != 2 {
-		t.Fatalf("stats: %+v", s)
-	}
-	u.ResetStats()
-	if u.Stats().Ops != 0 {
-		t.Fatal("ResetStats failed")
-	}
-}
-
+// TestPSimWordsSmallPoolStress: C=2 is the tightest legal pool; heavy churn
+// maximizes record recycling and exercises the seq1/seq2 consistency path,
+// on a 16-word state and on a one-word state under both LL/SC variants.
 func TestPSimWordsSmallPoolStress(t *testing.T) {
 	const n, per = 8, 400
-	u := NewPSimWords(n, 2, make([]uint64, 16), func(st []uint64, _ int, arg uint64) uint64 {
-		prev := st[0]
-		st[0] += arg
-		st[15] = st[0] // keep the far word in play
-		return prev
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for k := 0; k < per; k++ {
-				u.Apply(id, 1)
+	for _, tc := range []struct {
+		name    string
+		words   int
+		horizon uint64
+	}{
+		{"sixteen-word", 16, DefaultUpdateHorizon},
+		{"one-word/packed", 1, DefaultUpdateHorizon},
+		{"one-word/wrap-safe", 1, xatomic.TimedStampMax},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := NewPSimWordsHorizon(n, 2, make([]uint64, tc.words), func(st []uint64, _ int, arg uint64) uint64 {
+				prev := st[0]
+				st[0] += arg
+				st[len(st)-1] = st[0] // keep the far word in play
+				return prev
+			}, tc.horizon)
+			assertTimedVar(t, u, tc.horizon)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					for k := 0; k < per; k++ {
+						u.Apply(id, 1)
+					}
+				}(i)
 			}
-		}(i)
+			wg.Wait()
+			st := make([]uint64, tc.words)
+			u.ReadInto(st)
+			if st[0] != n*per || st[len(st)-1] != n*per {
+				t.Fatalf("state = %v", st)
+			}
+		})
 	}
-	wg.Wait()
-	st := make([]uint64, 16)
-	u.ReadInto(st)
-	if st[0] != n*per || st[15] != n*per {
-		t.Fatalf("state = %v", st[:2])
+}
+
+// TestPSimWordsUnpublishedSuccessorRejected: a reader that read P before a
+// record's owner republished can copy, seq-consistent, a successor the owner
+// has built there but not yet published; only the P re-check can tell.
+func TestPSimWordsUnpublishedSuccessorRejected(t *testing.T) {
+	u := faaWord(1, 2, DefaultUpdateHorizon)
+	u.Apply(0, 1) // record 0 published, state 1
+	idx, stamp := u.p.Load()
+	u.Apply(0, 1) // record 1 published, state 2; record 0 is rewritten next
+	scratch := u.readScratch.Get()
+	var consistent, current bool
+	SetSchedHook(func(_ int, p SchedPoint) {
+		if p == PointCAS { // record 0 now holds state 3, unpublished
+			consistent = u.copyState(&u.pool[idx], scratch)
+			current = u.unchanged(idx, stamp)
+		}
+	})
+	defer SetSchedHook(nil)
+	u.Apply(0, 1)
+	if !consistent || scratch.st[0] != 3 || current {
+		t.Fatalf("copy consistent=%v st=%d, P re-check passed=%v; want true, 3, false", consistent, scratch.st[0], current)
 	}
 }

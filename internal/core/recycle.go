@@ -10,7 +10,7 @@ import (
 // P-Sim variants: a Hazards table that tells recyclers (the memory plane,
 // internal/alloc) which retired records are still being read.
 //
-// The paper's pooled layout (PSimWord) recycles records under seq1/seq2
+// The paper's pooled layout (PSimWords) recycles records under seq1/seq2
 // stamps and lets readers *detect* a torn copy after the fact. That is not
 // available to the generic PSim: its State records hold arbitrary Go values
 // (pointers, slices), so a reader overlapping a recycler's in-place rewrite

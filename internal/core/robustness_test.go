@@ -54,11 +54,11 @@ func TestPSimCrashedAnnouncerDoesNotBlock(t *testing.T) {
 	}
 }
 
-// TestPSimWordCrashedAnnouncerDoesNotBlock: same property for the pooled
-// variant.
-func TestPSimWordCrashedAnnouncerDoesNotBlock(t *testing.T) {
+// TestPSimWordsCrashedAnnouncerDoesNotBlock: same property for the pooled
+// P-Sim.
+func TestPSimWordsCrashedAnnouncerDoesNotBlock(t *testing.T) {
 	const n, per = 4, 200
-	u := faaWord(n, 4)
+	u := faaWord(n, 4, DefaultUpdateHorizon)
 
 	u.announce[0].args[0].Store(777)
 	u.announce[0].cnt.Store(1)
@@ -75,7 +75,7 @@ func TestPSimWordCrashedAnnouncerDoesNotBlock(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := u.Read(); got != (n-1)*per+777 {
+	if got := readWord(u); got != (n-1)*per+777 {
 		t.Fatalf("state = %d, want %d", got, (n-1)*per+777)
 	}
 }

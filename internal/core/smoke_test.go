@@ -78,11 +78,9 @@ func TestSimSmokeConcurrent(t *testing.T) {
 	}
 }
 
-func TestPSimWordSmokeConcurrent(t *testing.T) {
+func TestPSimWordsSmokeConcurrent(t *testing.T) {
 	const n, opsPer = 8, 200
-	u := NewPSimWord(n, 0, 0, func(st, arg uint64) (uint64, uint64) {
-		return st + arg, st
-	})
+	u := faaWord(n, 0, DefaultUpdateHorizon)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -94,7 +92,7 @@ func TestPSimWordSmokeConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := u.Read(); got != n*opsPer {
+	if got := readWord(u); got != n*opsPer {
 		t.Fatalf("counter = %d, want %d", got, n*opsPer)
 	}
 }

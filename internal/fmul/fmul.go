@@ -3,7 +3,7 @@
 // the previous value — an operation no hardware provides, so some software
 // synchronization is mandatory), under every technique the paper compares:
 //
-//   - P-Sim (both the GC-based and the faithful pooled variant)
+//   - P-Sim (both the GC-based PSim and the faithful pooled PSimWords)
 //   - the theoretical Sim (used for Table 1 instrumentation)
 //   - CLH and MCS spin locks
 //   - the simple lock-free CAS loop with exponential backoff
@@ -80,14 +80,16 @@ func (o *PSim) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr
 
 // --- P-Sim (pooled, faithful layout) ---
 
-// PSimPooled is Fetch&Multiply over the pooled PSimWord (ablation:
-// paper-exact pool/seqlock layout vs GC publication).
-type PSimPooled struct{ u *core.PSimWord }
+// PSimPooled is Fetch&Multiply over the pooled PSimWords with a one-word
+// state (ablation: paper-exact pool/seqlock layout vs GC publication).
+type PSimPooled struct{ u *core.PSimWords }
 
 // NewPSimPooled returns a pooled P-Sim Fetch&Multiply for n processes.
 func NewPSimPooled(n int) *PSimPooled {
-	return &PSimPooled{u: core.NewPSimWord(n, 0, 1, func(st, f uint64) (uint64, uint64) {
-		return st * f, st
+	return &PSimPooled{u: core.NewPSimWords(n, 0, []uint64{1}, func(st []uint64, _ int, f uint64) uint64 {
+		prev := st[0]
+		st[0] = prev * f
+		return prev
 	})}
 }
 
@@ -96,13 +98,17 @@ func (o *PSimPooled) Apply(id int, f uint64) uint64 { return o.u.Apply(id, f) }
 
 // ApplyBatch multiplies by every factor of fs in order on behalf of process
 // id, appending the previous values to res[:0] and returning it (see
-// core.PSimWord.ApplyBatch).
+// core.PSimWords.ApplyBatch).
 func (o *PSimPooled) ApplyBatch(id int, fs, res []uint64) []uint64 {
 	return o.u.ApplyBatch(id, fs, res)
 }
 
 // Read implements Interface.
-func (o *PSimPooled) Read() uint64 { return o.u.Read() }
+func (o *PSimPooled) Read() uint64 {
+	var st [1]uint64
+	o.u.ReadInto(st[:])
+	return st[0]
+}
 
 // Name implements Interface.
 func (o *PSimPooled) Name() string { return "P-Sim(pool)" }
@@ -111,7 +117,7 @@ func (o *PSimPooled) Name() string { return "P-Sim(pool)" }
 func (o *PSimPooled) Stats() core.Stats { return o.u.Stats() }
 
 // Attach connects the underlying pooled P-Sim's instrument (see
-// core.PSimWord.Attach). Call once, before any operation.
+// core.PSimWords.Attach). Call once, before any operation.
 func (o *PSimPooled) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecorder, tr *trace.Tracer) {
 	o.u.Attach(reg, prefix, rec, tr)
 }

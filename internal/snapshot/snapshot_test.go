@@ -107,6 +107,7 @@ func TestSnapshotScanNeverTorn(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					a, b := s.Writer(2*w), s.Writer(2*w+1)
+					b.Update(1) // (0, 1): the invariant holds before the first a.Update
 					for k := uint64(0); !stop.Load(); k++ {
 						// The PAIR (a,b) is not atomic — only each component
 						// is. Writers publish a then b; scans may see a
@@ -120,10 +121,11 @@ func TestSnapshotScanNeverTorn(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				vals := s.Scan()
 				for w := 0; w < c.writers; w++ {
-					// The writer keeps the invariant b ∈ {a, a+1} at every
-					// instant; a linearizable scan must observe it.
+					// The writer keeps the invariant b ∈ {a, a+1} (mod
+					// 2^dataBits, the component width) at every instant; a
+					// linearizable scan must observe it.
 					a, b := vals[2*w], vals[2*w+1]
-					if b != a && b != a+1 {
+					if b != a && b != (a+1)&(1<<c.dataBits-1) {
 						t.Errorf("torn scan: a=%d b=%d (writer %d)", a, b, w)
 					}
 				}

@@ -117,7 +117,7 @@ func (t *TimedSafe) Store(index uint16, stamp uint64) {
 // up to `horizon` successful updates over the variable's lifetime: the
 // paper-exact packed word while the 2^48 stamp-wrap bound is unreachable,
 // the atomic-copy cell construction once it is. Called at construction init
-// (core.NewPSimWord passes its update horizon); the choice is static per
+// (core.NewPSimWordsHorizon passes its update horizon); the choice is static per
 // instance, so the hot path pays no per-operation dispatch beyond the
 // interface call.
 func NewTimedVar(horizon uint64) TimedVar {
