@@ -1,25 +1,31 @@
-// Command simbench regenerates the paper's tables and figures on the local
-// machine. Each experiment prints the rows/series the corresponding figure
-// plots, plus the speedup ratios the paper quotes in prose.
+// Command simbench is the one runner of the paper's experiments: every
+// table and figure of the evaluation, the ablations of its design choices,
+// and this repository's extensions. Each experiment prints the rows/series
+// the corresponding figure plots, plus the speedup ratios the paper quotes
+// in prose.
 //
 // Usage:
 //
-//	simbench -experiment fig2        # Figure 2 left: Fetch&Multiply sweep
-//	simbench -experiment fig2-batch  # batched ApplyBatch throughput (-batch 1,16)
-//	simbench -experiment map-sharded # sharded map sweep (-shards 1,4)
-//	simbench -experiment ingest      # ingest pipeline events/sec + p99 append latency (-ingest-batch 1,8,32)
-//	simbench -experiment fig2help    # Figure 2 right: helping degree
-//	simbench -experiment fig3stack   # Figure 3 left: stacks
-//	simbench -experiment fig3queue   # Figure 3 right: queues
-//	simbench -experiment table1      # Table 1: accesses per operation
-//	simbench -experiment ablation-backoff
-//	simbench -experiment ablation-publication
-//	simbench -experiment ablation-act
-//	simbench -experiment all
+//	simbench -experiment NAME[,NAME...]   # or -experiment all, in this order:
 //
-// -experiment also accepts a comma-separated list, and -json FILE writes
-// machine-readable results (ns/op, allocs/op, helping degree) for whatever
-// ran — `make bench-json` uses this to refresh BENCH_psim.json.
+//	fig2                   Figure 2: Fetch&Multiply time (left) and helping degree (right)
+//	fig2-batch             batched ApplyBatch throughput (-batch 1,16)
+//	fig3stack              Figure 3 (left): stacks
+//	fig3queue              Figure 3 (right): queues
+//	table1                 Table 1: shared-memory accesses per operation
+//	lsim                   L-Sim vs P-Sim on large objects (the paper's deferred experiment)
+//	largeobject-crossover  large-value crossover (-vsize 16,256,1024,4096)
+//	map                    striped map: multiple Sim instances vs one
+//	map-sharded            sharded map sweep (-shards 1,4)
+//	ingest                 ingest pipeline events/sec + p99 append latency (-ingest-batch 1,8,32)
+//	ablation-backoff       adaptive backoff vs none
+//	ablation-publication   GC state publication vs paper-exact pool/seqlock, 1 and 8 words
+//	ablation-act           dense vs padded Act layout (run it with -threads 16,64,128)
+//	ablation-queue         SimQueue's two instances vs one P-Sim queue
+//
+// -json FILE writes machine-readable results (ns/op with its spread over
+// repetitions, allocs/op, helping degree) for whatever ran — `make
+// bench-json` uses this to refresh BENCH_psim.json.
 //
 // Flags -ops, -reps, -threads and -maxwork rescale the runs; the paper's
 // full-size configuration is -ops 1000000 -reps 10.
@@ -42,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -53,15 +60,121 @@ import (
 	"repro/internal/obs/trace"
 )
 
+// axes are the per-experiment sweep lists parsed from -batch, -shards,
+// -ingest-batch and -vsize.
+type axes struct {
+	batches, shards, ingestBatches, vsizes []int
+}
+
+// experiment is one entry of simbench's experiment list.
+type experiment struct {
+	name, title string
+	run         func(cfg harness.Config, ax axes) []harness.Result
+}
+
+// experimentTable is simbench's one list of experiments: -experiment
+// dispatches on it, -experiment all runs it in order, and the flag's help
+// text lists it.
+var experimentTable = []experiment{
+	{"fig2", "Figure 2: Fetch&Multiply, time for total ops (left) and helping degree (right)",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			res := runSweep(cfg, experiments.Fig2Makers(), "P-Sim")
+			fmt.Println("average degree of helping (Figure 2 right):")
+			fmt.Println(harness.HelpingTable(res))
+			return res
+		}},
+	{"fig2-batch", "Figure 2 batch sweep: ApplyBatch op-vectors (-batch)",
+		func(cfg harness.Config, ax axes) []harness.Result {
+			return runSweep(cfg, experiments.Fig2BatchMakers(ax.batches), "P-Sim b=1")
+		}},
+	{"fig3stack", "Figure 3 (left): stacks, time for total push+pop pairs",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			return runSweep(cfg, experiments.Fig3StackMakers(), "SimStack")
+		}},
+	{"fig3queue", "Figure 3 (right): queues, time for total enq+deq pairs",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			return runSweep(cfg, experiments.Fig3QueueMakers(), "SimQueue")
+		}},
+	{"table1", "Table 1: shared-memory accesses per operation",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			res := harness.Run(smaller(cfg), experiments.Table1Makers())
+			fmt.Println(experiments.Table1Render(res))
+			return res
+		}},
+	{"lsim", "L-Sim vs P-Sim on 16/256/4096-word objects, w=2 cells per op (the paper's deferred experiment)",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			// The s=4096 P-Sim rows clone the whole object every round.
+			return runSweep(smaller(cfg), experiments.LargeObjectMakers(16, 256, 4096))
+		}},
+	{"largeobject-crossover", "Large-value crossover: P-Sim flat slab vs L-Sim items vs MultiPSim(4), 64 keys (-vsize)",
+		func(cfg harness.Config, ax axes) []harness.Result {
+			// The v=4096 P-Sim rows memcpy a 256KB slab per round.
+			var targets []string
+			for _, v := range ax.vsizes {
+				targets = append(targets, fmt.Sprintf("P-Sim flat(v=%d)", v))
+			}
+			return runSweep(smaller(cfg), experiments.LargeValueCrossoverMakers(ax.vsizes...), targets...)
+		}},
+	{"map", "Striped map: multiple Sim instances vs one",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			return runSweep(cfg, experiments.MapContentionMakers(8, 1), "Map(stripes=8)")
+		}},
+	{"map-sharded", "Sharded map sweep: shard counts (-shards), MSet batch = the largest -batch",
+		func(cfg harness.Config, ax axes) []harness.Result {
+			b := ax.batches[len(ax.batches)-1]
+			target := fmt.Sprintf("Sharded(%d) b=%d", ax.shards[len(ax.shards)-1], b)
+			return runSweep(cfg, experiments.ShardedMapMakers(ax.shards, b), target)
+		}},
+	{"ingest", "Ingest pipeline: append+drain through queue and spool (-ingest-batch)",
+		func(cfg harness.Config, ax axes) []harness.Result {
+			// The ingest acceptance gate reads p99 append latency, so this
+			// experiment always records latency distributions.
+			cfg.Latency = true
+			target := fmt.Sprintf("Ingest b=%d", ax.ingestBatches[len(ax.ingestBatches)-1])
+			return runSweep(cfg, experiments.IngestMakers(ax.ingestBatches), target)
+		}},
+	{"ablation-backoff", "Ablation: adaptive backoff vs none",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			return runSweep(cfg, experiments.AblationBackoffMakers(), "P-Sim(backoff)")
+		}},
+	{"ablation-publication", "Ablation: GC state publication vs paper-exact pool/seqlock, 1 and 8 words",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			return runSweep(cfg, experiments.AblationPublicationMakers(), "P-Sim(GC)", "P-Sim(GC) s=8")
+		}},
+	{"ablation-act", "Ablation: dense vs padded Act bit-vector layout",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			return runSweep(cfg, experiments.AblationActLayoutMakers(), "Act-dense")
+		}},
+	{"ablation-queue", "Ablation: SimQueue's two Sim instances vs one P-Sim simulating the whole queue",
+		func(cfg harness.Config, _ axes) []harness.Result {
+			return runSweep(cfg, experiments.AblationQueueMakers(), "SimQueue")
+		}},
+}
+
+// lookup returns the experiments named by a -experiment value.
+func lookup(spec string) ([]experiment, error) {
+	if spec == "all" {
+		return experimentTable, nil
+	}
+	var out []experiment
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q", name)
+		}
+		out = append(out, experimentTable[i])
+	}
+	return out, nil
+}
+
 func main() {
 	var (
-		exp     = flag.String("experiment", "all", "which experiment to run (fig2, fig2-batch, fig2help, fig3stack, fig3queue, table1, lsim, largeobject-crossover, map, map-sharded, ingest, ablation-backoff, ablation-publication, ablation-act, all)")
+		exp     = flag.String("experiment", "all", "comma-separated experiments to run, or all: "+experimentNames())
 		ops     = flag.Int("ops", 100_000, "total operations per run (paper: 1000000)")
 		reps    = flag.Int("reps", 3, "repetitions per configuration (paper: 10)")
 		threads = flag.String("threads", "1,2,4,8,16,32", "comma-separated thread counts")
 		maxWork = flag.Int("maxwork", 512, "max dummy-loop iterations between operations (paper: 512)")
-		csvOut  = flag.Bool("csv", false, "also print CSV series")
-		withMCS = flag.Bool("mcs", false, "include the MCS lock in fig2 (paper footnote 2)")
 		latency = flag.Bool("latency", false,
 			"record per-op latency distributions (p50/p99/max columns); inflates mean times by ~2 clock reads per op")
 		obsEvery = flag.Duration("obs-every", 0,
@@ -71,7 +184,7 @@ func main() {
 		timelineEvery = flag.Duration("timeline-every", 250*time.Millisecond,
 			"scrape interval for -timeline-dump")
 		jsonOut = flag.String("json", "",
-			"write machine-readable results (ns/op, allocs/op, helping) for the experiments run to this file")
+			"write machine-readable results (ns/op and its spread, allocs/op, helping) for the experiments run to this file")
 		flightOut = flag.String("flight", "",
 			"attach the flight recorder to Sim-family instances and write a Chrome trace_event JSON of the newest round events to this file")
 		flightSample = flag.Int("flight-sample", 1,
@@ -87,28 +200,30 @@ func main() {
 	)
 	flag.Parse()
 
+	exps, err := lookup(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simbench:", err)
+		os.Exit(2)
+	}
 	tc, err := parseThreads(*threads)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
 		os.Exit(2)
 	}
-	bc, err := parseThreads(*batches)
-	if err != nil {
+	var ax axes
+	if ax.batches, err = parseThreads(*batches); err != nil {
 		fmt.Fprintln(os.Stderr, "simbench: -batch:", err)
 		os.Exit(2)
 	}
-	shc, err := parseThreads(*shards)
-	if err != nil {
+	if ax.shards, err = parseThreads(*shards); err != nil {
 		fmt.Fprintln(os.Stderr, "simbench: -shards:", err)
 		os.Exit(2)
 	}
-	ibc, err := parseThreads(*ingestBatches)
-	if err != nil {
+	if ax.ingestBatches, err = parseThreads(*ingestBatches); err != nil {
 		fmt.Fprintln(os.Stderr, "simbench: -ingest-batch:", err)
 		os.Exit(2)
 	}
-	vsc, err := parseThreads(*vsizes)
-	if err != nil {
+	if ax.vsizes, err = parseThreads(*vsizes); err != nil {
 		fmt.Fprintln(os.Stderr, "simbench: -vsize:", err)
 		os.Exit(2)
 	}
@@ -120,14 +235,11 @@ func main() {
 		Seed:     1,
 		Latency:  *latency,
 	}
+	// Runs of every width share the tracer and the registered harness
+	// metrics, so both are sized to the sweep's widest run.
+	maxN := slices.Max(tc)
 	var flight *trace.Tracer
 	if *flightOut != "" {
-		maxN := 1
-		for _, n := range tc {
-			if n > maxN {
-				maxN = n
-			}
-		}
 		flight = trace.New(maxN, trace.WithSampleEvery(*flightSample))
 		cfg.Tracer = flight
 	}
@@ -136,12 +248,6 @@ func main() {
 		// The timeline resolves its series at construction, so the harness
 		// metrics must exist first: pre-register them at the sweep's max
 		// width (the harness get-or-creates the same objects later).
-		maxN := 1
-		for _, n := range tc {
-			if n > maxN {
-				maxN = n
-			}
-		}
 		reg := obs.NewRegistry()
 		cfg.Registry = reg
 		reg.Counter("harness_ops_total", maxN)
@@ -175,110 +281,10 @@ func main() {
 	}
 
 	collected := map[string][]harness.Result{}
-	run := func(name string) {
-		switch name {
-		case "fig2":
-			collected[name] = runSweep(cfg, "Figure 2 (left): Fetch&Multiply, time for total ops",
-				experiments.Fig2Makers(*withMCS), "P-Sim", *csvOut)
-		case "fig2-batch":
-			collected[name] = runSweep(cfg, fmt.Sprintf(
-				"Figure 2 batch sweep: ApplyBatch op-vectors (batch sizes %v)", bc),
-				experiments.Fig2BatchMakers(bc), "P-Sim b=1", *csvOut)
-		case "map-sharded":
-			b := bc[len(bc)-1]
-			collected[name] = runSweep(cfg, fmt.Sprintf(
-				"Sharded map sweep: shard counts %v, MSet batch %d", shc, b),
-				experiments.ShardedMapMakers(shc, b), fmt.Sprintf("Sharded(%d) b=%d", shc[len(shc)-1], b), *csvOut)
-		case "ingest":
-			// The ingest acceptance gate reads p99 append latency, so this
-			// experiment always records latency distributions.
-			icfg := cfg
-			icfg.Latency = true
-			collected[name] = runSweep(icfg, fmt.Sprintf(
-				"Ingest pipeline: append+drain through queue and spool (batch sizes %v)", ibc),
-				experiments.IngestMakers(ibc), fmt.Sprintf("Ingest b=%d", ibc[len(ibc)-1]), *csvOut)
-		case "fig2help":
-			fmt.Println("== Figure 2 (right): average degree of helping ==")
-			res := harness.Run(cfg, experiments.Fig2Makers(*withMCS))
-			collected[name] = res
-			fmt.Println(harness.HelpingTable(res))
-		case "fig3stack":
-			collected[name] = runSweep(cfg, "Figure 3 (left): stacks, time for total push+pop pairs",
-				experiments.Fig3StackMakers(), "SimStack", *csvOut)
-		case "fig3queue":
-			collected[name] = runSweep(cfg, "Figure 3 (right): queues, time for total enq+deq pairs",
-				experiments.Fig3QueueMakers(), "SimQueue", *csvOut)
-		case "table1":
-			fmt.Println("== Table 1: shared-memory accesses per operation ==")
-			opsPer := *ops / 100
-			if opsPer < 100 {
-				opsPer = 100
-			}
-			rows := experiments.Table1Measure(cfg.Threads, opsPer)
-			fmt.Println(experiments.Table1Render(rows))
-		case "lsim":
-			fmt.Println("== L-Sim vs P-Sim on large objects (the paper's deferred experiment) ==")
-			fmt.Printf("   object sizes 16/256/4096 words, w=2 cells touched per op\n\n")
-			small := cfg
-			small.TotalOps = cfg.TotalOps / 10 // the s=4096 P-Sim rows are O(s) per op
-			if small.TotalOps < 1000 {
-				small.TotalOps = 1000
-			}
-			res := experiments.LargeObjectSweep(small, []int{16, 256, 4096})
-			collected[name] = res
-			fmt.Println(harness.Table(res))
-			if *csvOut {
-				fmt.Println(harness.CSV(res))
-			}
-		case "largeobject-crossover":
-			fmt.Println("== Large-value crossover: P-Sim flat slab vs L-Sim items vs MultiPSim(4) ==")
-			fmt.Printf("   %d keys, value sizes %v bytes, 16-payload pool, overwrite workload\n\n",
-				64, vsc)
-			// The v=4096 P-Sim rows memcpy a 256KB slab per round; scale the
-			// op count down like the lsim experiment does.
-			small := cfg
-			small.TotalOps = cfg.TotalOps / 10
-			if small.TotalOps < 1000 {
-				small.TotalOps = 1000
-			}
-			res := experiments.LargeValueCrossoverSweep(small, vsc)
-			collected[name] = res
-			fmt.Println(harness.Table(res))
-			for _, v := range vsc {
-				fmt.Println(harness.Speedups(res, fmt.Sprintf("P-Sim flat(v=%d)", v)))
-			}
-			if *csvOut {
-				fmt.Println(harness.CSV(res))
-			}
-		case "map":
-			collected[name] = runSweep(cfg, "Striped map: multiple Sim instances vs one",
-				experiments.MapContentionMakers(8), "Map(8-stripes)", *csvOut)
-		case "ablation-backoff":
-			collected[name] = runSweep(cfg, "Ablation: adaptive backoff vs none",
-				experiments.AblationBackoffMakers(), "P-Sim(backoff)", *csvOut)
-		case "ablation-publication":
-			collected[name] = runSweep(cfg, "Ablation: GC state publication vs paper-exact pool/seqlock",
-				experiments.AblationPublicationMakers(), "P-Sim(GC)", *csvOut)
-		case "ablation-act":
-			collected[name] = runSweep(cfg, "Ablation: dense vs padded Act bit-vector layout",
-				experiments.AblationActLayoutMakers(), "Act-dense", *csvOut)
-		default:
-			fmt.Fprintf(os.Stderr, "simbench: unknown experiment %q\n", name)
-			os.Exit(2)
-		}
-	}
-
-	names := strings.Split(*exp, ",")
-	if *exp == "all" {
-		names = []string{
-			"fig2", "fig2-batch", "fig2help", "fig3stack", "fig3queue", "table1", "lsim",
-			"largeobject-crossover", "map", "map-sharded", "ingest",
-			"ablation-backoff", "ablation-publication", "ablation-act",
-		}
-	}
-	for _, name := range names {
-		run(strings.TrimSpace(name))
-		if len(names) > 1 {
+	for _, e := range exps {
+		fmt.Printf("== %s ==\n", e.title)
+		collected[e.name] = e.run(cfg, ax)
+		if len(exps) > 1 {
 			fmt.Println()
 		}
 	}
@@ -332,8 +338,9 @@ func main() {
 	}
 }
 
-func runSweep(cfg harness.Config, title string, makers []harness.Maker, target string, csvOut bool) []harness.Result {
-	fmt.Printf("== %s ==\n", title)
+// runSweep runs makers under cfg and prints the timing table, the latency
+// table when recorded, a chart, and the speedups of each target.
+func runSweep(cfg harness.Config, makers []harness.Maker, targets ...string) []harness.Result {
 	fmt.Printf("   total ops %d, reps %d, max inter-op work %d iters\n\n",
 		cfg.TotalOps, cfg.Reps, cfg.MaxWork)
 	res := harness.Run(cfg, makers)
@@ -343,11 +350,28 @@ func runSweep(cfg harness.Config, title string, makers []harness.Maker, target s
 		fmt.Println(harness.LatencyTable(res))
 	}
 	fmt.Println(harness.Chart(res, 14))
-	fmt.Println(harness.Speedups(res, target))
-	if csvOut {
-		fmt.Println(harness.CSV(res))
+	for _, target := range targets {
+		fmt.Println(harness.Speedups(res, target))
 	}
 	return res
+}
+
+// smaller scales cfg's op count down tenfold (to no fewer than 1000) for
+// experiments whose rows cost far more per operation than Fetch&Multiply.
+func smaller(cfg harness.Config) harness.Config {
+	cfg.TotalOps /= 10
+	if cfg.TotalOps < 1000 {
+		cfg.TotalOps = 1000
+	}
+	return cfg
+}
+
+func experimentNames() string {
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
 }
 
 func parseThreads(s string) ([]int, error) {

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+
+	"repro/internal/harness"
+)
 
 func TestParseThreads(t *testing.T) {
 	got, err := parseThreads("1, 2,4")
@@ -11,5 +16,29 @@ func TestParseThreads(t *testing.T) {
 		if _, err := parseThreads(bad); err == nil {
 			t.Fatalf("parseThreads(%q) accepted", bad)
 		}
+	}
+}
+
+// TestEveryExperimentRuns runs each entry of the experiment table at a
+// small scale: each must produce results, and the collected map must
+// render as JSON that parses. Unknown names are refused before anything
+// runs.
+func TestEveryExperimentRuns(t *testing.T) {
+	if _, err := lookup("fig2,nope"); err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	cfg := harness.Config{Threads: []int{1, 2}, TotalOps: 400, MaxWork: 16, Reps: 1, Seed: 1}
+	ax := axes{batches: []int{1, 4}, shards: []int{1, 2}, ingestBatches: []int{1, 8}, vsizes: []int{16, 256}}
+	collected := map[string][]harness.Result{}
+	for _, e := range experimentTable {
+		res := e.run(cfg, ax)
+		if len(res) == 0 {
+			t.Fatalf("%s produced no results", e.name)
+		}
+		collected[e.name] = res
+	}
+	data, err := harness.BenchJSON(collected)
+	if err != nil || !json.Valid(data) {
+		t.Fatalf("BenchJSON = %v; valid JSON: %v", err, json.Valid(data))
 	}
 }

@@ -17,7 +17,7 @@ func runMakers(t *testing.T, makers []harness.Maker) []harness.Result {
 }
 
 func TestFig2MakersRun(t *testing.T) {
-	res := runMakers(t, Fig2Makers(true))
+	res := runMakers(t, Fig2Makers())
 	if len(res) != 7 { // P-Sim, P-Sim(combine), CLH, lock-free, FC, CombTree, MCS
 		t.Fatalf("got %d results", len(res))
 	}
@@ -50,31 +50,49 @@ func TestFig3QueueMakersRun(t *testing.T) {
 }
 
 func TestAblationMakersRun(t *testing.T) {
-	for _, makers := range [][]harness.Maker{
-		AblationBackoffMakers(),
-		AblationPublicationMakers(),
-		AblationActLayoutMakers(),
+	for _, c := range []struct {
+		makers []harness.Maker
+		rows   int
+	}{
+		{AblationBackoffMakers(), 2},
+		{AblationPublicationMakers(), 4}, // GC and pooled, at 1 and 8 words
+		{AblationActLayoutMakers(), 2},
+		{AblationQueueMakers(), 2},
 	} {
-		if res := runMakers(t, makers); len(res) != 2 {
-			t.Fatalf("ablation produced %d results", len(res))
+		if res := runMakers(t, c.makers); len(res) != c.rows {
+			t.Fatalf("ablation produced %d results, want %d", len(res), c.rows)
+		}
+	}
+}
+
+// TestPSimQueueFIFO: the queue ablation's single-instance queue is FIFO;
+// the final 0 is the empty queue's answer.
+func TestPSimQueueFIFO(t *testing.T) {
+	q := newPSimQueue(1)
+	q.Enqueue(0, 7)
+	q.Enqueue(0, 8)
+	for _, want := range []uint64{7, 8, 0} {
+		if v, ok := q.Dequeue(0); v != want || ok != (want != 0) {
+			t.Fatalf("Dequeue = %d, %v; want %d", v, ok, want)
 		}
 	}
 }
 
 func TestTable1MeasureShapes(t *testing.T) {
-	rows := Table1Measure([]int{1, 4}, 50)
+	cfg := harness.Config{Threads: []int{1, 4}, TotalOps: 200, MaxWork: 0, Reps: 1, Seed: 1}
+	rows := harness.Run(cfg, Table1Makers())
 	if len(rows) != 8 { // 4 algorithms × 2 thread counts
 		t.Fatalf("got %d rows", len(rows))
 	}
 	byAlgo := map[string]map[int]float64{}
 	for _, r := range rows {
-		if r.AccessesPer <= 0 {
+		if !(r.AccessesPerOp > 0) {
 			t.Fatalf("no accesses measured: %+v", r)
 		}
-		if byAlgo[r.Algorithm] == nil {
-			byAlgo[r.Algorithm] = map[int]float64{}
+		if byAlgo[r.Impl] == nil {
+			byAlgo[r.Impl] = map[int]float64{}
 		}
-		byAlgo[r.Algorithm][r.Threads] = r.AccessesPer
+		byAlgo[r.Impl][r.Threads] = r.AccessesPerOp
 	}
 	// At n=1 no helper exists, so every construction's bill is exact.
 	for algo, want := range map[string]float64{"Sim": 15, "P-Sim": 2, "L-Sim(w=2)": 35, "Herlihy-UC": 9} {
@@ -93,8 +111,7 @@ func TestTable1MeasureShapes(t *testing.T) {
 }
 
 func TestTable1Render(t *testing.T) {
-	rows := Table1Measure([]int{1}, 20)
-	out := Table1Render(rows)
+	out := Table1Render(runMakers(t, Table1Makers()))
 	for _, want := range []string{"Sim", "L-Sim(w=2)", "Herlihy-UC", "O(1)", "O(kw)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -111,7 +128,7 @@ func (p *probe) Name() string                 { return "probe" }
 
 func TestFmulMakerAppliesOddFactors(t *testing.T) {
 	p := &probe{}
-	mk := fmulMaker("x", func(n int) fmul.Interface { return p }, nil)
+	mk := fmulMaker("x", func(n int) fmul.Interface { return p })
 	inst := mk(1)
 	rng := workload.NewRNG(1)
 	for i := 0; i < 200; i++ {
@@ -128,8 +145,7 @@ func TestFmulMakerAppliesOddFactors(t *testing.T) {
 }
 
 func TestLargeObjectMakersRun(t *testing.T) {
-	cfg := harness.Config{Threads: []int{2}, TotalOps: 200, MaxWork: 8, Reps: 1, Seed: 1}
-	res := LargeObjectSweep(cfg, []int{8, 64})
+	res := runMakers(t, LargeObjectMakers(8, 64))
 	if len(res) != 4 { // 2 sizes × 2 implementations
 		t.Fatalf("got %d results", len(res))
 	}
@@ -141,7 +157,7 @@ func TestLargeObjectMakersRun(t *testing.T) {
 }
 
 func TestMapContentionMakersRun(t *testing.T) {
-	res := runMakers(t, MapContentionMakers(4))
+	res := runMakers(t, MapContentionMakers(4, 1))
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}

@@ -25,7 +25,6 @@ import (
 func IngestMakers(batches []int) []harness.Maker {
 	var makers []harness.Maker
 	for _, b := range batches {
-		b := b
 		makers = append(makers, func(n int) harness.Instance {
 			p := ingest.New(n, ingest.Config{Batch: b})
 			args := make([][]uint64, n)

@@ -17,27 +17,25 @@ import (
 // the accessed ItemSV records — O(kw) instead of O(s). The crossover as
 // `size` grows is the entire reason L-Sim exists.
 
-// LargeObjectMakers returns the two contenders for one object size.
-func LargeObjectMakers(size int) []harness.Maker {
-	psim := func(n int) harness.Instance {
-		u := newArrayPSim(n, size)
-		return harness.Instance{
-			Name: fmt.Sprintf("P-Sim(s=%d)", size),
-			Op: func(id int, rng *workload.RNG) {
+// LargeObjectMakers returns the two contenders at every object size.
+func LargeObjectMakers(sizes ...int) []harness.Maker {
+	var makers []harness.Maker
+	for _, size := range sizes {
+		psim := func(n int) harness.Instance {
+			u := newArrayPSim(n, size)
+			return instance(fmt.Sprintf("P-Sim(s=%d)", size), u, func(id int, rng *workload.RNG) {
 				u.Apply(id, [2]uint64{uint64(rng.Intn(size)), uint64(rng.Intn(size))})
-			},
+			})
 		}
-	}
-	lsimMk := func(n int) harness.Instance {
-		l, _, op := newArrayLSim(n, size)
-		return harness.Instance{
-			Name: fmt.Sprintf("L-Sim(s=%d)", size),
-			Op: func(id int, rng *workload.RNG) {
+		lsimMk := func(n int) harness.Instance {
+			l, _, op := newArrayLSim(n, size)
+			return instance(fmt.Sprintf("L-Sim(s=%d)", size), nil, func(id int, rng *workload.RNG) {
 				l.ApplyOp(id, op, [2]uint64{uint64(rng.Intn(size)), uint64(rng.Intn(size))})
-			},
+			})
 		}
+		makers = append(makers, psim, lsimMk)
 	}
-	return []harness.Maker{psim, lsimMk}
+	return makers
 }
 
 // newArrayPSim builds the array object over plain P-Sim: the state is the
@@ -73,17 +71,6 @@ func newArrayLSim(n, size int) (*lsim.LSim[uint64, [2]uint64, uint64], []*lsim.I
 		return va
 	}
 	return l, items, op
-}
-
-// LargeObjectSweep runs the comparison across object sizes and returns the
-// combined results (the harness keys rows by implementation name, which
-// embeds the size).
-func LargeObjectSweep(cfg harness.Config, sizes []int) []harness.Result {
-	var all []harness.Result
-	for _, s := range sizes {
-		all = append(all, harness.Run(cfg, LargeObjectMakers(s))...)
-	}
-	return all
 }
 
 // The large-VALUE crossover: where LargeObjectMakers sweeps the number of
@@ -144,98 +131,75 @@ func newFlatPSim(n, nkeys, vsize int, pool [][]byte) *core.PSim[[]byte, [2]uint6
 		}))
 }
 
-// LargeValueCrossoverMakers returns the three contenders for one value size.
-func LargeValueCrossoverMakers(vsize int) []harness.Maker {
-	flat := func(n int) harness.Instance {
-		pool := crossoverPayloads(vsize)
-		u := newFlatPSim(n, crossoverKeys, vsize, pool)
-		return harness.Instance{
-			Name: fmt.Sprintf("P-Sim flat(v=%d)", vsize),
-			Op: func(id int, rng *workload.RNG) {
+// LargeValueCrossoverMakers returns the three contenders at every value
+// size.
+func LargeValueCrossoverMakers(vsizes ...int) []harness.Maker {
+	var makers []harness.Maker
+	for _, vsize := range vsizes {
+		flat := func(n int) harness.Instance {
+			pool := crossoverPayloads(vsize)
+			u := newFlatPSim(n, crossoverKeys, vsize, pool)
+			return instance(fmt.Sprintf("P-Sim flat(v=%d)", vsize), u, func(id int, rng *workload.RNG) {
 				u.Apply(id, [2]uint64{uint64(rng.Intn(crossoverKeys)), uint64(rng.Intn(crossoverPool))})
-			},
+			})
 		}
-	}
-	items := func(n int) harness.Instance {
-		pool := crossoverPayloads(vsize)
-		l := lsim.New[[]byte, [2]uint64, uint64](n)
-		its := make([]*lsim.Item[[]byte], crossoverKeys)
-		for i := range its {
-			its[i] = l.NewRootItem(pool[i%crossoverPool])
-		}
-		op := func(m *lsim.Mem[[]byte, [2]uint64, uint64], arg [2]uint64) uint64 {
-			it := its[arg[0]]
-			old := m.Read(it)
-			m.Write(it, pool[arg[1]])
-			return uint64(old[0])
-		}
-		return harness.Instance{
-			Name: fmt.Sprintf("L-Sim items(v=%d)", vsize),
-			Op: func(id int, rng *workload.RNG) {
+		items := func(n int) harness.Instance {
+			pool := crossoverPayloads(vsize)
+			l := lsim.New[[]byte, [2]uint64, uint64](n)
+			its := make([]*lsim.Item[[]byte], crossoverKeys)
+			for i := range its {
+				its[i] = l.NewRootItem(pool[i%crossoverPool])
+			}
+			op := func(m *lsim.Mem[[]byte, [2]uint64, uint64], arg [2]uint64) uint64 {
+				it := its[arg[0]]
+				old := m.Read(it)
+				m.Write(it, pool[arg[1]])
+				return uint64(old[0])
+			}
+			return instance(fmt.Sprintf("L-Sim items(v=%d)", vsize), nil, func(id int, rng *workload.RNG) {
 				l.ApplyOp(id, op, [2]uint64{uint64(rng.Intn(crossoverKeys)), uint64(rng.Intn(crossoverPool))})
-			},
+			})
 		}
+		multi := func(n int) harness.Instance {
+			const k = 4
+			pool := crossoverPayloads(vsize)
+			insts := make([]*core.PSim[[]byte, [2]uint64, uint64], k)
+			for i := range insts {
+				insts[i] = newFlatPSim(n, crossoverKeys/k, vsize, pool)
+			}
+			return harness.Instance{
+				Name: fmt.Sprintf("MultiPSim(%d) flat(v=%d)", k, vsize),
+				Op: func(id int, rng *workload.RNG) {
+					key := rng.Intn(crossoverKeys)
+					insts[key%k].Apply(id, [2]uint64{uint64(key / k), uint64(rng.Intn(crossoverPool))})
+				},
+			}
+		}
+		makers = append(makers, flat, items, multi)
 	}
-	multi := func(n int) harness.Instance {
-		const k = 4
-		pool := crossoverPayloads(vsize)
-		insts := make([]*core.PSim[[]byte, [2]uint64, uint64], k)
-		for i := range insts {
-			insts[i] = newFlatPSim(n, crossoverKeys/k, vsize, pool)
-		}
-		return harness.Instance{
-			Name: fmt.Sprintf("MultiPSim(%d) flat(v=%d)", k, vsize),
-			Op: func(id int, rng *workload.RNG) {
-				key := rng.Intn(crossoverKeys)
-				insts[key%k].Apply(id, [2]uint64{uint64(key / k), uint64(rng.Intn(crossoverPool))})
-			},
-		}
-	}
-	return []harness.Maker{flat, items, multi}
+	return makers
 }
 
-// LargeValueCrossoverSweep runs the three contenders across value sizes.
-func LargeValueCrossoverSweep(cfg harness.Config, vsizes []int) []harness.Result {
-	var all []harness.Result
-	for _, v := range vsizes {
-		all = append(all, harness.Run(cfg, LargeValueCrossoverMakers(v))...)
-	}
-	return all
-}
-
-// MapContentionMakers compares the striped wait-free map against a single
-// global P-Sim instance managing the same object — quantifying what the
-// multiple-instances idea (SimQueue's trick, §5) buys on a map workload.
-func MapContentionMakers(stripes int) []harness.Maker {
-	striped := func(n int) harness.Instance {
-		m := simmap.New[uint64, uint64](n, stripes)
-		return harness.Instance{
-			Name: fmt.Sprintf("Map(%d-stripes)", stripes),
-			Op: func(id int, rng *workload.RNG) {
+// MapContentionMakers runs the striped wait-free map at each stripe count;
+// one stripe is a single global P-Sim instance managing the whole object,
+// so the sweep quantifies what the multiple-instances idea (SimQueue's
+// trick, §5) buys on a map workload.
+func MapContentionMakers(stripes ...int) []harness.Maker {
+	var makers []harness.Maker
+	for _, s := range stripes {
+		makers = append(makers, func(n int) harness.Instance {
+			m := simmap.New[uint64, uint64](n, s)
+			return instance(fmt.Sprintf("Map(stripes=%d)", s), m, func(id int, rng *workload.RNG) {
 				k := rng.Uint64() % 512
 				if rng.Intn(4) == 0 {
 					m.Delete(id, k)
 				} else {
 					m.Put(id, k, k)
 				}
-			},
-		}
+			})
+		})
 	}
-	single := func(n int) harness.Instance {
-		m := simmap.New[uint64, uint64](n, 1)
-		return harness.Instance{
-			Name: "Map(1-stripe)",
-			Op: func(id int, rng *workload.RNG) {
-				k := rng.Uint64() % 512
-				if rng.Intn(4) == 0 {
-					m.Delete(id, k)
-				} else {
-					m.Put(id, k, k)
-				}
-			},
-		}
-	}
-	return []harness.Maker{striped, single}
+	return makers
 }
 
 // ShardedMapMakers sweeps the sharded wait-free map across shard counts,
@@ -248,7 +212,6 @@ func MapContentionMakers(stripes int) []harness.Maker {
 func ShardedMapMakers(shards []int, batch int) []harness.Maker {
 	var makers []harness.Maker
 	for _, k := range shards {
-		k := k
 		makers = append(makers, func(n int) harness.Instance {
 			m := simmap.NewSharded[uint64, uint64](n, k, 8)
 			if batch <= 1 {

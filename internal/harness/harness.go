@@ -3,8 +3,8 @@
 // dummy-loop work of §4 between operations), repeats every configuration,
 // and reports mean wall-clock time, throughput, and the average degree of
 // helping. Output formats match what the figures need: aligned text tables,
-// CSV series, and the speedup ratios the paper quotes ("Sim is up to 2.36
-// times faster than spin locks").
+// charts, the speedup ratios the paper quotes ("Sim is up to 2.36 times
+// faster than spin locks"), and one machine-readable JSON document.
 package harness
 
 import (
@@ -76,6 +76,11 @@ type Instance struct {
 	Op      func(id int, rng *workload.RNG)
 	Helping func() float64
 
+	// Accesses, when non-nil, reports the shared-memory accesses the
+	// instance has made so far — Table 1's metric, for the instrumented
+	// constructions.
+	Accesses func() uint64
+
 	// OpsPerCall is the number of logical operations one Op call performs
 	// (a batched instance sets its batch size; 0 means 1). The harness
 	// divides the per-thread call count by it so every instance of a sweep
@@ -107,6 +112,10 @@ type Result struct {
 	MaxSec     float64
 	Throughput float64 // ops per second at the mean
 	AvgHelping float64 // NaN if not applicable
+
+	// AccessesPerOp is the last repetition's shared-memory accesses per
+	// operation (NaN when the instance does not count them).
+	AccessesPerOp float64
 
 	// AllocsPerOp is the heap-allocation count per operation, taken as the
 	// minimum over repetitions of the runtime.MemStats.Mallocs delta around
@@ -167,7 +176,7 @@ func maxThreads(cfg Config, n int) int {
 
 func runOne(cfg Config, maker Maker, n int) Result {
 	times := make([]float64, 0, cfg.Reps)
-	helping := math.NaN()
+	helping, accesses := math.NaN(), math.NaN()
 	allocs := math.Inf(1)
 	var name string
 	batch, totalOps := 1, cfg.TotalOps
@@ -196,6 +205,9 @@ func runOne(cfg Config, maker Maker, n int) Result {
 		if rep == cfg.Reps-1 && inst.Helping != nil {
 			helping = inst.Helping()
 		}
+		if rep == cfg.Reps-1 && inst.Accesses != nil {
+			accesses = float64(inst.Accesses()) / float64(ops)
+		}
 	}
 	mean, stdev := meanStdev(times)
 	r := Result{
@@ -203,8 +215,9 @@ func runOne(cfg Config, maker Maker, n int) Result {
 		TotalOps: totalOps, Reps: cfg.Reps,
 		MeanSec: mean, StdevSec: stdev,
 		MinSec: minOf(times), MaxSec: maxOf(times),
-		AvgHelping:  helping,
-		AllocsPerOp: allocs,
+		AvgHelping:    helping,
+		AccessesPerOp: accesses,
+		AllocsPerOp:   allocs,
 	}
 	if hist != nil {
 		r.Latency = hist.Snapshot()
@@ -396,42 +409,24 @@ func LatencyTable(results []Result) string {
 	return b.String()
 }
 
-// CSV renders the results as comma-separated series for external plotting.
-// The latency columns are empty when recording was off.
-func CSV(results []Result) string {
-	var b strings.Builder
-	b.WriteString("impl,threads,total_ops,reps,mean_sec,stdev_sec,min_sec,max_sec,throughput_ops_per_sec,avg_helping,p50_ns,p99_ns,max_ns\n")
-	for _, r := range results {
-		help := ""
-		if !math.IsNaN(r.AvgHelping) {
-			help = fmt.Sprintf("%.4f", r.AvgHelping)
-		}
-		lat := ",,"
-		if r.Latency.Count > 0 {
-			lat = fmt.Sprintf("%d,%d,%d",
-				r.Latency.Quantile(0.50), r.Latency.Quantile(0.99), r.Latency.Max)
-		}
-		fmt.Fprintf(&b, "%s,%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.1f,%s,%s\n",
-			r.Impl, r.Threads, r.TotalOps, r.Reps,
-			r.MeanSec, r.StdevSec, r.MinSec, r.MaxSec, r.Throughput, help, lat)
-	}
-	return b.String()
-}
-
 // benchRecord is one (impl, threads) cell in the machine-readable output.
 type benchRecord struct {
-	Impl        string  `json:"impl"`
-	Threads     int     `json:"threads"`
-	Batch       int     `json:"batch"`
-	TotalOps    int     `json:"total_ops"`
-	Reps        int     `json:"reps"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Throughput  float64 `json:"throughput_ops_per_sec"`
-	AvgHelping  float64 `json:"avg_helping,omitempty"`
-	P50Ns       uint64  `json:"p50_ns,omitempty"`
-	P99Ns       uint64  `json:"p99_ns,omitempty"`
-	MaxNs       uint64  `json:"max_ns,omitempty"`
+	Impl          string  `json:"impl"`
+	Threads       int     `json:"threads"`
+	Batch         int     `json:"batch"`
+	TotalOps      int     `json:"total_ops"`
+	Reps          int     `json:"reps"`
+	NsPerOp       float64 `json:"ns_per_op"`
+	StdevNsPerOp  float64 `json:"stdev_ns_per_op"`
+	MinNsPerOp    float64 `json:"min_ns_per_op"`
+	MaxNsPerOp    float64 `json:"max_ns_per_op"`
+	AllocsPerOp   float64 `json:"allocs_per_op"`
+	Throughput    float64 `json:"throughput_ops_per_sec"`
+	AvgHelping    float64 `json:"avg_helping,omitempty"`
+	AccessesPerOp float64 `json:"accesses_per_op,omitempty"`
+	P50Ns         uint64  `json:"p50_ns,omitempty"`
+	P99Ns         uint64  `json:"p99_ns,omitempty"`
+	MaxNs         uint64  `json:"max_ns,omitempty"`
 }
 
 type benchFile struct {
@@ -442,7 +437,8 @@ type benchFile struct {
 
 // BenchJSON renders a map of experiment name → results as the indented JSON
 // document `make bench-json` writes to BENCH_psim.json, so the performance
-// trajectory (ns/op, allocs/op, helping degree) is tracked across commits.
+// trajectory (ns/op with its spread over repetitions, allocs/op, helping
+// degree) is tracked across commits.
 func BenchJSON(experiments map[string][]Result) ([]byte, error) {
 	f := benchFile{
 		GeneratedUnix: time.Now().Unix(),
@@ -466,10 +462,17 @@ func BenchJSON(experiments map[string][]Result) ([]byte, error) {
 				Throughput:  r.Throughput,
 			}
 			if r.TotalOps > 0 {
-				rec.NsPerOp = r.MeanSec * 1e9 / float64(r.TotalOps)
+				perOp := 1e9 / float64(r.TotalOps)
+				rec.NsPerOp = r.MeanSec * perOp
+				rec.StdevNsPerOp = r.StdevSec * perOp
+				rec.MinNsPerOp = r.MinSec * perOp
+				rec.MaxNsPerOp = r.MaxSec * perOp
 			}
 			if !math.IsNaN(r.AvgHelping) {
 				rec.AvgHelping = r.AvgHelping
+			}
+			if !math.IsNaN(r.AccessesPerOp) {
+				rec.AccessesPerOp = r.AccessesPerOp
 			}
 			if r.Latency.Count > 0 {
 				rec.P50Ns = r.Latency.Quantile(0.50)

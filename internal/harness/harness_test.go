@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -93,10 +94,6 @@ func TestLatencyRecording(t *testing.T) {
 	if !strings.Contains(out, "threads") || !strings.Contains(out, "x p50/p99/max") {
 		t.Fatalf("latency table malformed:\n%s", out)
 	}
-	csv := CSV(res)
-	if !strings.Contains(csv, "p50_ns,p99_ns,max_ns") {
-		t.Fatalf("CSV missing latency columns:\n%s", csv)
-	}
 }
 
 func TestLatencyViaRegistry(t *testing.T) {
@@ -159,21 +156,44 @@ func TestHelpingTableRendering(t *testing.T) {
 	}
 }
 
-func TestCSVRendering(t *testing.T) {
-	out := CSV(sampleResults())
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("CSV has %d lines", len(lines))
+func TestBenchJSON(t *testing.T) {
+	var total atomic.Uint64
+	cfg := Config{Threads: []int{2}, TotalOps: 100, MaxWork: 0, Reps: 2, Seed: 1, Latency: true}
+	timed := Run(cfg, []Maker{countingMaker("x", &total)})
+	spread := Result{Impl: "A", Threads: 1, TotalOps: 1000, Reps: 3,
+		MeanSec: 0.010, StdevSec: 0.001, MinSec: 0.009, MaxSec: 0.012,
+		AvgHelping: math.NaN(), AccessesPerOp: math.NaN()}
+	data, err := BenchJSON(map[string][]Result{"timed": timed, "spread": {spread}})
+	if err != nil {
+		t.Fatalf("BenchJSON: %v", err)
 	}
-	if !strings.HasPrefix(lines[0], "impl,threads") {
-		t.Fatalf("CSV header wrong: %s", lines[0])
+	var doc struct {
+		Experiments map[string][]map[string]any `json:"experiments"`
 	}
-	if !strings.Contains(lines[1], "A,1,") {
-		t.Fatalf("CSV row wrong: %s", lines[1])
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("output does not parse: %v\n%s", err, data)
 	}
-	// NaN helping renders as the empty field.
-	if !strings.HasSuffix(lines[3], ",") {
-		t.Fatalf("NaN helping not empty: %s", lines[3])
+	rec := doc.Experiments["spread"][0]
+	// Spread is the per-run seconds over the total ops, in ns; Batch 0
+	// defaults to 1.
+	for field, want := range map[string]float64{
+		"ns_per_op": 10000, "stdev_ns_per_op": 1000, "min_ns_per_op": 9000, "max_ns_per_op": 12000, "batch": 1,
+	} {
+		if got, ok := rec[field].(float64); !ok || math.Abs(got-want) > 1e-6 {
+			t.Fatalf("%s = %v, want %v", field, rec[field], want)
+		}
+	}
+	// NaN helping/accesses and unrecorded latency are omitted, not emitted.
+	for _, field := range []string{"avg_helping", "accesses_per_op", "p50_ns", "p99_ns", "max_ns"} {
+		if _, ok := rec[field]; ok {
+			t.Fatalf("%s present in %v", field, rec)
+		}
+	}
+	rec = doc.Experiments["timed"][0]
+	for _, field := range []string{"avg_helping", "p50_ns", "p99_ns", "max_ns", "stdev_ns_per_op"} {
+		if _, ok := rec[field]; !ok {
+			t.Fatalf("%s missing from %v", field, rec)
+		}
 	}
 }
 
