@@ -66,10 +66,11 @@ type axes struct {
 	batches, shards, ingestBatches, vsizes []int
 }
 
-// experiment is one entry of simbench's experiment list.
+// experiment is one entry of simbench's experiment list. run returns the
+// results and the rows whose speedups it reported.
 type experiment struct {
 	name, title string
-	run         func(cfg harness.Config, ax axes) []harness.Result
+	run         func(cfg harness.Config, ax axes) (res []harness.Result, targets []string)
 }
 
 // experimentTable is simbench's one list of experiments: -experiment
@@ -77,37 +78,37 @@ type experiment struct {
 // text lists it.
 var experimentTable = []experiment{
 	{"fig2", "Figure 2: Fetch&Multiply, time for total ops (left) and helping degree (right)",
-		func(cfg harness.Config, _ axes) []harness.Result {
-			res := runSweep(cfg, experiments.Fig2Makers(), "P-Sim")
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
+			res, targets := runSweep(cfg, experiments.Fig2Makers(), "P-Sim")
 			fmt.Println("average degree of helping (Figure 2 right):")
 			fmt.Println(harness.HelpingTable(res))
-			return res
+			return res, targets
 		}},
 	{"fig2-batch", "Figure 2 batch sweep: ApplyBatch op-vectors (-batch)",
-		func(cfg harness.Config, ax axes) []harness.Result {
+		func(cfg harness.Config, ax axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.Fig2BatchMakers(ax.batches), "P-Sim b=1")
 		}},
 	{"fig3stack", "Figure 3 (left): stacks, time for total push+pop pairs",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.Fig3StackMakers(), "SimStack")
 		}},
 	{"fig3queue", "Figure 3 (right): queues, time for total enq+deq pairs",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.Fig3QueueMakers(), "SimQueue")
 		}},
 	{"table1", "Table 1: shared-memory accesses per operation",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			res := harness.Run(smaller(cfg), experiments.Table1Makers())
 			fmt.Println(experiments.Table1Render(res))
-			return res
+			return res, nil
 		}},
 	{"lsim", "L-Sim vs P-Sim on 16/256/4096-word objects, w=2 cells per op (the paper's deferred experiment)",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			// The s=4096 P-Sim rows clone the whole object every round.
 			return runSweep(smaller(cfg), experiments.LargeObjectMakers(16, 256, 4096))
 		}},
 	{"largeobject-crossover", "Large-value crossover: P-Sim flat slab vs L-Sim items vs MultiPSim(4), 64 keys (-vsize)",
-		func(cfg harness.Config, ax axes) []harness.Result {
+		func(cfg harness.Config, ax axes) ([]harness.Result, []string) {
 			// The v=4096 P-Sim rows memcpy a 256KB slab per round.
 			var targets []string
 			for _, v := range ax.vsizes {
@@ -116,17 +117,17 @@ var experimentTable = []experiment{
 			return runSweep(smaller(cfg), experiments.LargeValueCrossoverMakers(ax.vsizes...), targets...)
 		}},
 	{"map", "Striped map: multiple Sim instances vs one",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.MapContentionMakers(8, 1), "Map(stripes=8)")
 		}},
 	{"map-sharded", "Sharded map sweep: shard counts (-shards), MSet batch = the largest -batch",
-		func(cfg harness.Config, ax axes) []harness.Result {
+		func(cfg harness.Config, ax axes) ([]harness.Result, []string) {
 			b := ax.batches[len(ax.batches)-1]
 			target := fmt.Sprintf("Sharded(%d) b=%d", ax.shards[len(ax.shards)-1], b)
 			return runSweep(cfg, experiments.ShardedMapMakers(ax.shards, b), target)
 		}},
 	{"ingest", "Ingest pipeline: append+drain through queue and spool (-ingest-batch)",
-		func(cfg harness.Config, ax axes) []harness.Result {
+		func(cfg harness.Config, ax axes) ([]harness.Result, []string) {
 			// The ingest acceptance gate reads p99 append latency, so this
 			// experiment always records latency distributions.
 			cfg.Latency = true
@@ -134,19 +135,19 @@ var experimentTable = []experiment{
 			return runSweep(cfg, experiments.IngestMakers(ax.ingestBatches), target)
 		}},
 	{"ablation-backoff", "Ablation: adaptive backoff vs none",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.AblationBackoffMakers(), "P-Sim(backoff)")
 		}},
 	{"ablation-publication", "Ablation: GC state publication vs paper-exact pool/seqlock, 1 and 8 words",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.AblationPublicationMakers(), "P-Sim(GC)", "P-Sim(GC) s=8")
 		}},
 	{"ablation-act", "Ablation: dense vs padded Act bit-vector layout",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.AblationActLayoutMakers(), "Act-dense")
 		}},
 	{"ablation-queue", "Ablation: SimQueue's two Sim instances vs one P-Sim simulating the whole queue",
-		func(cfg harness.Config, _ axes) []harness.Result {
+		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.AblationQueueMakers(), "SimQueue")
 		}},
 }
@@ -283,7 +284,7 @@ func main() {
 	collected := map[string][]harness.Result{}
 	for _, e := range exps {
 		fmt.Printf("== %s ==\n", e.title)
-		collected[e.name] = e.run(cfg, ax)
+		collected[e.name], _ = e.run(cfg, ax)
 		if len(exps) > 1 {
 			fmt.Println()
 		}
@@ -339,8 +340,9 @@ func main() {
 }
 
 // runSweep runs makers under cfg and prints the timing table, the latency
-// table when recorded, a chart, and the speedups of each target.
-func runSweep(cfg harness.Config, makers []harness.Maker, targets ...string) []harness.Result {
+// table when recorded, a chart, and the speedups of each target. It returns
+// the results and the targets.
+func runSweep(cfg harness.Config, makers []harness.Maker, targets ...string) ([]harness.Result, []string) {
 	fmt.Printf("   total ops %d, reps %d, max inter-op work %d iters\n\n",
 		cfg.TotalOps, cfg.Reps, cfg.MaxWork)
 	res := harness.Run(cfg, makers)
@@ -353,7 +355,7 @@ func runSweep(cfg harness.Config, makers []harness.Maker, targets ...string) []h
 	for _, target := range targets {
 		fmt.Println(harness.Speedups(res, target))
 	}
-	return res
+	return res, targets
 }
 
 // smaller scales cfg's op count down tenfold (to no fewer than 1000) for

@@ -204,7 +204,8 @@ func MapContentionMakers(stripes ...int) []harness.Maker {
 
 // ShardedMapMakers sweeps the sharded wait-free map across shard counts,
 // driving every instance with MSet batches of `batch` random keys
-// (batch <= 1 degrades to single Puts). One shard is the baseline: it shows
+// (batch <= 1 degrades to single Puts); rows are named "Sharded(k) b=B" at
+// every batch, as in Fig2BatchMakers. One shard is the baseline: it shows
 // what hash-partitioning across independent Sim instances buys on top of
 // striping alone, so stripes-per-shard stays FIXED (8) while the shard
 // count sweeps — per-stripe trie size is held constant by the 512-key
@@ -212,11 +213,12 @@ func MapContentionMakers(stripes ...int) []harness.Maker {
 func ShardedMapMakers(shards []int, batch int) []harness.Maker {
 	var makers []harness.Maker
 	for _, k := range shards {
+		name := fmt.Sprintf("Sharded(%d) b=%d", k, max(batch, 1))
 		makers = append(makers, func(n int) harness.Instance {
 			m := simmap.NewSharded[uint64, uint64](n, k, 8)
 			if batch <= 1 {
 				return harness.Instance{
-					Name: fmt.Sprintf("Sharded(%d)", k),
+					Name: name,
 					Op: func(id int, rng *workload.RNG) {
 						key := rng.Uint64() % 512
 						m.Put(id, key, key)
@@ -230,7 +232,7 @@ func ShardedMapMakers(shards []int, batch int) []harness.Maker {
 				vals[i] = make([]uint64, batch)
 			}
 			return harness.Instance{
-				Name:       fmt.Sprintf("Sharded(%d) b=%d", k, batch),
+				Name:       name,
 				OpsPerCall: batch,
 				Op: func(id int, rng *workload.RNG) {
 					ks, vs := keys[id], vals[id]
