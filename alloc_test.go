@@ -158,7 +158,7 @@ func TestApplyAllocsSteadyState(t *testing.T) {
 // TestApplyAllocsBatch pins the batched entry points: ApplyBatch combines a
 // whole op-vector per announce slot and must not allocate at all in steady
 // state — neither on the n=1 solo path (chain recycling) nor round-robin at
-// n=4 (results live in the published record's brvals rows, the caller's res
+// n=4 (results live in the published record's response rows, the caller's res
 // buffer is reused, boxes recycle). The queue's batched pair is 0 at n=1
 // and at most 0.1 allocations per element at n=4 (consumed nodes recycle);
 // the stack pays its usual node per pushed element.

@@ -37,10 +37,12 @@
 // runs both and fails on any verdict disagreement (CI's cross-validation
 // mode). The forward engine tracks at most 64 concurrently open operations
 // and three overlapping B-wide calls open 3B, so linearize mode caps
-// -batch at 21; the search decides at most 64 operations, and its cap of 8
-// bounds a history at 3 processes × 2 calls × 8 = 48. A history an engine
-// cannot decide (a capacity or classification limit, not a violation) is a
-// "history not decided" warning, never a pass or a failure.
+// -batch at 21; the search decides at most 64 operations within a fixed
+// budget of explored configurations, and its cap of 8 bounds a history at
+// 3 processes × 2 calls × 8 = 48. A history an engine cannot decide (a
+// capacity, budget or classification limit, not a violation) is a "history
+// not decided" warning, never a pass or a failure; under -engine both, a
+// history past the search's reach is decided by the forward engine alone.
 //
 // -sched-seed S (nonzero) replaces free-running goroutines with the
 // deterministic adversarial scheduler from internal/check/sched: every

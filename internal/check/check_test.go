@@ -3,8 +3,10 @@ package check
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // h builds an operation with explicit interval endpoints.
@@ -279,6 +281,43 @@ func TestLinearizableTooLargeError(t *testing.T) {
 		func(string) Spec { return StackSpec() }); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("partitioned: %v, want ErrTooLarge", err)
 	}
+}
+
+// wideDuplicateDequeue is 12 concurrent enqueues of 1..12 overlapping 12
+// concurrent dequeues that return 1, 1, 2, …, 11: value 1 comes back twice,
+// so no linearization exists and an unbounded search would have to refute
+// every interleaving.
+func wideDuplicateDequeue() []Operation {
+	var ops []Operation
+	for i := 0; i < 12; i++ {
+		ops = append(ops, h(i, OpEnqueue, uint64(i+1), 0, false, int64(i), int64(100+i)))
+	}
+	for i := 0; i < 12; i++ {
+		ops = append(ops, h(12+i, OpDequeue, 0, uint64(max(i, 1)), true, int64(12+i), int64(112+i)))
+	}
+	return ops
+}
+
+// TestLinearizableBudget: a history whose refutation is exponential gives up
+// with ErrTooLarge within the search's configuration budget — promptly and
+// in bounded memory — instead of growing its memo without a verdict.
+func TestLinearizableBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	ok, err := Linearizable(wideDuplicateDequeue(), QueueSpec())
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("got (%v, %v), want ErrTooLarge", ok, err)
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("search gave up after %v, want < 10s", elapsed)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 512<<20 {
+		t.Errorf("search allocated %d MiB, want <= 512 MiB", grew>>20)
+	}
+	t.Logf("gave up after %v, %d MiB allocated", elapsed, (after.TotalAlloc-before.TotalAlloc)>>20)
 }
 
 func TestOperationString(t *testing.T) {

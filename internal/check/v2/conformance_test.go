@@ -2,10 +2,14 @@ package v2
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/check"
 )
 
 // The conformance corpus lives one level up, next to the specs it
@@ -95,5 +99,56 @@ func TestRegressionCorpusRejectedByBothEngines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSearchDecidesEveryCommittedHistory: the Wing–Gong search's
+// configuration budget costs no verdict — every committed conformance,
+// regression and fuzz-seed history is still decided by the search alone,
+// never answered with ErrTooLarge.
+func TestSearchDecidesEveryCommittedHistory(t *testing.T) {
+	hists := make(map[string][]check.Operation)
+	for _, dir := range []string{"conformance", "regression"} {
+		files, err := filepath.Glob(filepath.Join(testdataDir, dir, "*.hist"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s corpus: %d files, %v", dir, len(files), err)
+		}
+		for _, path := range files {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops, err := ParseHistory(data)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			hists[dir+"/"+filepath.Base(path)] = ops
+		}
+	}
+	for i, seed := range fuzzSeeds {
+		hists[fmt.Sprintf("fuzz seed %d", i)] = decodeHistory(seed)
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzHistory", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fuzz corpus: %d files, %v", len(files), err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\n[]byte(")
+		seed, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-[]byte fuzz corpus entry: %v", path, err)
+		}
+		hists["fuzz corpus/"+filepath.Base(path)] = decodeHistory([]byte(seed))
+	}
+	for name, ops := range hists {
+		opts := DefaultOptions()
+		opts.Engine = EngineSearch
+		if err := CheckHistory(ops, opts); errors.Is(err, check.ErrTooLarge) {
+			t.Errorf("%s (%d ops): search gave no verdict: %v", name, len(ops), err)
+		}
 	}
 }

@@ -143,17 +143,25 @@ func mapHas(m map[uint64]uint64, k uint64) bool {
 	return ok
 }
 
+// fuzzSeeds are FuzzHistory's inline seeds (the committed corpus under
+// testdata/fuzz adds more).
+var fuzzSeeds = [][]byte{
+	{0x00, 0x02, 0x01, 0x40, 0x03, 0x05},
+	{0x08, 0x48, 0x09, 0x0b, 0x48, 0x07},
+	{0x10, 0x50, 0x11, 0x13, 0x10, 0x51},
+	{0x18, 0x01, 0x18, 0x02, 0x19, 0x18, 0x03, 0x05, 0x07},
+	{0x00, 0x00, 0x00, 0x40, 0x40, 0x01, 0x03, 0x05, 0x07, 0x09},
+}
+
 // FuzzHistory differentially fuzzes the checkers: every decoded history is
 // run through CheckHistory with EngineBoth, which checks each partition
 // with the forward engine AND the Wing–Gong search and reports ErrDisagree
 // on any verdict mismatch. Rejections and engine limitations are fine —
 // only disagreement (a checker bug) fails.
 func FuzzHistory(f *testing.F) {
-	f.Add([]byte{0x00, 0x02, 0x01, 0x40, 0x03, 0x05})
-	f.Add([]byte{0x08, 0x48, 0x09, 0x0b, 0x48, 0x07})
-	f.Add([]byte{0x10, 0x50, 0x11, 0x13, 0x10, 0x51})
-	f.Add([]byte{0x18, 0x01, 0x18, 0x02, 0x19, 0x18, 0x03, 0x05, 0x07})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x40, 0x40, 0x01, 0x03, 0x05, 0x07, 0x09})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeHistory(data)
 		if len(ops) == 0 {

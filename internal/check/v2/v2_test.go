@@ -471,6 +471,36 @@ func TestCheckHistoryBothFallsBackPastSearchLimit(t *testing.T) {
 	}
 }
 
+// TestCheckHistoryBothPastSearchBudget: a 24-op queue history whose
+// refutation exceeds the search's configuration budget (12 concurrent
+// enqueues of 1..12 against 12 concurrent dequeues returning 1, 1, 2, …, 11)
+// is decided by the forward engine alone under EngineBoth — its rejection,
+// not ErrTooLarge and not a disagreement — while EngineSearch alone cannot
+// decide it.
+func TestCheckHistoryBothPastSearchBudget(t *testing.T) {
+	var ops []check.Operation
+	for i := 0; i < 12; i++ {
+		ops = append(ops, h(i, check.OpEnqueue, uint64(i+1), 0, false, int64(i), int64(100+i)))
+	}
+	for i := 0; i < 12; i++ {
+		ops = append(ops, h(12+i, check.OpDequeue, 0, uint64(max(i, 1)), true, int64(12+i), int64(112+i)))
+	}
+	opts := DefaultOptions()
+	opts.Engine = EngineSearch
+	if err := CheckHistory(ops, opts); !errors.Is(err, check.ErrTooLarge) {
+		t.Fatalf("EngineSearch: %v, want ErrTooLarge", err)
+	}
+	opts.Engine = EngineForward
+	ferr := CheckHistory(ops, opts)
+	if !Rejected(ferr) {
+		t.Fatalf("EngineForward: %v, want a rejection", ferr)
+	}
+	opts.Engine = EngineBoth
+	if err := CheckHistory(ops, opts); err == nil || err.Error() != ferr.Error() {
+		t.Fatalf("EngineBoth: %v, want the forward engine's rejection %v", err, ferr)
+	}
+}
+
 func TestCheckHistoryMapPartitionModesAgree(t *testing.T) {
 	// By locality, per-key and whole-map checking must return the same
 	// verdict on every single-key-op history; the two modes exist to

@@ -117,14 +117,6 @@ func (a *BatchAnnounce[T]) Publish(i int, vals []T) {
 	a.slots[i].P.Store(b)
 }
 
-// PublishOne announces the single operation v for process i (the Apply
-// fast path: no caller-side slice needed).
-func (a *BatchAnnounce[T]) PublishOne(i int, v T) {
-	b := a.take(i)
-	b.vec = append(b.vec[:0], v)
-	a.slots[i].P.Store(b)
-}
-
 // OwnVec returns process i's currently announced vector without protection —
 // only the owner itself may call it (it never rewrites a box mid-operation,
 // so its own announcement is stable).

@@ -4,7 +4,9 @@
 // active set over one bit per process), the linearizable single-word
 // snapshot obtained when all components fit in one Fetch&Add word, and the
 // Announce array of single-writer registers that P-Sim substitutes for the
-// collect object in practice (§4).
+// collect object in practice (§4), with its batch form (BatchAnnounce:
+// operation vectors in) and the per-process response rows that answer it
+// (Rows: responses out).
 package collect
 
 import (

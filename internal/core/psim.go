@@ -36,7 +36,9 @@ import (
 // (collect.BatchAnnounce); a combining round applies every announced
 // process's whole pending vector in announce order, so one Fetch&Add + CAS
 // cycle completes up to n×budget logical operations. ApplyBatch announces a
-// caller's vector directly; Apply announces a vector of one. The two-round +
+// caller's vector directly; Apply is a batch of one, announced and answered
+// through the same path (responses come back in one collect.Rows row per
+// process, a single operation's in a row of one). The two-round +
 // fallback progress argument is unchanged — a round is bounded by
 // n×DefaultBatchBudget sequential applications, still a constant for a given
 // instance. Announce boxes are recycled with the same hazard discipline as
@@ -74,7 +76,7 @@ type PSim[S, A, R any] struct {
 	haz      *Hazards[psimState[S, R]]
 	pool     *alloc.Typed[psimState[S, R]] // the memory plane for retired records
 
-	threads []psimThread[S, R]
+	threads []psimThread[S, A, R]
 	stats   *StatsPlane
 
 	boLower, boUpper int
@@ -82,30 +84,30 @@ type PSim[S, A, R any] struct {
 }
 
 // psimState is one published state record: the simulated state, the applied
-// bit vector, the per-process return values (struct State of Algorithm 2
+// bit vector and the per-process responses (struct State of Algorithm 2
 // minus the seq stamps — hazard-protected recycling makes torn reads
-// impossible rather than merely detectable), and the per-process BATCH
-// return vectors. brvals[k] holds the responses of k's last served vector
-// when it had more than one element (a single-element vector answers through
-// rvals[k] alone, so vector-free workloads only pay an empty-row copy per
-// round). A record is immutable from the moment it is published until the
-// memory plane reissues it. nextFree is the plane's intrusive free-chain
-// link, dead while the record is live.
+// impossible rather than merely detectable). res widens Algorithm 2's
+// per-process return values to one row per process: the responses of its
+// last served vector, a row of one for a single operation. A record is
+// immutable from the moment it is published until the memory plane reissues
+// it. nextFree is the plane's intrusive free-chain link, dead while the
+// record is live.
 type psimState[S, R any] struct {
 	applied  xatomic.Snapshot
-	rvals    []R
-	brvals   [][]R
+	res      collect.Rows[R]
 	st       S
 	nextFree *psimState[S, R]
 }
 
 // psimThread is a thread's private handle internals.
-type psimThread[S, R any] struct {
+type psimThread[S, A, R any] struct {
 	toggler *xatomic.Toggler
 	bo      *backoff.Adaptive
 	active  xatomic.Snapshot               // scratch: last read of Act
 	diffs   xatomic.Snapshot               // scratch: applied XOR active
 	blk     *alloc.Handle[psimState[S, R]] // memory-plane handle
+	one     [1]A                           // Apply's batch of one
+	oneRes  []R                            // and its response row
 	inited  bool
 }
 
@@ -216,7 +218,7 @@ func NewPSim[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, op
 		cloneInto:   o.cloneInto,
 		announce:    collect.NewBatchAnnounce[A](n),
 		act:         act,
-		threads:     make([]psimThread[S, R], n),
+		threads:     make([]psimThread[S, A, R], n),
 		stats:       NewStatsPlane(n),
 		boLower:     o.boLower,
 		boUpper:     o.boUpper,
@@ -230,8 +232,7 @@ func NewPSim[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, op
 		New: func() *psimState[S, R] {
 			return &psimState[S, R]{
 				applied: xatomic.NewSnapshot(n),
-				rvals:   make([]R, n),
-				brvals:  make([][]R, n),
+				res:     collect.NewRows[R](n),
 			}
 		},
 		Next:    func(s *psimState[S, R]) *psimState[S, R] { return s.nextFree },
@@ -243,8 +244,7 @@ func NewPSim[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, op
 	u.stats.AttachAllocPool("state", pool)
 	u.state.Store(&psimState[S, R]{
 		applied: xatomic.NewSnapshot(n),
-		rvals:   make([]R, n),
-		brvals:  make([][]R, n),
+		res:     collect.NewRows[R](n),
 		st:      init,
 	})
 	return u
@@ -267,7 +267,10 @@ func (u *PSim[S, A, R]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRec
 // thread lazily initializes and returns thread i's private handle internals.
 // Apply(i, …) must only ever be called by one goroutine per i, which makes
 // the lazy init safe.
-func (u *PSim[S, A, R]) thread(i int) *psimThread[S, R] {
+func (u *PSim[S, A, R]) thread(i int) *psimThread[S, A, R] {
+	if i < 0 || i >= u.n {
+		panic(fmt.Sprintf("core: process id %d out of range [0,%d)", i, u.n))
+	}
 	t := &u.threads[i]
 	if !t.inited {
 		t.toggler = xatomic.NewToggler(u.act, i)
@@ -275,6 +278,7 @@ func (u *PSim[S, A, R]) thread(i int) *psimThread[S, R] {
 		t.active = xatomic.NewSnapshot(u.n)
 		t.diffs = xatomic.NewSnapshot(u.n)
 		t.blk = u.pool.Pool().Handle(i)
+		t.oneRes = make([]R, 0, 1)
 		t.inited = true
 	}
 	return t
@@ -284,7 +288,7 @@ func (u *PSim[S, A, R]) thread(i int) *psimThread[S, R] {
 // an unprotected recycled record from the memory plane, or a freshly
 // allocated one when every cached record is still protected (or the plane is
 // still warming up).
-func (u *PSim[S, A, R]) record(i int, t *psimThread[S, R]) *psimState[S, R] {
+func (u *PSim[S, A, R]) record(i int, t *psimThread[S, A, R]) *psimState[S, R] {
 	ns, fresh := u.pool.Get(t.blk)
 	u.stats.Recycled(i, fresh, t.blk.Cached(), 0)
 	return ns
@@ -300,51 +304,16 @@ func (u *PSim[S, A, R]) cloneStateInto(ns, ls *psimState[S, R]) {
 	ns.st = u.clone(ls.st)
 }
 
-// forwardBatchResults carries every process's pending batch-result row from
-// ls into ns: a process served several rounds ago must still find its
-// responses in whatever record is current when it looks. Rows are copied by
-// content into ns-owned storage (rows are never shared between records), and
-// empty rows — every process that only ever announces single operations —
-// cost one length check each.
-func (u *PSim[S, A, R]) forwardBatchResults(ns, ls *psimState[S, R]) {
-	for k := 0; k < u.n; k++ {
-		if len(ls.brvals[k]) == 0 {
-			ns.brvals[k] = ns.brvals[k][:0]
-			continue
-		}
-		ns.brvals[k] = append(ns.brvals[k][:0], ls.brvals[k]...)
-	}
-}
-
 // Apply announces operation arg on behalf of process i, participates in
 // combining until the operation has been applied, and returns its response.
-// Each process id must be driven by a single goroutine at a time.
+// It is a batch of one: one chunk of ApplyBatch's path, through a
+// per-thread one-element scratch so it allocates nothing. Each process id
+// must be driven by a single goroutine at a time.
 func (u *PSim[S, A, R]) Apply(i int, arg A) R {
-	if i < 0 || i >= u.n {
-		panic(fmt.Sprintf("core: process id %d out of range [0,%d)", i, u.n))
-	}
 	t := u.thread(i)
-	op := u.stats.Start(i) // stamps are 0 (no clock read) unless this op is sampled
-
-	if u.n == 1 {
-		// Uncontended fast path: no helper can exist, so skip the announce
-		// (nobody reads it), the Act toggle, and the backoff wait, and
-		// publish with a plain store (process 0 is the only writer).
-		var res []R
-		r, _ := u.applySoloVec(t, op, arg, nil, res)
-		return r
-	}
-
-	// line 1: announce the operation — a vector of one, copied into a
-	// recycled announce box (no heap box per call; see collect/batch.go).
-	u.announce.PublishOne(i, arg)
-	SchedYield(i, PointAnnounce)
-	t.toggler.Toggle() // lines 2–3: toggle pi's bit in Act (one F&A)
-	u.stats.Accesses.Add(i, 2)
-	t.bo.Wait() // line 4: back off so helpers accumulate work
-
-	r, _ := u.applyAnnounced(i, t, op, 1, nil)
-	return r
+	t.one[0] = arg
+	t.oneRes = u.applyChunk(i, t, t.one[:], t.oneRes[:0])
+	return t.oneRes[0]
 }
 
 // ApplyBatch announces the operation vector args on behalf of process i and
@@ -352,54 +321,41 @@ func (u *PSim[S, A, R]) Apply(i int, arg A) R {
 // kept across calls for an allocation-free steady state; nil allocates).
 // The whole vector is applied contiguously at one linearization point per
 // budget-sized chunk: no other process's operation is interleaved within a
-// chunk. Progress is Apply's: at most two combining rounds per chunk, then
-// the lock-free hazard-protected fallback read. An empty args returns res
+// chunk. Progress: at most two combining rounds per chunk, then the
+// lock-free hazard-protected fallback read. An empty args returns res
 // truncated to zero length.
 func (u *PSim[S, A, R]) ApplyBatch(i int, args []A, res []R) []R {
-	if i < 0 || i >= u.n {
-		panic(fmt.Sprintf("core: process id %d out of range [0,%d)", i, u.n))
-	}
-	res = res[:0]
-	if len(args) == 0 {
-		return res
-	}
 	t := u.thread(i)
+	res = res[:0]
 	for len(args) > 0 {
-		c := len(args)
-		if c > u.batchBudget {
-			c = u.batchBudget
-		}
-		chunk := args[:c]
+		c := min(len(args), u.batchBudget)
+		res = u.applyChunk(i, t, args[:c], res)
 		args = args[c:]
-
-		op := u.stats.Start(i)
-		if u.n == 1 {
-			var zero A
-			_, res = u.applySoloVec(t, op, zero, chunk, res)
-			continue
-		}
-		u.announce.Publish(i, chunk)
-		SchedYield(i, PointAnnounce)
-		t.toggler.Toggle()
-		u.stats.Accesses.Add(i, 2)
-		t.bo.Wait()
-		if c == 1 {
-			var r R
-			r, res = u.applyAnnounced(i, t, op, 1, res)
-			res = append(res, r)
-		} else {
-			_, res = u.applyAnnounced(i, t, op, c, res)
-		}
 	}
 	return res
 }
 
+// applyChunk announces and applies one budget-sized vector for process i.
+func (u *PSim[S, A, R]) applyChunk(i int, t *psimThread[S, A, R], chunk []A, res []R) []R {
+	op := u.stats.Start(i) // stamps are 0 (no clock read) unless this op is sampled
+	if u.n == 1 {
+		return u.applySolo(t, op, chunk, res)
+	}
+	// line 1: announce the operation vector, copied into a recycled
+	// announce box (no heap box per call; see collect/batch.go).
+	u.announce.Publish(i, chunk)
+	SchedYield(i, PointAnnounce)
+	t.toggler.Toggle() // lines 2–3: toggle pi's bit in Act (one F&A)
+	u.stats.Accesses.Add(i, 2)
+	t.bo.Wait() // line 4: back off so helpers accumulate work
+	return u.applyAnnounced(i, t, op, len(chunk), res)
+}
+
 // applyAnnounced runs the two-round combining protocol plus the Observation
-// 3.2 fallback for process i's just-published announcement of m operations.
-// For m == 1 the response is returned directly (res is untouched and may be
-// nil); for m > 1 the m responses are appended to res. The caller has
-// already announced, toggled, and backed off.
-func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int, res []R) (R, []R) {
+// 3.2 fallback for process i's just-published announcement of m operations,
+// and appends the m responses (i's row) to res. The caller has already
+// announced, toggled, and backed off.
+func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, A, R], op Op, m int, res []R) []R {
 	st := u.stats
 	um := uint64(m)
 	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
@@ -425,26 +381,19 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 		// line 12: if pi's bit agrees, its vector has been applied; the
 		// responses are already in ls (record protected — safe to read).
 		if t.diffs[myWord]&myMask == 0 {
-			var r R
-			if m == 1 {
-				r = ls.rvals[i]
-			} else {
-				res = append(res, ls.brvals[i]...)
-			}
+			res = append(res, ls.res.Row(i)...)
 			u.haz.Clear(i) // don't pin ls while parked outside Apply
 			st.Served(i, op, um)
-			return r, res
+			return res
 		}
 		solo := t.diffs.IsOnlyBit(myWord, myMask)
 
 		// Build the successor record: lines 8/14–21 work on a private copy
-		// rebuilt into a recycled record — applied, rvals, and batch-result
-		// buffers are reused, and the state clone reuses buffers too under
-		// CloneInto.
+		// rebuilt into a recycled record — applied and the response rows are
+		// reused, and the state clone reuses buffers too under CloneInto.
 		ns := u.record(i, t)
 		ns.applied.CopyFrom(t.active)
-		copy(ns.rvals, ls.rvals)
-		u.forwardBatchResults(ns, ls)
+		ns.res.Forward(&ls.res)
 		u.cloneStateInto(ns, ls)
 		slots, ops := uint64(0), uint64(0)
 		abandoned := false
@@ -475,17 +424,11 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 				vec = b.Vec()
 			}
 			st.Accesses.Inc(i) // the O(k) announce reads of P-Sim
-			if len(vec) == 1 {
-				ns.rvals[k] = u.apply(&ns.st, k, vec[0])
-				ns.brvals[k] = ns.brvals[k][:0]
-			} else {
-				row := ns.brvals[k][:0]
-				for _, a := range vec {
-					row = append(row, u.apply(&ns.st, k, a))
-				}
-				ns.brvals[k] = row
-				ns.rvals[k] = row[len(row)-1]
+			row := ns.res.Row(k)[:0]
+			for _, a := range vec { // line 18, once per announced operation
+				row = append(row, u.apply(&ns.st, k, a))
 			}
+			ns.res.Serve(k, row)
 			slots++
 			ops += uint64(len(vec))
 		}
@@ -493,13 +436,8 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 		if !abandoned {
 			// Read our responses BEFORE publishing: once published, ns may
 			// be retired and recycled by any later winner.
-			var rv R
 			base := len(res)
-			if m == 1 {
-				rv = ns.rvals[i]
-			} else {
-				res = append(res, ns.brvals[i]...)
-			}
+			res = append(res, ns.res.Row(i)...)
 
 			// lines 22–25: try to publish. CAS on the pointer plays the role
 			// of the CAS on the timestamped pool index.
@@ -512,7 +450,7 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 				if j == 0 || solo {
 					t.bo.Shrink() // low contention: waiting was wasted
 				}
-				return rv, res
+				return res
 			}
 			res = res[:base] // speculative copies die with the failed round
 		}
@@ -532,52 +470,35 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, R], op Op, m int,
 	// publish, so the unbounded form is lock-free.
 	st.Accesses.Inc(i)
 	ls, _ := u.haz.Acquire(i, &u.state, 0)
-	var r R
-	if m == 1 {
-		r = ls.rvals[i]
-	} else {
-		res = append(res, ls.brvals[i]...)
-	}
+	res = append(res, ls.res.Row(i)...)
 	u.haz.Clear(i)
 	st.Served(i, op, um)
-	return r, res
+	return res
 }
 
-// applySoloVec is Apply/ApplyBatch for n == 1: the announce array, Act
+// applySolo is ApplyBatch's chunk for n == 1: the announce array, Act
 // toggle, backoff wait, and CAS all exist to coordinate with helpers, and a
-// single-thread instance can never have one. When batch is nil the single
-// operation arg is applied and its response returned; otherwise every
-// operation of batch is applied in order and the responses appended to res.
-// Records still rotate through the memory plane's hazard-guarded reissue so
-// concurrent Read()ers stay safe.
-func (u *PSim[S, A, R]) applySoloVec(t *psimThread[S, R], op Op, arg A, batch []A, res []R) (R, []R) {
+// single-thread instance can never have one. Every operation of batch is
+// applied in order and the responses appended to res. No announced path
+// runs at n == 1, so the record's response rows are never read and are left
+// alone. Records still rotate through the memory plane's hazard-guarded
+// reissue so concurrent Read()ers stay safe.
+func (u *PSim[S, A, R]) applySolo(t *psimThread[S, A, R], op Op, batch []A, res []R) []R {
 	ls := u.state.Load() // current record: never retired, safe to read
 	ns := u.record(0, t)
 	// applied stays all-zero (Act is never toggled on this path), but copy
 	// it anyway so the record is well-formed if n==1 invariants ever change.
 	ns.applied.CopyFrom(ls.applied)
-	copy(ns.rvals, ls.rvals)
-	// No helper ever reads a solo instance's batch rows; keep them empty.
-	ns.brvals[0] = ns.brvals[0][:0]
 	u.cloneStateInto(ns, ls)
-	var rv R
-	ops := uint64(1)
-	if batch == nil {
-		rv = u.apply(&ns.st, 0, arg)
-		ns.rvals[0] = rv
-	} else {
-		ops = uint64(len(batch))
-		for _, a := range batch {
-			rv = u.apply(&ns.st, 0, a)
-			res = append(res, rv)
-		}
-		ns.rvals[0] = rv
+	for _, a := range batch {
+		res = append(res, u.apply(&ns.st, 0, a))
 	}
 	u.state.Store(ns) // sole writer: plain atomic publish
 	u.pool.Put(t.blk, ls)
 	u.stats.Accesses.Add(0, 2)
+	ops := uint64(len(batch))
 	u.stats.Committed(0, op, ops, 1, 1, ops)
-	return rv, res
+	return res
 }
 
 // Read returns a snapshot of the current simulated state without announcing

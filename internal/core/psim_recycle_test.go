@@ -12,8 +12,9 @@ import (
 // n goroutines and checks that record recycling never serves a stale
 // response: every Apply(+1) returns the counter's previous value, so the N
 // responses must be exactly the permutation 0..N-1 — a duplicate would mean
-// a reader saw a recycled record's old rvals, a gap a lost operation. Run
-// under -race this also exercises the hazard-pointer protocol's ordering.
+// a reader saw a recycled record's old response row, a gap a lost
+// operation. Run under -race this also exercises the hazard-pointer
+// protocol's ordering.
 func TestPSimRecyclingNoStaleResponses(t *testing.T) {
 	n := 8
 	per := 5_000
@@ -48,7 +49,7 @@ func TestPSimRecyclingNoStaleResponses(t *testing.T) {
 				t.Fatalf("thread %d: response %d out of range [0,%d)", id, v, total)
 			}
 			if got[v] {
-				t.Fatalf("thread %d: duplicate response %d — stale rvals after record reuse", id, v)
+				t.Fatalf("thread %d: duplicate response %d — stale response row after record reuse", id, v)
 			}
 			got[v] = true
 		}

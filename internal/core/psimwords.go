@@ -57,9 +57,9 @@ import (
 // re-announcement implies the owner's previous vector completed, which
 // implies an intervening successful publish — the combiner's CAS is already
 // doomed and the garbage round is discarded, the same staleness argument
-// that lets the paper read announce words unchecked. The per-process
-// batch-response rows ride inside the pool records under the existing
-// seq1/seq2 stamps.
+// that lets the paper read announce words unchecked. Apply is a batch of
+// one. The per-process response rows ride inside the pool records under the
+// existing seq1/seq2 stamps.
 //
 // Every shared field is accessed through sync/atomic, which makes the
 // seqlock race-detector-clean while keeping the exact access pattern of the
@@ -107,17 +107,20 @@ type wordAnnounce struct {
 
 // wordsState is one pool record: struct State of Algorithm 2. seq1/seq2
 // bracket the payload exactly as in the paper; the record is padded so
-// distinct threads' records do not share lines. bn[k]/brv rows carry
-// process k's batch responses when its last served vector had more than one
-// element (bn[k] = 0 otherwise — single-op traffic answers through rvals and
-// pays only the n count words per copy).
+// distinct threads' records do not share lines. Algorithm 2's per-process
+// return values are widened to one response row per process, kept flat in
+// atomic words for the seqlock copy (collect.Rows holds plain slices, which
+// the copy cannot read atomically): process k's last served vector answered
+// through bn[k] responses, the q-th at brv[q·n+k], a single operation through
+// a row of one (bn[k] = 1). The rows are stored column by column so that
+// single-operation traffic copies n dense words, not one cache line per
+// process.
 type wordsState struct {
 	seq1    atomic.Uint64
 	applied []atomic.Uint64 // the applied bit vector, WordsFor(n) words
 	st      []atomic.Uint64 // the simulated object's state
-	rvals   []atomic.Uint64 // per-process return values
-	bn      []atomic.Uint64 // per-process batch-response counts
-	brv     []atomic.Uint64 // batch responses, flat n×WordBatchBudget rows
+	bn      []atomic.Uint64 // per-process response-row lengths
+	brv     []atomic.Uint64 // responses, WordBatchBudget columns of n words
 	seq2    atomic.Uint64
 	_       pad.CacheLinePad
 }
@@ -132,9 +135,10 @@ type wordsThread struct {
 	active  xatomic.Snapshot
 	diffs   xatomic.Snapshot
 	st      []uint64
-	rvals   []uint64
 	bn      []uint64
-	brv     []uint64 // flat n×WordBatchBudget rows
+	brv     []uint64  // WordBatchBudget columns of n words
+	one     [1]uint64 // Apply's batch of one
+	oneRes  []uint64  // and its response row
 }
 
 // DefaultPoolPerThread is the paper's "small constant C > 1" — the number of
@@ -206,7 +210,6 @@ func NewPSimWordsHorizon(n, c int, init []uint64, apply func(st []uint64, pid in
 	for i := range u.pool {
 		u.pool[i].applied = make([]atomic.Uint64, w)
 		u.pool[i].st = make([]atomic.Uint64, len(init))
-		u.pool[i].rvals = make([]atomic.Uint64, n)
 		u.pool[i].bn = make([]atomic.Uint64, n)
 		u.pool[i].brv = make([]atomic.Uint64, n*WordBatchBudget)
 	}
@@ -221,7 +224,6 @@ func NewPSimWordsHorizon(n, c int, init []uint64, apply func(st []uint64, pid in
 		return &wordsThread{
 			applied: xatomic.NewSnapshot(n),
 			st:      make([]uint64, len(init)),
-			rvals:   make([]uint64, n),
 			bn:      make([]uint64, n),
 			brv:     make([]uint64, n*WordBatchBudget),
 		}
@@ -261,7 +263,7 @@ func (u *PSimWords) thread(i int) *wordsThread {
 		t.active = xatomic.NewSnapshot(u.n)
 		t.diffs = xatomic.NewSnapshot(u.n)
 		t.st = make([]uint64, u.sWords)
-		t.rvals = make([]uint64, u.n)
+		t.oneRes = make([]uint64, 0, 1)
 		t.bn = make([]uint64, u.n)
 		t.brv = make([]uint64, u.n*WordBatchBudget)
 		t.inited = true
@@ -282,14 +284,13 @@ func (u *PSimWords) copyState(src *wordsState, t *wordsThread) bool {
 		t.st[w] = src.st[w].Load()
 	}
 	for k := 0; k < u.n; k++ {
-		t.rvals[k] = src.rvals[k].Load()
 		bn := src.bn[k].Load()
 		if bn > WordBatchBudget {
 			bn = WordBatchBudget
 		}
 		t.bn[k] = bn
-		for j := uint64(0); j < bn; j++ {
-			t.brv[k*WordBatchBudget+int(j)] = src.brv[k*WordBatchBudget+int(j)].Load()
+		for q := k; q < int(bn)*u.n; q += u.n {
+			t.brv[q] = src.brv[q].Load()
 		}
 	}
 	return s2 == src.seq1.Load() // read seq1 AFTER the payload (the writer bumps it first)
@@ -302,64 +303,50 @@ func (u *PSimWords) unchanged(idx uint16, stamp uint64) bool {
 	return i == idx && s == stamp
 }
 
-// Apply announces arg for process i and returns the operation's response.
-// Each process id must be driven by a single goroutine.
+// Apply announces arg for process i and returns the operation's response:
+// a batch of one, one chunk of ApplyBatch's path through a per-thread
+// one-element scratch. Each process id must be driven by a single goroutine.
 func (u *PSimWords) Apply(i int, arg uint64) uint64 {
 	t := u.thread(i)
-	op := u.stats.Start(i)
-
-	an := &u.announce[i]
-	an.args[0].Store(arg) // line 1: announce (a vector of one)
-	an.cnt.Store(1)
-	t.toggler.Toggle() // lines 2–3: toggle pi's bit in Act
-	SchedYield(i, PointAnnounce)
-	t.bo.Wait() // line 4: backoff
-
-	r, _ := u.applyAnnounced(i, t, op, 1, nil)
-	return r
+	t.one[0] = arg
+	t.oneRes = u.applyChunk(i, t, t.one[:], t.oneRes[:0])
+	return t.oneRes[0]
 }
 
 // ApplyBatch announces the operation vector args for process i and returns
 // the responses in args order, appended to res[:0] (pass a slice kept across
 // calls for an allocation-free steady state; nil allocates). Vectors longer
 // than WordBatchBudget are split into budget-sized chunks, each applied
-// contiguously at its own linearization point. Progress is Apply's.
+// contiguously at its own linearization point.
 func (u *PSimWords) ApplyBatch(i int, args []uint64, res []uint64) []uint64 {
-	res = res[:0]
-	if len(args) == 0 {
-		return res
-	}
 	t := u.thread(i)
+	res = res[:0]
 	for len(args) > 0 {
-		m := len(args)
-		if m > WordBatchBudget {
-			m = WordBatchBudget
-		}
-		chunk := args[:m]
+		m := min(len(args), WordBatchBudget)
+		res = u.applyChunk(i, t, args[:m], res)
 		args = args[m:]
-		if m == 1 {
-			res = append(res, u.Apply(i, chunk[0]))
-			continue
-		}
-		op := u.stats.Start(i)
-		an := &u.announce[i]
-		for j, a := range chunk {
-			an.args[j].Store(a)
-		}
-		an.cnt.Store(uint64(m))
-		t.toggler.Toggle()
-		SchedYield(i, PointAnnounce)
-		t.bo.Wait()
-		_, res = u.applyAnnounced(i, t, op, m, res)
 	}
 	return res
 }
 
+// applyChunk announces and applies one budget-sized vector for process i.
+func (u *PSimWords) applyChunk(i int, t *wordsThread, chunk []uint64, res []uint64) []uint64 {
+	op := u.stats.Start(i)
+	an := &u.announce[i]
+	for j, a := range chunk { // line 1: announce
+		an.args[j].Store(a)
+	}
+	an.cnt.Store(uint64(len(chunk)))
+	t.toggler.Toggle() // lines 2–3: toggle pi's bit in Act
+	SchedYield(i, PointAnnounce)
+	t.bo.Wait() // line 4: backoff
+	return u.applyAnnounced(i, t, op, len(chunk), res)
+}
+
 // applyAnnounced runs the two-round combining protocol plus the fallback
-// read for process i's just-announced vector of m operations. For m == 1 the
-// response is returned directly (res untouched, may be nil); for m > 1 the m
-// responses are appended to res. The caller has announced and toggled.
-func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []uint64) (uint64, []uint64) {
+// read for process i's just-announced vector of m operations, and appends
+// the m responses (i's row) to res. The caller has announced and toggled.
+func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []uint64) []uint64 {
 	st := u.stats
 	um := uint64(m)
 	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
@@ -380,10 +367,7 @@ func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []ui
 		// the copy is still the published state (see the type comment).
 		if t.diffs[myWord]&myMask == 0 && u.unchanged(lpIdx, lpStamp) {
 			st.Served(i, op, um)
-			if m == 1 {
-				return t.rvals[i], res
-			}
-			return 0, appendRow(res, t.brv, t.bn, i)
+			return u.appendRow(res, t, i)
 		}
 
 		// lines 14–21: write the successor into our own pool record.
@@ -398,26 +382,14 @@ func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []ui
 			}
 			d.ClearBit(k)
 			an := &u.announce[k]
-			cnt := int(an.cnt.Load()) // line 17 (unchecked: see type comment)
-			if cnt < 1 {
-				cnt = 1
-			} else if cnt > WordBatchBudget {
-				cnt = WordBatchBudget
+			// line 17: read k's count and vector (unchecked: see type comment)
+			cnt := min(max(an.cnt.Load(), 1), WordBatchBudget)
+			for q := uint64(0); q < cnt; q++ { // line 18, once per operation
+				t.brv[int(q)*u.n+k] = u.apply(t.st, k, an.args[q].Load())
 			}
-			if cnt == 1 {
-				t.rvals[k] = u.apply(t.st, k, an.args[0].Load()) // line 18
-				t.bn[k] = 0
-			} else {
-				var rv uint64
-				for q := 0; q < cnt; q++ {
-					rv = u.apply(t.st, k, an.args[q].Load())
-					t.brv[k*WordBatchBudget+q] = rv
-				}
-				t.rvals[k] = rv
-				t.bn[k] = uint64(cnt)
-			}
+			t.bn[k] = cnt
 			slots++
-			ops += uint64(cnt)
+			ops += cnt
 		}
 		for w := 0; w < u.words; w++ { // line 20: applied ← active
 			dst.applied[w].Store(t.active[w])
@@ -426,10 +398,9 @@ func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []ui
 			dst.st[w].Store(t.st[w])
 		}
 		for k := 0; k < u.n; k++ {
-			dst.rvals[k].Store(t.rvals[k])
 			dst.bn[k].Store(t.bn[k])
-			for q := uint64(0); q < t.bn[k]; q++ {
-				dst.brv[k*WordBatchBudget+int(q)].Store(t.brv[k*WordBatchBudget+int(q)])
+			for q := k; q < int(t.bn[k])*u.n; q += u.n {
+				dst.brv[q].Store(t.brv[q])
 			}
 		}
 		dst.seq2.Add(1) // line 21: close the record
@@ -443,10 +414,7 @@ func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []ui
 			if j == 0 {
 				t.bo.Shrink()
 			}
-			if m == 1 {
-				return t.rvals[i], res
-			}
-			return 0, appendRow(res, t.brv, t.bn, i)
+			return u.appendRow(res, t, i)
 		}
 		st.CASFailed(i, j, 0)
 		if j == 0 { // line 13's compute_backoff, applied on failure
@@ -456,28 +424,25 @@ func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []ui
 	}
 
 	// Lines 28–30: both rounds failed ⇒ two successful CASes intervened and
-	// the second applied our operations. The paper reads Pool[P.index].rvals
-	// unchecked; we retry the seq-checked read a bounded number of times
-	// first and only then take the last copy unchecked (the unchecked read
-	// is only unsafe if the record is recycled mid-read, which needs C
-	// further publishes by one thread — the same window the paper's
+	// the second applied our operations. The paper reads the response from
+	// Pool[P.index] unchecked; we retry the seq-checked read a bounded
+	// number of times first and only then take the last copy unchecked (the
+	// unchecked read is only unsafe if the record is recycled mid-read, which
+	// needs C further publishes by one thread — the same window the paper's
 	// unchecked read tolerates).
 	st.Served(i, op, um)
 	for tries := 0; ; tries++ {
 		lpIdx, _ := u.p.Load()
 		if u.copyState(&u.pool[lpIdx], t) || tries == 64 {
-			if m == 1 {
-				return t.rvals[i], res
-			}
-			return 0, appendRow(res, t.brv, t.bn, i)
+			return u.appendRow(res, t, i)
 		}
 	}
 }
 
-// appendRow appends process i's batch-response row from flat scratch to res.
-func appendRow(res, brv []uint64, bn []uint64, i int) []uint64 {
-	for q := uint64(0); q < bn[i]; q++ {
-		res = append(res, brv[i*WordBatchBudget+int(q)])
+// appendRow appends process i's response row from t's copied scratch to res.
+func (u *PSimWords) appendRow(res []uint64, t *wordsThread, i int) []uint64 {
+	for q := i; q < int(t.bn[i])*u.n; q += u.n {
+		res = append(res, t.brv[q])
 	}
 	return res
 }

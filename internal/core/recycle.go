@@ -206,7 +206,7 @@ func (h *Hazards[T]) shrinkOverflow() {
 
 // Clear resets fixed slot `slot`. Operations clear their slot when they
 // return so a thread that goes quiet does not permanently pin the last
-// record it protected (pinning retains that record's rvals and state
+// record it protected (pinning retains that record's responses and state
 // references for reference-typed objects, and keeps it from being reissued
 // by the memory plane).
 func (h *Hazards[T]) Clear(slot int) {

@@ -26,7 +26,7 @@ func TestPSimCrashedAnnouncerDoesNotBlock(t *testing.T) {
 	// Simulate process 0 crashing right after the announcement steps
 	// (Algorithm 3 lines 1-3).
 	arg := uint64(1_000_000)
-	u.announce.PublishOne(0, arg)
+	u.announce.Publish(0, []uint64{arg})
 	xatomic.NewToggler(u.act, 0).Toggle()
 
 	var wg sync.WaitGroup
@@ -47,10 +47,11 @@ func TestPSimCrashedAnnouncerDoesNotBlock(t *testing.T) {
 	if got := u.Read(); got != want {
 		t.Fatalf("state = %d, want %d (crashed op applied exactly once)", got, want)
 	}
-	// The response for the crashed process is recorded in the state.
+	// The response for the crashed process is recorded in the state, as a
+	// row of one.
 	st := u.state.Load()
-	if st.rvals[0] >= uint64((n-1)*per)+1 {
-		t.Fatalf("crashed op's recorded response %d impossible", st.rvals[0])
+	if row := st.res.Row(0); len(row) != 1 || row[0] >= uint64((n-1)*per)+1 {
+		t.Fatalf("crashed op's recorded response row %v impossible", row)
 	}
 }
 

@@ -122,7 +122,7 @@ func TestSimLinearizableHistories(t *testing.T) {
 // TestSimAccessCountConstant: the headline Theorem 3.1 property — shared
 // accesses per op are a constant independent of n while the collect stays
 // single-word (15 accesses: 2 updates + 2 attempts × 2 rounds × (LL +
-// 1-word collect + SC) + 1 final rvals read).
+// 1-word collect + SC) + 1 final response read).
 func TestSimAccessCountConstant(t *testing.T) {
 	perOp := func(n int) float64 {
 		u := faaSim(n, 4) // nd ≤ 64 for n ≤ 16

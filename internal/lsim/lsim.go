@@ -105,21 +105,18 @@ type lop[V, A, R any] struct {
 }
 
 // lsimState is the published round record (struct State of Algorithm 7): the
-// applied/papplied double bit vector, per-process responses (single and
-// batch rows), the round number, and the shared list of items allocated
-// during the round. Records recycle through the memory plane under the
-// state hazard plane.
+// applied/papplied double bit vector, per-process responses, the round
+// number, and the shared list of items allocated during the round. Records
+// recycle through the memory plane under the state hazard plane.
 //
 // The bit vectors are word-wide snapshots, as in P-Sim: a round copies and
-// scans them 64 processes per word. rows marks the processes whose batch
-// row is non-empty, so forwarding rows costs O(rows + n/64), not O(n). It
-// always matches brvals, a recycled record's included.
+// scans them 64 processes per word. res holds Algorithm 7's return values
+// as one collect.Rows row per process (a single operation's is a row of
+// one), so forwarding costs O(live rows + n/64), not O(n).
 type lsimState[R any] struct {
 	applied  xatomic.Snapshot
 	papplied xatomic.Snapshot
-	rows     xatomic.Snapshot
-	rvals    []R
-	brvals   [][]R // batch-response rows, forwarded round to round
+	res      collect.Rows[R]
 	seq      uint64
 	varList  *newList
 	nextFree *lsimState[R] // memory-plane chain link; unused while live
@@ -129,9 +126,7 @@ func newState[R any](n int) *lsimState[R] {
 	return &lsimState[R]{
 		applied:  xatomic.NewSnapshot(n),
 		papplied: xatomic.NewSnapshot(n),
-		rows:     xatomic.NewSnapshot(n),
-		rvals:    make([]R, n),
-		brvals:   make([][]R, n),
+		res:      collect.NewRows[R](n),
 		varList:  &newList{},
 	}
 }
@@ -169,6 +164,8 @@ type lthread[V, A, R any] struct {
 	lact   xatomic.Snapshot            // GetSet scratch
 	mem    Mem[V, A, R]                // reusable directory + alloc cursor
 	batch  []lop[V, A, R]              // announce-vector scratch
+	one    [1]A                        // ApplyOp's batch of one
+	oneRes []R                         // and its response row
 	_      pad.CacheLinePad
 }
 
@@ -290,6 +287,9 @@ func (l *LSim[V, A, R]) N() int { return l.n }
 // thread lazily initializes and returns process i's recycling state; safe
 // because each id is driven by one goroutine.
 func (l *LSim[V, A, R]) thread(i int) *lthread[V, A, R] {
+	if i < 0 || i >= l.n {
+		panic(fmt.Sprintf("lsim: process id %d out of range [0,%d)", i, l.n))
+	}
 	t := &l.threads[i]
 	if !t.inited {
 		t.blk = l.rpool.Pool().Handle(i)
@@ -297,6 +297,7 @@ func (l *LSim[V, A, R]) thread(i int) *lthread[V, A, R] {
 		t.lact = xatomic.NewSnapshot(l.n)
 		t.mem.l = l
 		t.mem.id = i
+		t.oneRes = make([]R, 0, 1)
 		t.inited = true
 	}
 	return t
@@ -304,15 +305,34 @@ func (l *LSim[V, A, R]) thread(i int) *lthread[V, A, R] {
 
 // ApplyOp announces op with argument arg for process i, executes the
 // join/attempt/leave protocol of Algorithm 7 (lines 1–7), and returns the
-// operation's response. Each process id must be driven by one goroutine.
+// operation's response. It is ApplyBatch of a batch of one, through a
+// per-thread one-element scratch. Each process id must be driven by one
+// goroutine.
 func (l *LSim[V, A, R]) ApplyOp(i int, op OpFunc[V, A, R], arg A) R {
-	if i < 0 || i >= l.n {
-		panic(fmt.Sprintf("lsim: process id %d out of range [0,%d)", i, l.n))
-	}
 	t := l.thread(i)
+	t.one[0] = arg
+	t.oneRes = l.ApplyBatch(i, op, t.one[:], t.oneRes)
+	return t.oneRes[0]
+}
+
+// ApplyBatch announces the vector (op, args[0]) … (op, args[len-1]) as ONE
+// announcement for process i — every element is applied consecutively in the
+// same combining round, mirroring P-Sim's ApplyBatch — and returns the
+// per-element responses appended to res[:0] (pass a reusable buffer to keep
+// the steady state allocation-free). A nil res allocates. Empty args is a
+// no-op returning res[:0].
+func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R) []R {
+	t := l.thread(i)
+	if len(args) == 0 {
+		return res[:0]
+	}
 	op0 := l.stats.Start(i)
 
-	l.announce.PublishOne(i, lop[V, A, R]{fn: op, arg: arg}) // line 1
+	t.batch = t.batch[:0]
+	for _, a := range args {
+		t.batch = append(t.batch, lop[V, A, R]{fn: op, arg: a})
+	}
+	l.announce.Publish(i, t.batch) // line 1
 	l.stats.Accesses.Inc(i)
 	l.members[i].Join() // line 2
 	l.stats.Accesses.Inc(i)
@@ -323,52 +343,11 @@ func (l *LSim[V, A, R]) ApplyOp(i int, op OpFunc[V, A, R], arg A) R {
 	l.stats.Accesses.Inc(i)
 	l.attempt(i, t, op0, &won) // line 6: eliminate the evidence of op
 
-	// line 7: read the committed response from the current record while it
+	// line 7: read the committed responses from the current record while it
 	// is hazard-protected (records recycle; an unprotected read could see a
-	// rewritten rvals slot).
+	// rewritten row).
 	ls, _ := l.haz.Acquire(i, &l.state, 0)
-	rv := ls.rvals[i]
-	l.stats.Accesses.Inc(i)
-
-	l.opDone(i, op0, won)
-	l.release(i)
-	return rv
-}
-
-// ApplyBatch announces the vector (op, args[0]) … (op, args[len-1]) as ONE
-// announcement for process i — every element is applied consecutively in the
-// same combining round, mirroring P-Sim's ApplyBatch — and returns the
-// per-element responses appended to res[:0] (pass a reusable buffer to keep
-// the steady state allocation-free). A nil res allocates. Empty args is a
-// no-op returning res[:0].
-func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R) []R {
-	if i < 0 || i >= l.n {
-		panic(fmt.Sprintf("lsim: process id %d out of range [0,%d)", i, l.n))
-	}
-	if len(args) == 0 {
-		return res[:0]
-	}
-	if len(args) == 1 {
-		return append(res[:0], l.ApplyOp(i, op, args[0]))
-	}
-	t := l.thread(i)
-	op0 := l.stats.Start(i)
-
-	t.batch = t.batch[:0]
-	for _, a := range args {
-		t.batch = append(t.batch, lop[V, A, R]{fn: op, arg: a})
-	}
-	l.announce.Publish(i, t.batch)
-	l.stats.Accesses.Inc(i)
-	l.members[i].Join()
-	won := false
-	l.attempt(i, t, op0, &won)
-	l.attempt(i, t, op0, &won)
-	l.members[i].Leave()
-	l.attempt(i, t, op0, &won)
-
-	ls, _ := l.haz.Acquire(i, &l.state, 0)
-	res = append(res[:0], ls.brvals[i]...)
+	res = append(res[:0], ls.res.Row(i)...)
 	l.stats.Accesses.Inc(i)
 
 	l.opDone(i, op0, won)
@@ -420,8 +399,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 		ns.papplied.CopyFrom(ls.applied)
 		ns.applied.CopyFrom(t.lact)
 		actPop := uint64(t.lact.PopCount())
-		copy(ns.rvals, ls.rvals)
-		forwardBatchRows(ns, ls)
+		ns.res.Forward(&ls.res)
 
 		m := &t.mem
 		m.reset(ns.seq, &ls.varList.head) // line 13
@@ -488,25 +466,6 @@ func (l *LSim[V, A, R]) body(i int, t *lthread[V, A, R]) *itemBody[V] {
 	return b
 }
 
-// forwardBatchRows carries every process's pending batch-response row from
-// ls into ns by content (rows are never shared between records); a process
-// served several rounds ago must still find its responses in whatever
-// record is current when it looks. Only non-empty rows are touched: ns's
-// own stale rows are emptied, then ls's are copied.
-func forwardBatchRows[R any](ns, ls *lsimState[R]) {
-	for w := range ns.rows {
-		for stale := ns.rows[w] &^ ls.rows[w]; stale != 0; stale &= stale - 1 {
-			k := w*xatomic.WordBits + bits.TrailingZeros64(stale)
-			ns.brvals[k] = ns.brvals[k][:0]
-		}
-		for live := ls.rows[w]; live != 0; live &= live - 1 {
-			k := w*xatomic.WordBits + bits.TrailingZeros64(live)
-			ns.brvals[k] = append(ns.brvals[k][:0], ls.brvals[k]...)
-		}
-	}
-	ns.rows.CopyFrom(ls.rows)
-}
-
 // simulate runs every eligible announced vector against m. It reports false
 // when the round must be abandoned: either the state was discovered to be
 // obsolete through an item stamp, or an announce-box protection failed —
@@ -533,18 +492,11 @@ func (l *LSim[V, A, R]) simulate(ls, ns *lsimState[R], m *Mem[V, A, R], degree, 
 				return false
 			}
 			vec := box.Vec()
-			if len(vec) == 1 {
-				ns.rvals[q] = vec[0].fn(m, vec[0].arg) // lines 21–37
-				ns.brvals[q] = ns.brvals[q][:0]
-				ns.rows.ClearBit(q)
-			} else {
-				row := ns.brvals[q][:0]
-				for k := range vec {
-					row = append(row, vec[k].fn(m, vec[k].arg))
-				}
-				ns.brvals[q] = row
-				ns.rows.SetBit(q)
+			row := ns.res.Row(q)[:0]
+			for k := range vec { // lines 21–37, once per announced operation
+				row = append(row, vec[k].fn(m, vec[k].arg))
 			}
+			ns.res.Serve(q, row)
 			*degree++
 			*ops += uint64(len(vec))
 		}
@@ -601,10 +553,15 @@ func (l *LSim[V, A, R]) writeBack(i int, t *lthread[V, A, R], m *Mem[V, A, R], s
 	return wrote, false
 }
 
-// Rvals returns the committed response of process i (test helper).
+// Rvals returns the committed response of process i — the last response of
+// its last served row, or the zero R before its first operation (test
+// helper).
 func (l *LSim[V, A, R]) Rvals(i int) R {
 	ls, s := l.haz.AcquireAnon(&l.state)
-	rv := ls.rvals[i]
+	var rv R
+	if row := ls.res.Row(i); len(row) > 0 {
+		rv = row[len(row)-1]
+	}
 	l.haz.ReleaseAnon(s)
 	return rv
 }

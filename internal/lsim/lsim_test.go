@@ -155,11 +155,39 @@ func TestLSimRvalsPersist(t *testing.T) {
 	l, _, add := faaLSim(2)
 	l.ApplyOp(0, add, 5)
 	if got := l.Rvals(0); got != 0 {
-		t.Fatalf("rvals[0] = %d, want 0", got)
+		t.Fatalf("Rvals(0) = %d, want 0", got)
 	}
 	l.ApplyOp(1, add, 1)
 	if got := l.Rvals(0); got != 0 {
-		t.Fatalf("rvals[0] overwritten by another process's op: %d", got)
+		t.Fatalf("Rvals(0) overwritten by another process's op: %d", got)
+	}
+}
+
+// TestLSimBatchBillsLikeApplyOp: an announcement costs the same shared
+// accesses whether it carries one operation or a vector of b — the join and
+// leave Fetch&Adds included. Sequential at n = 1 on a one-item op, so every
+// bill is exact.
+func TestLSimBatchBillsLikeApplyOp(t *testing.T) {
+	const per = 20
+	measure := func(call func(l *LSim[uint64, uint64, uint64], add OpFunc[uint64, uint64, uint64])) float64 {
+		l, _, add := faaLSim(1)
+		for k := 0; k < per; k++ {
+			call(l, add)
+		}
+		return float64(l.Stats().SharedAccesses) / per
+	}
+	want := measure(func(l *LSim[uint64, uint64, uint64], add OpFunc[uint64, uint64, uint64]) {
+		l.ApplyOp(0, add, 1)
+	})
+	for _, b := range []int{1, 2, 8} {
+		args := make([]uint64, b)
+		var res []uint64
+		got := measure(func(l *LSim[uint64, uint64, uint64], add OpFunc[uint64, uint64, uint64]) {
+			res = l.ApplyBatch(0, add, args, res)
+		})
+		if got != want {
+			t.Errorf("ApplyBatch of %d bills %v accesses per announcement, ApplyOp %v", b, got, want)
+		}
 	}
 }
 

@@ -6,9 +6,9 @@ import "testing"
 // round: at n = 130 (three bit-vector words), operations announced by pids
 // in every word land in ONE round, and the round applies them in ascending
 // pid order — the order every helper replays. One pid announces a vector,
-// whose batch row must then survive round-to-round forwarding through
-// recycled records, and must disappear once that pid's next single
-// operation replaces it.
+// whose response row must then survive round-to-round forwarding through
+// recycled records, and must be replaced by a row of one once that pid's
+// next single operation is served.
 func TestLSimRoundOrderAcrossWords(t *testing.T) {
 	const n = 130
 	l := New[uint64, uint64, uint64](n)
@@ -22,9 +22,9 @@ func TestLSimRoundOrderAcrossWords(t *testing.T) {
 	// Announce and join by hand, without attempting: pids 3 (word 0), 70
 	// (word 1, a vector of three) and 129 (word 2) stay pending until a
 	// helper's round applies them.
-	l.announce.PublishOne(3, lop[uint64, uint64, uint64]{fn: add, arg: 1})
+	l.announce.Publish(3, []lop[uint64, uint64, uint64]{{fn: add, arg: 1}})
 	l.announce.Publish(70, []lop[uint64, uint64, uint64]{{fn: add, arg: 10}, {fn: add, arg: 100}, {fn: add, arg: 1000}})
-	l.announce.PublishOne(129, lop[uint64, uint64, uint64]{fn: add, arg: 10000})
+	l.announce.Publish(129, []lop[uint64, uint64, uint64]{{fn: add, arg: 10000}})
 	for _, q := range []int{3, 70, 129} {
 		l.members[q].Join()
 	}
@@ -47,18 +47,18 @@ func TestLSimRoundOrderAcrossWords(t *testing.T) {
 	row := func() []uint64 {
 		ls, s := l.haz.AcquireAnon(&l.state)
 		defer l.haz.ReleaseAnon(s)
-		return append([]uint64(nil), ls.brvals[70]...)
+		return append([]uint64(nil), ls.res.Row(70)...)
 	}
 	want := []uint64{100001, 100011, 100111}
 	check := func(when string, want []uint64) {
 		t.Helper()
 		got := row()
 		if len(got) != len(want) {
-			t.Fatalf("%s: pid 70 batch row = %v, want %v", when, got, want)
+			t.Fatalf("%s: pid 70 response row = %v, want %v", when, got, want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: pid 70 batch row = %v, want %v", when, got, want)
+				t.Fatalf("%s: pid 70 response row = %v, want %v", when, got, want)
 			}
 		}
 	}
@@ -75,50 +75,16 @@ func TestLSimRoundOrderAcrossWords(t *testing.T) {
 	}
 	check("forwarded", want)
 
-	// pid 70's next single operation replaces its row; no recycled record
-	// may bring the stale row back.
+	// pid 70's next single operation replaces its row with a row of one; no
+	// recycled record may bring the stale three-element row back.
 	if got := l.ApplyOp(70, add, 0); got != sum {
 		t.Fatalf("pid 70 single op = %d, want %d", got, sum)
 	}
 	for i := 0; i < 4*n; i++ {
 		l.ApplyOp(i%3*64, add, 0) // pids 0, 64, 128
-		check("after a single op", nil)
+		check("after a single op", []uint64{sum})
 	}
 	if got := a.Current(); got != sum {
 		t.Fatalf("item = %d, want %d", got, sum)
-	}
-}
-
-// TestForwardBatchRows: forwarding copies exactly the source record's
-// non-empty rows and empties every stale row a recycled record still holds,
-// so rows keeps matching brvals.
-func TestForwardBatchRows(t *testing.T) {
-	const n = 130
-	ls, ns := newState[uint64](n), newState[uint64](n)
-	for _, k := range []int{1, 64, 127} { // ls's live rows
-		ls.brvals[k] = []uint64{uint64(k), uint64(k) + 1}
-		ls.rows.SetBit(k)
-	}
-	for _, k := range []int{1, 2, 65, 129} { // ns's stale rows, from its last use
-		ns.brvals[k] = []uint64{7, 7, 7}
-		ns.rows.SetBit(k)
-	}
-	forwardBatchRows(ns, ls)
-	if !ns.rows.Equal(ls.rows) {
-		t.Fatalf("rows = %v, want %v", ns.rows, ls.rows)
-	}
-	for k := 0; k < n; k++ {
-		got, want := ns.brvals[k], ls.brvals[k]
-		if len(got) != len(want) {
-			t.Fatalf("row %d = %v, want %v", k, got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("row %d = %v, want %v", k, got, want)
-			}
-		}
-		if len(got) > 0 && &got[0] == &want[0] {
-			t.Fatalf("row %d shares its backing array with the source record", k)
-		}
 	}
 }

@@ -17,7 +17,7 @@ func TestSimQueueCrashedEnqueuerDoesNotBlock(t *testing.T) {
 
 	// Process 0 announces value 999999 and crashes.
 	v := uint64(999_999)
-	q.enqAnnounce.PublishOne(0, v)
+	q.enqAnnounce.Publish(0, []uint64{v})
 	xatomic.NewToggler(q.enqAct, 0).Toggle()
 
 	var wg sync.WaitGroup
@@ -97,7 +97,7 @@ func TestSimQueueCrashedDequeuerDoesNotBlock(t *testing.T) {
 	if !ls.applied.Bit(3) {
 		t.Fatal("crashed dequeuer's operation was never applied")
 	}
-	if !ls.rvals[3].ok {
-		t.Fatal("crashed dequeuer's recorded response is empty on a non-empty queue")
+	if row := ls.res.Row(3); len(row) != 1 || !row[0].ok {
+		t.Fatalf("crashed dequeuer's recorded response row %v is not one hit on a non-empty queue", row)
 	}
 }

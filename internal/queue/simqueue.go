@@ -34,7 +34,8 @@ import (
 // private list, so an enqueue batch splices onto the shared queue as one
 // contiguous run. Dequeuers carry no values, so DequeueBatch announces just
 // a COUNT in a single-writer padded word; combiners serve that many front
-// values into the announcing process's batch-response row. Count words are
+// values into the announcing process's response row (collect.Rows). Enqueue
+// and Dequeue are batches of one through the same paths. Count words are
 // read unchecked: a stale count can only be observed when the announcing
 // process re-announced, which requires an intervening successful publish
 // that dooms the reader's CAS anyway (the staleness argument of
@@ -140,14 +141,14 @@ type enqState[V any] struct {
 }
 
 // deqState is the dequeuers' State record (struct DeqState of Algorithm 4).
-// brvals[k] holds process k's batch responses when its last served count was
-// more than one (single dequeues answer through rvals[k] alone).
+// res holds Algorithm 4's return values as one collect.Rows row per
+// process: the responses to its last served count, a row of one for a
+// single Dequeue.
 type deqState[V any] struct {
 	applied  xatomic.Snapshot
 	era      atomic.Uint64 // publish count; atomic: hazard scans read it
 	head     *qnode[V]     // node whose next pointer is the queue front
-	rvals    []deqRes[V]
-	brvals   [][]deqRes[V]
+	res      collect.Rows[deqRes[V]]
 	nextFree *deqState[V] // memory-plane chain link; unused while live
 }
 
@@ -166,6 +167,8 @@ type sqThread[V any] struct {
 	nblk    *alloc.Handle[qnode[V]]    // node cache (both ends, disjoint ids)
 	limbo   *nodeLimbo[V]              // consumed runs awaiting the era rule (deq threads, n > 1)
 	lastCnt uint64                     // last announced dequeue count (deq threads)
+	one     [1]V                       // Enqueue's batch of one
+	oneOut  []V                        // Dequeue's response buffer
 	inited  bool
 }
 
@@ -199,8 +202,7 @@ func NewSimQueue[V any](n int) *SimQueue[V] {
 	q.deqP.Store(&deqState[V]{
 		applied: xatomic.NewSnapshot(n),
 		head:    sentinel,
-		rvals:   make([]deqRes[V], n),
-		brvals:  make([][]deqRes[V], n),
+		res:     collect.NewRows[deqRes[V]](n),
 	})
 	// Memory plane: record pools carry cache 2(n+1) per thread and reissue
 	// through the end's hazard table; records are NOT reset at Put — a
@@ -217,8 +219,7 @@ func NewSimQueue[V any](n int) *SimQueue[V] {
 		New: func() *deqState[V] {
 			return &deqState[V]{
 				applied: xatomic.NewSnapshot(n),
-				rvals:   make([]deqRes[V], n),
-				brvals:  make([][]deqRes[V], n),
+				res:     collect.NewRows[deqRes[V]](n),
 			}
 		},
 		Next:    func(s *deqState[V]) *deqState[V] { return s.nextFree },
@@ -278,6 +279,7 @@ func (q *SimQueue[V]) thread(ts []sqThread[V], act *xatomic.SharedBits, i int) *
 		} else {
 			t.dblk = q.dstate.Pool().Handle(i)
 			t.nblk = q.nodes.Handle(q.n + i)
+			t.oneOut = make([]V, 0, 1)
 			if q.n > 1 {
 				t.limbo = &nodeLimbo[V]{}
 			}
@@ -424,49 +426,35 @@ func splice[V any](es *enqState[V]) {
 	}
 }
 
-// Enqueue appends v on behalf of process id (Algorithm 5).
+// Enqueue appends v on behalf of process id (Algorithm 5): EnqueueBatch of
+// a batch of one, through a per-thread one-element scratch.
 func (q *SimQueue[V]) Enqueue(id int, v V) {
 	t := q.thread(q.enqThreads, q.enqAct, id)
-	op := q.enqStats.Start(id)
-
-	if q.n == 1 {
-		q.enqueueSolo(t, op, v)
-		return
-	}
-
-	q.enqAnnounce.PublishOne(id, v) // line 1: announce (a vector of one)
-	core.SchedYield(id, core.PointAnnounce)
-	t.toggler.Toggle() // lines 2–3
-	t.bo.Wait()        // line 4
-
-	q.enqueueAnnounced(id, t, op, 1)
+	t.one[0] = v
+	q.EnqueueBatch(id, t.one[:])
 }
 
 // EnqueueBatch appends every value of vals, in order, on behalf of process
 // id. Each budget-sized chunk is announced under ONE toggle and becomes one
 // contiguous run of the queue: a combining round turns the whole vector into
 // consecutive nodes of its private list, so no other process's values
-// interleave within a chunk. Progress and cost match a single Enqueue per
-// chunk. An empty vals is a no-op.
+// interleave within a chunk. An empty vals is a no-op.
 func (q *SimQueue[V]) EnqueueBatch(id int, vals []V) {
+	t := q.thread(q.enqThreads, q.enqAct, id)
 	for len(vals) > 0 {
-		m := len(vals)
-		if m > batchBudget {
-			m = batchBudget
-		}
+		m := min(len(vals), batchBudget)
 		chunk := vals[:m]
 		vals = vals[m:]
 
-		t := q.thread(q.enqThreads, q.enqAct, id)
 		op := q.enqStats.Start(id)
 		if q.n == 1 {
 			q.enqueueSoloBatch(t, op, chunk)
 			continue
 		}
-		q.enqAnnounce.Publish(id, chunk)
+		q.enqAnnounce.Publish(id, chunk) // line 1: announce
 		core.SchedYield(id, core.PointAnnounce)
-		t.toggler.Toggle()
-		t.bo.Wait()
+		t.toggler.Toggle() // lines 2–3
+		t.bo.Wait()        // line 4
 		q.enqueueAnnounced(id, t, op, m)
 	}
 }
@@ -585,30 +573,13 @@ func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], op core.Op, m int
 	st.Served(id, op, um)
 }
 
-// enqueueSolo is Enqueue for n == 1: no helper can exist, so skip announce,
-// toggle, backoff, and CAS (process 0's enqueuer is the sole writer of
-// enqP). Records rotate through the plane's record cache and nodes through
-// its node pool (consumed chains flow back from the dequeue-side handle via
-// the pool's shared slots), so the steady-state path allocates nothing.
-func (q *SimQueue[V]) enqueueSolo(t *sqThread[V], op core.Op, v V) {
-	ls := q.enqP.Load() // current record: never retired, safe to read
-	nd := q.node(t, v)
-	ns := q.enqRecord(0, t)
-	ns.applied.CopyFrom(ls.applied)
-	ns.era.Store(ls.era.Load() + 1)
-	ns.oldTail = ls.newTail
-	ns.lfirst = nd
-	ns.newTail = nd
-	q.enqP.Store(ns)
-	// Splice before returning; prior batches were spliced by their own
-	// enqueues, so the tail's next is nil until this CAS.
-	ns.oldTail.next.CompareAndSwap(nil, nd)
-	q.estate.Put(t.eblk, ls)
-	q.enqStats.Committed(0, op, 1, 1, 1, 1)
-}
-
-// enqueueSoloBatch is EnqueueBatch for n == 1: the whole chunk becomes one
-// private chain spliced with a single record rotation.
+// enqueueSoloBatch is EnqueueBatch's chunk for n == 1: no helper can exist,
+// so skip announce, toggle, backoff, and CAS (process 0's enqueuer is the
+// sole writer of enqP). The whole chunk becomes one private chain spliced
+// with a single record rotation; records rotate through the plane's record
+// cache and nodes through its node pool (consumed chains flow back from the
+// dequeue-side handle via the pool's shared slots), so the steady-state path
+// allocates nothing.
 func (q *SimQueue[V]) enqueueSoloBatch(t *sqThread[V], op core.Op, vals []V) {
 	ls := q.enqP.Load()
 	first := q.node(t, vals[0])
@@ -625,6 +596,8 @@ func (q *SimQueue[V]) enqueueSoloBatch(t *sqThread[V], op core.Op, vals []V) {
 	ns.lfirst = first
 	ns.newTail = last
 	q.enqP.Store(ns)
+	// Splice before returning; prior batches were spliced by their own
+	// enqueues, so the tail's next is nil until this CAS.
 	ns.oldTail.next.CompareAndSwap(nil, first)
 	q.estate.Put(t.eblk, ls)
 	m := uint64(len(vals))
@@ -642,23 +615,16 @@ func (q *SimQueue[V]) announceDeqCount(id int, t *sqThread[V], m uint64) {
 }
 
 // Dequeue removes and returns the front value on behalf of process id
-// (Algorithm 6); ok is false if the queue was empty.
+// (Algorithm 6); ok is false if the queue was empty. It is DequeueBatch of a
+// batch of one, through a per-thread one-element buffer.
 func (q *SimQueue[V]) Dequeue(id int) (V, bool) {
 	t := q.thread(q.deqThreads, q.deqAct, id)
-	op := q.deqStats.Start(id)
-
-	if q.n == 1 {
-		r := q.dequeueSolo(t, op, 1, nil)
-		return r.v, r.ok
+	t.oneOut = q.DequeueBatch(id, 1, t.oneOut)
+	if len(t.oneOut) == 0 {
+		var zero V
+		return zero, false
 	}
-
-	q.announceDeqCount(id, t, 1)
-	core.SchedYield(id, core.PointAnnounce)
-	t.toggler.Toggle() // lines 39–40 (a dequeue announces only its count)
-	t.bo.Wait()        // line 41
-
-	r, _ := q.dequeueAnnounced(id, t, op, 1, nil)
-	return r.v, r.ok
+	return t.oneOut[0], true
 }
 
 // DequeueBatch removes up to want front values on behalf of process id,
@@ -668,38 +634,22 @@ func (q *SimQueue[V]) Dequeue(id int) (V, bool) {
 // linearization point; fewer than want values are returned exactly when the
 // queue ran empty at the last chunk's linearization point.
 func (q *SimQueue[V]) DequeueBatch(id int, want int, out []V) []V {
+	t := q.thread(q.deqThreads, q.deqAct, id)
 	out = out[:0]
 	for want > 0 {
-		m := want
-		if m > batchBudget {
-			m = batchBudget
-		}
+		m := min(want, batchBudget)
 		want -= m
 
-		t := q.thread(q.deqThreads, q.deqAct, id)
 		op := q.deqStats.Start(id)
 		before := len(out)
 		if q.n == 1 {
-			if m == 1 {
-				if r := q.dequeueSolo(t, op, 1, nil); r.ok {
-					out = append(out, r.v)
-				}
-			} else {
-				out = q.dequeueSoloBatch(t, op, m, out)
-			}
+			out = q.dequeueSoloBatch(t, op, m, out)
 		} else {
 			q.announceDeqCount(id, t, uint64(m))
 			core.SchedYield(id, core.PointAnnounce)
-			t.toggler.Toggle()
-			t.bo.Wait()
-			if m == 1 {
-				r, _ := q.dequeueAnnounced(id, t, op, 1, nil)
-				if r.ok {
-					out = append(out, r.v)
-				}
-			} else {
-				_, out = q.dequeueAnnounced(id, t, op, m, out)
-			}
+			t.toggler.Toggle() // lines 39–40 (a dequeue announces only its count)
+			t.bo.Wait()        // line 41
+			out = q.dequeueAnnounced(id, t, op, m, out)
 		}
 		if len(out)-before < m {
 			break // the queue was empty at the chunk's linearization point
@@ -709,10 +659,9 @@ func (q *SimQueue[V]) DequeueBatch(id int, want int, out []V) []V {
 }
 
 // dequeueAnnounced runs the two-round combining protocol plus the fallback
-// for process id's just-announced count of m dequeues. For m == 1 the single
-// response is returned directly (out untouched, may be nil); for m > 1 the
-// successful responses are appended to out in dequeue order.
-func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int, out []V) (deqRes[V], []V) {
+// for process id's just-announced count of m dequeues, and appends the
+// successful responses of its row to out in dequeue order.
+func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int, out []V) []V {
 	st := q.deqStats
 	um := uint64(m)
 	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
@@ -727,15 +676,10 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int
 		q.deqAct.LoadInto(t.active)
 		ls.applied.XorInto(t.active, t.diffs)
 		if t.diffs[myWord]&myMask == 0 { // line 48: already applied
-			var r deqRes[V]
-			if m == 1 {
-				r = ls.rvals[id] // record hazard-protected: safe to read
-			} else {
-				out = appendHits(out, ls.brvals[id])
-			}
-			q.deqHaz.Clear(id) // don't pin ls while parked outside Dequeue
+			out = appendHits(out, ls.res.Row(id)) // record hazard-protected: safe to read
+			q.deqHaz.Clear(id)                    // don't pin ls while parked outside Dequeue
 			st.Served(id, op, um)
-			return r, out
+			return out
 		}
 
 		// lines 49–51: help enqueuers splice their latest batch. Best
@@ -752,17 +696,10 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int
 
 		oldHead, head := ls.head, ls.head
 		era := ls.era.Load() + 1 // a local: once published, ns may recycle
-		ns := q.deqRecord(id, t) // recycled record: reuse applied and rvals
+		ns := q.deqRecord(id, t) // recycled record: reuse applied and the rows
 		ns.applied.CopyFrom(t.active)
 		ns.era.Store(era)
-		copy(ns.rvals, ls.rvals)
-		for k := 0; k < q.n; k++ { // carry pending batch-response rows forward
-			if len(ls.brvals[k]) == 0 {
-				ns.brvals[k] = ns.brvals[k][:0]
-				continue
-			}
-			ns.brvals[k] = append(ns.brvals[k][:0], ls.brvals[k]...)
-		}
+		ns.res.Forward(&ls.res)
 		slots, ops := uint64(0), uint64(0)
 		for { // lines 53–61: serve every dequeuer in diffs, its whole count
 			k := t.diffs.BitSearchFirst()
@@ -770,48 +707,25 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int
 				break
 			}
 			t.diffs.ClearBit(k)
-			cnt := q.deqCounts[k].V.Load() // unchecked: see the type comment
-			if cnt < 1 {
-				cnt = 1
-			} else if cnt > batchBudget {
-				cnt = batchBudget
-			}
-			if cnt == 1 {
+			cnt := min(max(q.deqCounts[k].V.Load(), 1), batchBudget) // unchecked: see the type comment
+			row := ns.res.Row(k)[:0]
+			for c := uint64(0); c < cnt; c++ {
+				r := deqRes[V]{}
 				if next := head.next.Load(); next != nil {
-					ns.rvals[k] = deqRes[V]{v: next.v, ok: true}
+					r = deqRes[V]{v: next.v, ok: true}
 					head = next
-				} else {
-					ns.rvals[k] = deqRes[V]{}
 				}
-				ns.brvals[k] = ns.brvals[k][:0]
-			} else {
-				row := ns.brvals[k][:0]
-				var r deqRes[V]
-				for c := uint64(0); c < cnt; c++ {
-					if next := head.next.Load(); next != nil {
-						r = deqRes[V]{v: next.v, ok: true}
-						head = next
-					} else {
-						r = deqRes[V]{}
-					}
-					row = append(row, r)
-				}
-				ns.brvals[k] = row
-				ns.rvals[k] = r
+				row = append(row, r)
 			}
+			ns.res.Serve(k, row)
 			slots++
 			ops += cnt
 		}
 		ns.head = head
 		// Read the responses BEFORE publishing: once published, ns may be
 		// retired and recycled by any later winner.
-		var r deqRes[V]
 		base := len(out)
-		if m == 1 {
-			r = ns.rvals[id]
-		} else {
-			out = appendHits(out, ns.brvals[id])
-		}
+		out = appendHits(out, ns.res.Row(id))
 		core.SchedYield(id, core.PointCAS)
 		if q.deqP.CompareAndSwap(ls, ns) { // line 67
 			q.deqHaz.Clear(id) // unpin ls before retiring it
@@ -823,7 +737,7 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int
 			if j == 0 {
 				t.bo.Shrink()
 			}
-			return r, out
+			return out
 		}
 		out = out[:base]         // speculative copies die with the failed round
 		q.dstate.Put(t.dblk, ns) // never published — immediately reusable
@@ -838,14 +752,9 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int
 	// a concurrent successful publish).
 	st.Served(id, op, um)
 	ls, _ := q.deqHaz.Acquire(id, &q.deqP, 0)
-	var r deqRes[V]
-	if m == 1 {
-		r = ls.rvals[id]
-	} else {
-		out = appendHits(out, ls.brvals[id])
-	}
+	out = appendHits(out, ls.res.Row(id))
 	q.deqHaz.Clear(id)
-	return r, out
+	return out
 }
 
 // appendHits appends the successful dequeue values of row to out. Misses are
@@ -860,43 +769,13 @@ func appendHits[V any](out []V, row []deqRes[V]) []V {
 	return out
 }
 
-// dequeueSolo is Dequeue for n == 1. Consumed nodes retire into the
+// dequeueSoloBatch is DequeueBatch's chunk for n == 1: up to m front values
+// are consumed in one record rotation. Consumed nodes retire into the
 // dequeue-side plane handle, whose full chains flow back to the enqueue end
 // through the pool's shared slots — nodes strictly before the head are
 // unreachable from every record still in use, and with one process per end
-// no stalled combiner can be traversing them.
-func (q *SimQueue[V]) dequeueSolo(t *sqThread[V], op core.Op, m int, _ []V) deqRes[V] {
-	ls := q.deqP.Load()
-	head := ls.head
-	next := head.next.Load()
-	ns := q.deqRecord(0, t)
-	ns.applied.CopyFrom(ls.applied)
-	ns.era.Store(ls.era.Load() + 1)
-	copy(ns.rvals, ls.rvals)
-	ns.brvals[0] = ns.brvals[0][:0]
-	if next != nil {
-		ns.rvals[0] = deqRes[V]{v: next.v, ok: true}
-		ns.head = next
-	} else {
-		ns.rvals[0] = deqRes[V]{}
-		ns.head = head
-	}
-	r := ns.rvals[0]
-	q.deqP.Store(ns)
-	q.dstate.Put(t.dblk, ls)
-	if next != nil {
-		// head was consumed: recycle it (Put's Reset clears the value, and
-		// Get clears the link before reuse so a splice CAS can hit it).
-		t.nblk.Put(head)
-	}
-	q.deqStats.Committed(0, op, 1, 1, 1, 1)
-	return r
-}
-
-// dequeueSoloBatch is DequeueBatch for n == 1: up to m front values are
-// consumed in one record rotation and every consumed node retires into the
-// dequeue-side plane handle, so batched pair workloads stay
-// allocation-free.
+// no stalled combiner can be traversing them. No announced path runs at
+// n == 1, so the record's response rows are never read and are left alone.
 func (q *SimQueue[V]) dequeueSoloBatch(t *sqThread[V], op core.Op, m int, out []V) []V {
 	ls := q.deqP.Load()
 	head := ls.head
@@ -914,14 +793,7 @@ func (q *SimQueue[V]) dequeueSoloBatch(t *sqThread[V], op core.Op, m int, out []
 	ns := q.deqRecord(0, t)
 	ns.applied.CopyFrom(ls.applied)
 	ns.era.Store(ls.era.Load() + 1)
-	copy(ns.rvals, ls.rvals)
-	ns.brvals[0] = ns.brvals[0][:0]
 	ns.head = newHead
-	if got > 0 {
-		ns.rvals[0] = deqRes[V]{v: out[len(out)-1], ok: true}
-	} else {
-		ns.rvals[0] = deqRes[V]{}
-	}
 	q.deqP.Store(ns)
 	q.dstate.Put(t.dblk, ls)
 	// Nodes head..(node before newHead) were consumed: retire each (Put's
