@@ -124,6 +124,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE ingest_pub_total counter",
 		"# TYPE ingest_connections gauge",
+		"# TYPE ingest_reply_writes_total counter",
 		`ingest_spool_ops_total{partition="0"}`,
 	} {
 		if !strings.Contains(prom, want) {

@@ -201,15 +201,17 @@ func (s *server) Close() error {
 
 // serveConn handles one connection on slot: partition slot%shards, producer
 // pid slot/shards. Each batch of up to -batch queued lines runs its PUB
-// runs as one AppendBatch, responds in order and flushes once.
+// runs as one AppendBatch and responds in order; the line server flushes
+// the replies once per read.
 func (s *server) serveConn(slot int, conn net.Conn) {
 	part := slot % len(s.parts)
 	pid := slot / len(s.parts)
 	labels := pprof.Labels("pid", strconv.Itoa(pid), "object", "ingest"+strconv.Itoa(part))
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		w := bufio.NewWriter(conn)
-		ex := &executor{s: s, p: s.parts[part], slot: slot, pid: pid, w: w}
-		s.lines.Serve(slot, conn, w, s.batch, ex.run)
+		s.lines.Serve(slot, conn, s.batch, func(w *bufio.Writer) func([][]byte) bool {
+			ex := &executor{s: s, p: s.parts[part], slot: slot, pid: pid, w: w}
+			return ex.run
+		})
 	})
 }
 

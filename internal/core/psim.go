@@ -424,7 +424,7 @@ func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, A, R], op Op, m i
 				vec = b.Vec()
 			}
 			st.Accesses.Inc(i) // the O(k) announce reads of P-Sim
-			row := ns.res.Row(k)[:0]
+			row := ns.res.Buf(k)
 			for _, a := range vec { // line 18, once per announced operation
 				row = append(row, u.apply(&ns.st, k, a))
 			}

@@ -24,9 +24,11 @@
 // it (the rule of strings.Fields): ASCII tab, newline, vertical tab, form
 // feed, carriage return and space, plus the Unicode spaces such as U+0085,
 // U+00A0 and U+3000. Invalid UTF-8 never separates. Command words match in
-// any case. Each connection's reply writer holds 64 KiB, the longest
-// request line, so the reply to a lone request, or up to 64 KiB of a
-// batch's replies, leaves in a single Write.
+// any case. Each connection's reply writer holds lineserver.MaxLine (64
+// KiB), the longest request line, and is flushed once per read: the reply
+// to a lone request, or up to 64 KiB of the replies to every line one read
+// delivered, leaves in a single Write. The writes are counted in
+// kv_reply_writes_total.
 //
 // Large values (WithLargeValues): the server additionally carries a tiered
 // byte-value store (simmap.Tiered) with its own command family — values are
@@ -50,7 +52,8 @@
 // (simmap MSet/MGet/MDelete — one combining round per touched shard
 // instead of one per key), and writes the responses back strictly in
 // request order. Responses are byte-identical to the unpipelined protocol,
-// so pipelining is purely a client-side throughput knob.
+// and leave in one Write per read at every depth, so the depth only groups
+// execution.
 //
 // Sharding (WithShards): the store becomes a simmap.Sharded of independent
 // per-shard maps, so heavy multi-client write loads scale past a single
@@ -230,8 +233,9 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 func (s *Server) ServeConn(id int, conn net.Conn) {
 	labels := pprof.Labels("pid", strconv.Itoa(id), "object", "simmap")
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		w := bufio.NewWriterSize(conn, replyBufSize)
-		s.Serve(id, conn, w, s.pipeline, newExecutor(s, id, w).run)
+		s.Serve(id, conn, s.pipeline, func(w *bufio.Writer) func([][]byte) bool {
+			return newExecutor(s, id, w).run
+		})
 	})
 }
 

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -115,5 +116,25 @@ func TestBlobReplyOneWrite(t *testing.T) {
 				t.Errorf("last Write = %d bytes, want the %d-byte reply", len(c.last), len(want))
 			}
 		})
+	}
+}
+
+// TestBurstReplyOneWrite: 64 pipelined PUTs that arrive in one read are
+// answered in one Write at depth 1 and at depth 32, and
+// kv_reply_writes_total counts that Write.
+func TestBurstReplyOneWrite(t *testing.T) {
+	var burst strings.Builder
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&burst, "PUT k%d %d\n", i, i)
+	}
+	for _, depth := range []int{1, 32} {
+		s := New(2, 2, WithPipeline(depth))
+		c, _ := serve(s, burst.String(), 1)
+		if want := strings.Repeat("OK NIL\n", 64); c.writes != 1 || string(c.last) != want {
+			t.Errorf("depth %d: 64 PUTs in one read -> %d Writes, last %.40q; want 1 Write of 64 replies", depth, c.writes, c.last)
+		}
+		if got := s.Registry().Snapshot().Counters["kv_reply_writes_total"]; got != 1 {
+			t.Errorf("depth %d: kv_reply_writes_total = %d, want 1", depth, got)
+		}
 	}
 }

@@ -1,10 +1,16 @@
 // Package lineserver is the serving code of simkvd and simingestd: the
 // client slot pool, a non-blocking accept, one bounded line framing, the
 // loop that hands a connection's already-buffered lines to the daemon's
-// executor in batches, connection tracking and Close, the request
-// tokenizer (Fields, Command, ParseUint, LookupKey), and the operations
-// surface both daemons run beside it (Start). A daemon supplies only what
-// a batch of lines means, as a per-connection executor.
+// executor in batches, the reply writer, connection tracking and Close,
+// the request tokenizer (Fields, Command, ParseUint, LookupKey), and the
+// operations surface both daemons run beside it (Start). A daemon supplies
+// only what a batch of lines means, as a per-connection executor.
+//
+// Replies leave in one write per read: the reply writer is flushed only
+// when no complete line is left in the read buffer, so a pipelined burst
+// that arrives in one read is answered in one Write whatever the batch
+// depth, and a lone request still gets its reply at once. The writes are
+// counted per client slot in <prefix>_reply_writes_total.
 //
 // A slow or hostile client never blocks the others, and every refusal is
 // visible:
@@ -34,7 +40,10 @@ import (
 )
 
 // MaxLine is the longest request line the framing accepts, its '\n'
-// included: each connection's read buffer holds exactly one such line.
+// included: each connection's read buffer holds exactly one such line. It
+// also sizes each connection's reply writer, so the reply to a lone
+// request, a value as long as the longest line included, or up to MaxLine
+// bytes of a read's replies, leaves in a single Write.
 const MaxLine = bufio.MaxScanTokenSize
 
 const (
@@ -62,12 +71,14 @@ type Server struct {
 	gConns  *obs.Gauge
 	busy    *obs.Counter // one slot, written by accept
 	tooLong *obs.Counter // per client slot
+	writes  *obs.Counter // reply writes, per client slot
 }
 
 // New returns a server with the given number of client slots that serves
 // each accepted connection by calling handler with the connection's slot;
 // handler normally ends in Serve. The server registers
-// <prefix>_connections and <prefix>_refused_total{reason=...} in reg.
+// <prefix>_connections, <prefix>_refused_total{reason=...} and
+// <prefix>_reply_writes_total in reg.
 func New(reg *obs.Registry, prefix string, slots int, handler func(slot int, conn net.Conn)) *Server {
 	s := &Server{
 		handler: handler,
@@ -76,6 +87,7 @@ func New(reg *obs.Registry, prefix string, slots int, handler func(slot int, con
 		gConns:  reg.Gauge(prefix + "_connections"),
 		busy:    reg.Counter(obs.Labeled(prefix+"_refused_total", "reason", "busy"), 1),
 		tooLong: reg.Counter(obs.Labeled(prefix+"_refused_total", "reason", "line_too_long"), slots),
+		writes:  reg.Counter(prefix+"_reply_writes_total", slots),
 	}
 	for i := 0; i < slots; i++ {
 		s.slots <- i
@@ -204,17 +216,27 @@ func (s *Server) Close() error {
 
 // Serve runs conn's request loop on slot. Each batch is the next line,
 // waited for, plus up to depth-1 further complete lines already in the
-// read buffer; a lone request is served at once. run executes the batch
-// and writes its replies to w, and w is flushed after each batch, so a
-// batch's replies leave together. Lines reach run without their '\n' and
-// alias the read buffer until run returns.
+// read buffer; a lone request is served at once. Serve hands executor the
+// connection's reply writer once, and calls the run it returns on each
+// batch; run writes the batch's replies to w. Lines reach run without
+// their '\n' and alias the read buffer until run returns.
+//
+// w holds MaxLine bytes and is flushed only when no complete line is left
+// in the read buffer, before a read that may block: the replies to every
+// line one read delivered leave together, whatever the depth, and a
+// partial trailing line never holds back the replies before it. Replies
+// are held back for at most one read's worth of input.
 //
 // A line over MaxLine is answered "ERR line too long" in its place and
 // counted. Serve returns when run reports a QUIT, the connection fails or
-// its input ends. On a QUIT the slot is released before the final flush,
-// so a client that has read the reply and reconnects finds it free.
-func (s *Server) Serve(slot int, conn net.Conn, w *bufio.Writer, depth int, run func(lines [][]byte) (quit bool)) {
+// its input ends, after flushing w. On a QUIT the slot is released before
+// the final flush, so a client that has read the reply and reconnects
+// finds it free.
+func (s *Server) Serve(slot int, conn net.Conn, depth int, executor func(w *bufio.Writer) (run func(lines [][]byte) (quit bool))) {
 	r := bufio.NewReaderSize(conn, MaxLine)
+	out := &replyConn{conn: conn, writes: s.writes, slot: slot}
+	w := bufio.NewWriterSize(out, MaxLine)
+	run := executor(w)
 	lines := make([][]byte, 0, max(depth, 1))
 	for {
 		lines = lines[:0]
@@ -231,12 +253,12 @@ func (s *Server) Serve(slot int, conn net.Conn, w *bufio.Writer, depth int, run 
 		case len(line) > 0:
 			lines = append(lines, line) // the input's last line, unterminated
 		}
-		used := 0
+		used, more := 0, false
 		if err == nil {
 			buf, _ := r.Peek(r.Buffered())
-			for len(lines) < cap(lines) {
+			for {
 				i := bytes.IndexByte(buf[used:], '\n')
-				if i < 0 {
+				if more = i >= 0; !more || len(lines) == cap(lines) {
 					break
 				}
 				lines = append(lines, buf[used:used+i])
@@ -246,10 +268,33 @@ func (s *Server) Serve(slot int, conn net.Conn, w *bufio.Writer, depth int, run 
 		quit := len(lines) > 0 && run(lines)
 		r.Discard(used)
 		if quit {
+			// The final flush is one Write. Count it while the slot is
+			// still ours: once released, its counter slot belongs to the
+			// slot's next connection.
+			if w.Buffered() > 0 {
+				out.writes.Inc(slot)
+			}
+			out.writes = nil
 			s.release(conn)
 		}
-		if w.Flush() != nil || quit || err != nil {
+		if quit || err != nil {
+			w.Flush()
+			return
+		}
+		if !more && w.Flush() != nil {
 			return
 		}
 	}
+}
+
+// replyConn counts the writes that reach conn in slot's share of writes.
+type replyConn struct {
+	conn   io.Writer
+	writes *obs.Counter // nil once the slot is released
+	slot   int
+}
+
+func (c *replyConn) Write(p []byte) (int, error) {
+	c.writes.Inc(c.slot)
+	return c.conn.Write(p)
 }

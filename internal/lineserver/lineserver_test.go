@@ -3,6 +3,7 @@ package lineserver
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -20,21 +21,26 @@ func echoServer(slots, depth int) (*Server, *obs.Registry) {
 	reg := obs.NewRegistry()
 	var s *Server
 	s = New(reg, "t", slots, func(slot int, conn net.Conn) {
-		w := bufio.NewWriter(conn)
-		s.Serve(slot, conn, w, depth, func(lines [][]byte) bool {
-			for _, l := range lines {
-				if string(l) == "QUIT" {
-					w.WriteString("BYE\n")
-					return true
-				}
-				w.WriteString("OK ")
-				w.Write(l)
-				w.WriteByte('\n')
-			}
-			return false
-		})
+		s.Serve(slot, conn, depth, echo)
 	})
 	return s, reg
+}
+
+// echo is the echo server's executor: it answers each line "OK <line>"
+// and a QUIT line "BYE".
+func echo(w *bufio.Writer) func([][]byte) bool {
+	return func(lines [][]byte) bool {
+		for _, l := range lines {
+			if string(l) == "QUIT" {
+				w.WriteString("BYE\n")
+				return true
+			}
+			w.WriteString("OK ")
+			w.Write(l)
+			w.WriteByte('\n')
+		}
+		return false
+	}
 }
 
 // pipeListener is an in-memory listener: dial hands the server end of a
@@ -346,39 +352,139 @@ func TestBeyondMaxClients(t *testing.T) {
 }
 
 // chunkConn delivers in in reads of the sizes chunks cycles through, and
-// collects what is written.
+// collects what is written. It counts the Write calls and the reads that
+// carried a complete line: one with a '\n', or the read that ends the
+// input, which completes an unterminated last line.
 type chunkConn struct {
-	net.Conn // nil: Serve only calls Read and Write
-	in       []byte
-	chunks   []int
-	k        int
-	out      bytes.Buffer
+	net.Conn  // nil: Serve only calls Read and Write
+	in        []byte
+	chunks    []int
+	k         int
+	out       bytes.Buffer
+	writes    int
+	lineReads int
 }
 
 func (c *chunkConn) Read(p []byte) (int, error) {
 	if len(c.in) == 0 {
+		c.lineReads++
 		return 0, io.EOF
 	}
 	n := min(len(p), len(c.in), c.chunks[c.k%len(c.chunks)])
 	c.k++
 	copy(p, c.in[:n])
 	c.in = c.in[n:]
+	if bytes.IndexByte(p[:n], '\n') >= 0 {
+		c.lineReads++
+	}
 	return n, nil
 }
 
-func (c *chunkConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+func (c *chunkConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.out.Write(p)
+}
+
+// serveChunks serves in through the echo executor at depth, delivered in
+// reads of the sizes chunks cycles through, and returns the conn and the
+// server.
+func serveChunks(in string, depth int, chunks ...int) (*chunkConn, *Server) {
+	c := &chunkConn{in: []byte(in), chunks: chunks}
+	s := New(obs.NewRegistry(), "t", 1, nil)
+	s.Serve(0, c, depth, echo)
+	return c, s
+}
+
+// echoed returns the echo executor's replies to n lines "PING <i>", and
+// the lines themselves.
+func echoed(n int) (in, out string) {
+	var b, r strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "PING %d\n", i)
+		fmt.Fprintf(&r, "OK PING %d\n", i)
+	}
+	return b.String(), r.String()
+}
+
+// TestBurstOneWrite: a 64-line burst that arrives in one read is answered
+// in exactly one Write at every depth, and each read of a stream gets its
+// own Write, so replies are never held back past the read that carried
+// their requests. reply_writes_total counts the same Writes.
+func TestBurstOneWrite(t *testing.T) {
+	in, want := echoed(64)
+	for _, reads := range []int{1, 3} {
+		for _, depth := range []int{1, 32} {
+			c, s := serveChunks(strings.Repeat(in, reads), depth, len(in))
+			if got := c.out.String(); got != strings.Repeat(want, reads) {
+				t.Fatalf("depth %d: replies = %.80q", depth, got)
+			}
+			if c.writes != reads {
+				t.Errorf("depth %d: %d reads of 64 lines answered in %d Writes, want %d", depth, reads, c.writes, reads)
+			}
+			if got := s.writes.Total(); got != uint64(c.writes) {
+				t.Errorf("depth %d: reply_writes_total = %d, want %d", depth, got, c.writes)
+			}
+		}
+	}
+}
+
+// TestLoneRequestOwnWrite: requests that arrive one per read are each
+// answered in a Write of their own.
+func TestLoneRequestOwnWrite(t *testing.T) {
+	for _, depth := range []int{1, 32} {
+		c, _ := serveChunks("PING\nPING\nPING\n", depth, len("PING\n"))
+		if c.out.String() != "OK PING\nOK PING\nOK PING\n" || c.writes != 3 {
+			t.Errorf("depth %d: 3 lone requests -> %q in %d Writes, want 3", depth, c.out.String(), c.writes)
+		}
+	}
+}
+
+// TestPartialLineNotHeldBack: a trailing partial line that is never
+// completed does not hold back the reply to the line before it.
+func TestPartialLineNotHeldBack(t *testing.T) {
+	for _, depth := range []int{1, 32} {
+		s, _ := echoServer(1, depth)
+		l := listenPipe(s)
+		conn := l.dial()
+		conn.SetDeadline(time.Now().Add(5 * time.Second)) // a held reply fails, not hangs
+		io.WriteString(conn, "PUT a 1\nPUT b")
+		if got := readLine(t, bufio.NewReader(conn)); got != "OK PUT a 1" {
+			t.Fatalf("depth %d: first line -> %q", depth, got)
+		}
+		closePromptly(t, s)
+		conn.Close()
+	}
+}
+
+// TestQuitMidRead: a QUIT in the middle of a read flushes the replies
+// before it and its BYE in one Write, counted before the slot is
+// released, and drops the lines after it.
+func TestQuitMidRead(t *testing.T) {
+	const in = "PING\nPING\nQUIT\nPING\n"
+	for _, depth := range []int{1, 32} {
+		c, s := serveChunks(in, depth, len(in))
+		if c.out.String() != "OK PING\nOK PING\nBYE\n" || c.writes != 1 {
+			t.Errorf("depth %d: %q -> %q in %d Writes, want the replies to the first three lines in 1", depth, in, c.out.String(), c.writes)
+		}
+		if got := s.writes.Total(); got != 1 {
+			t.Errorf("depth %d: reply_writes_total = %d, want 1", depth, got)
+		}
+	}
+}
 
 // FuzzFrame: a byte stream delivered in arbitrary read chunks, served at
 // any batch depth, yields exactly the lines and refusals of a reference
 // that splits the stream at '\n' and refuses each line of MaxLine bytes
-// or more, its '\n' not counted. In data, a 0 byte followed by k stands
-// for a run of MaxLine-2+k%4 bytes, so lines land on both sides of the
-// bound.
+// or more, its '\n' not counted. The replies reach the conn in at most
+// one Write per read that carried a complete line, plus one per full
+// reply buffer. In data, a 0 byte followed by k stands for a run of
+// MaxLine-2+k%4 bytes, so lines land on both sides of the bound.
 func FuzzFrame(f *testing.F) {
 	f.Add([]byte("PUT a 1\nGET a\n\nLEN"), []byte{3}, uint8(1))
 	f.Add([]byte("a\n\x00\x00\nb\n\x00\x01\nc\n\x00\x02\nd\n\x00\x03\ne"), []byte{255, 7}, uint8(32))
 	f.Add([]byte("\x00\x03\x00\x03"), []byte{0}, uint8(4))
 	f.Add([]byte("x\n\x00\x01"), []byte{200, 1}, uint8(2))
+	f.Add([]byte("a\nb\nc\nd\ne\nf\n"), []byte{255}, uint8(1))
 	f.Fuzz(func(t *testing.T, data, chunks []byte, depth uint8) {
 		var stream []byte
 		for i := 0; i < len(data); i++ {
@@ -419,20 +525,27 @@ func FuzzFrame(f *testing.F) {
 		}
 		c := &chunkConn{in: stream, chunks: sizes}
 		s := New(obs.NewRegistry(), "t", 1, nil)
-		w := bufio.NewWriter(c)
-		s.Serve(0, c, w, int(depth%40), func(lines [][]byte) bool {
-			for _, l := range lines {
-				w.WriteString("L ")
-				w.Write(l)
-				w.WriteByte('\n')
+		s.Serve(0, c, int(depth%40), func(w *bufio.Writer) func([][]byte) bool {
+			return func(lines [][]byte) bool {
+				for _, l := range lines {
+					w.WriteString("L ")
+					w.Write(l)
+					w.WriteByte('\n')
+				}
+				return false
 			}
-			return false
 		})
 		if got := c.out.String(); got != want.String() {
 			t.Fatalf("served %.120q, want %.120q", got, want.String())
 		}
 		if got := s.tooLong.Total(); got != uint64(wantRefused) {
 			t.Fatalf("line_too_long refusals = %d, want %d", got, wantRefused)
+		}
+		if bound := c.lineReads + c.out.Len()/MaxLine; c.writes > bound {
+			t.Fatalf("%d Writes, want at most %d (%d reads carried a complete line)", c.writes, bound, c.lineReads)
+		}
+		if got := s.writes.Total(); got != uint64(c.writes) {
+			t.Fatalf("reply_writes_total = %d, want the %d Writes", got, c.writes)
 		}
 	})
 }

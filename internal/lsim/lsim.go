@@ -112,7 +112,7 @@ type lop[V, A, R any] struct {
 // The bit vectors are word-wide snapshots, as in P-Sim: a round copies and
 // scans them 64 processes per word. res holds Algorithm 7's return values
 // as one collect.Rows row per process (a single operation's is a row of
-// one), so forwarding costs O(live rows + n/64), not O(n).
+// one, in a dense column forwarded by one copy).
 type lsimState[R any] struct {
 	applied  xatomic.Snapshot
 	papplied xatomic.Snapshot
@@ -492,7 +492,7 @@ func (l *LSim[V, A, R]) simulate(ls, ns *lsimState[R], m *Mem[V, A, R], degree, 
 				return false
 			}
 			vec := box.Vec()
-			row := ns.res.Row(q)[:0]
+			row := ns.res.Buf(q)
 			for k := range vec { // lines 21–37, once per announced operation
 				row = append(row, vec[k].fn(m, vec[k].arg))
 			}

@@ -708,7 +708,7 @@ func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int
 			}
 			t.diffs.ClearBit(k)
 			cnt := min(max(q.deqCounts[k].V.Load(), 1), batchBudget) // unchecked: see the type comment
-			row := ns.res.Row(k)[:0]
+			row := ns.res.Buf(k)
 			for c := uint64(0); c < cnt; c++ {
 				r := deqRes[V]{}
 				if next := head.next.Load(); next != nil {
