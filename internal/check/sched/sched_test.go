@@ -9,8 +9,23 @@ import (
 	v2 "repro/internal/check/v2"
 	"repro/internal/core"
 	"repro/internal/fmul"
+	"repro/internal/lsim"
 	"repro/internal/queue"
 )
+
+// runAdder drives a fetch-and-add counter under cfg — add(pid) adds 1 and
+// returns the previous value — and returns the recorded history.
+func runAdder(cfg Config, opsPer int, add func(pid int) uint64) ([]check.Operation, Stats) {
+	rec := check.NewRecorder(cfg.Threads * opsPer)
+	st := Exec(cfg, func(pid int) {
+		for k := 0; k < opsPer; k++ {
+			slot := rec.Invoke(pid, check.OpAdd, 1)
+			prev := add(pid)
+			rec.Return(slot, prev, false)
+		}
+	})
+	return rec.Operations(), st
+}
 
 // runCounter drives a fresh PSim fetch-and-add counter under cfg and
 // returns the recorded history.
@@ -20,15 +35,29 @@ func runCounter(cfg Config, opsPer int) ([]check.Operation, Stats) {
 		*st += arg
 		return prev
 	})
-	rec := check.NewRecorder(cfg.Threads * opsPer)
-	st := Exec(cfg, func(pid int) {
-		for k := 0; k < opsPer; k++ {
-			slot := rec.Invoke(pid, check.OpAdd, 1)
-			prev := u.Apply(pid, 1)
-			rec.Return(slot, prev, false)
-		}
+	return runAdder(cfg, opsPer, func(pid int) uint64 { return u.Apply(pid, 1) })
+}
+
+// runPooledCounter is runCounter on the pooled P-Sim.
+func runPooledCounter(cfg Config, opsPer int) ([]check.Operation, Stats) {
+	u := core.NewPSimWords(cfg.Threads, 0, []uint64{0}, func(st []uint64, _ int, arg uint64) uint64 {
+		prev := st[0]
+		st[0] += arg
+		return prev
 	})
-	return rec.Operations(), st
+	return runAdder(cfg, opsPer, func(pid int) uint64 { return u.Apply(pid, 1) })
+}
+
+// runLSimCounter is runCounter on L-Sim, the counter one item.
+func runLSimCounter(cfg Config, opsPer int) ([]check.Operation, Stats) {
+	l := lsim.New[uint64, uint64, uint64](cfg.Threads)
+	a := l.NewRootItem(0)
+	add := func(m *lsim.Mem[uint64, uint64, uint64], arg uint64) uint64 {
+		v := m.Read(a)
+		m.Write(a, v+arg)
+		return v
+	}
+	return runAdder(cfg, opsPer, func(pid int) uint64 { return l.ApplyOp(pid, add, 1) })
 }
 
 func TestExecReplaysIdentically(t *testing.T) {
@@ -111,6 +140,22 @@ func TestSimQueueUnderAdversarialSchedules(t *testing.T) {
 		cfg := Config{Seed: seed, Threads: 3, Preemptions: -1}
 		hist := runQueueScenario(cfg, 4)
 		if err := v2.ForwardQueue(hist); err != nil {
+			t.Fatalf("seed %d (%v): %v\n%s", seed, cfg, err, v2.FormatHistory(hist))
+		}
+	}
+}
+
+// TestLSimUnderAdversarialSchedules drives L-Sim's join/attempt/leave
+// protocol through many seeded schedules (its announce, collect and CAS
+// preemption points) and checks every resulting counter history.
+func TestLSimUnderAdversarialSchedules(t *testing.T) {
+	for seed := uint64(0); seed < 30; seed++ {
+		cfg := Config{Seed: seed, Threads: 3, Preemptions: -1}
+		hist, st := runLSimCounter(cfg, 4)
+		if st.Switches == 0 {
+			t.Fatalf("seed %d: no switches — L-Sim reached no preemption point", seed)
+		}
+		if err := v2.Check(hist); err != nil {
 			t.Fatalf("seed %d (%v): %v\n%s", seed, cfg, err, v2.FormatHistory(hist))
 		}
 	}

@@ -117,13 +117,6 @@ func (a *BatchAnnounce[T]) Publish(i int, vals []T) {
 	a.slots[i].P.Store(b)
 }
 
-// OwnVec returns process i's currently announced vector without protection —
-// only the owner itself may call it (it never rewrites a box mid-operation,
-// so its own announcement is stable).
-func (a *BatchAnnounce[T]) OwnVec(i int) []T {
-	return a.slots[i].P.Load().vec
-}
-
 // Protect loads process k's announced box and protects it in helper slot
 // `reader`: store the pointer, re-load the slot, accept only if unchanged.
 // ok=false means k re-announced meanwhile — the caller's combining round is

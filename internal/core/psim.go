@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alloc"
-	"repro/internal/backoff"
 	"repro/internal/collect"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -22,15 +21,11 @@ import (
 //   - A: the argument type announced with each operation.
 //   - R: the operation return type.
 //
-// Progress: Apply performs at most two combining rounds, then falls back to
-// reading the published state, which by then must contain its result (the
-// two-successful-CAS argument of Observation 3.2). With recycled records
-// that terminal read needs hazard protection, and a protection attempt
-// fails only when a concurrent CAS publishes meanwhile — so the fallback is
-// lock-free (every retry is paid for by another operation completing)
-// rather than strictly bounded; the same holds for Read(). Everything
-// before the fallback is bounded. The theoretical variant (sim.go), which
-// never recycles, keeps the paper's unqualified wait-freedom.
+// Progress: Apply runs Proc.Combine (round.go), bounded up to its
+// Observation 3.2 fallback read, which with recycled records is lock-free
+// rather than strictly bounded; the same holds for Read(). The theoretical
+// variant (sim.go), which never recycles, keeps the paper's unqualified
+// wait-freedom.
 //
 // Batching: each announce slot carries a VECTOR of operations
 // (collect.BatchAnnounce); a combining round applies every announced
@@ -42,9 +37,7 @@ import (
 // fallback progress argument is unchanged — a round is bounded by
 // n×DefaultBatchBudget sequential applications, still a constant for a given
 // instance. Announce boxes are recycled with the same hazard discipline as
-// state records; a box-protection failure means the announcing process
-// re-announced, which requires an intervening successful publish, so the
-// round is abandoned exactly like a failed CAS (see collect/batch.go).
+// state records (see collect/batch.go).
 //
 // Memory discipline: like the paper's pool of State records, the hot path is
 // allocation-free in steady state. Retired State records live in the unified
@@ -99,16 +92,20 @@ type psimState[S, R any] struct {
 	nextFree *psimState[S, R]
 }
 
-// psimThread is a thread's private handle internals.
+// psimThread is process i's private handle internals and its Round (see
+// round.go): the record it loaded and the successor it builds, the chunk it
+// announced and the responses it collects.
 type psimThread[S, A, R any] struct {
-	toggler *xatomic.Toggler
-	bo      *backoff.Adaptive
-	active  xatomic.Snapshot               // scratch: last read of Act
-	diffs   xatomic.Snapshot               // scratch: applied XOR active
-	blk     *alloc.Handle[psimState[S, R]] // memory-plane handle
-	one     [1]A                           // Apply's batch of one
-	oneRes  []R                            // and its response row
-	inited  bool
+	p      Proc
+	u      *PSim[S, A, R]
+	i      int
+	blk    *alloc.Handle[psimState[S, R]] // memory-plane handle
+	ls, ns *psimState[S, R]               // loaded record, successor
+	chunk  []A                            // the announced vector
+	res    []R                            // responses collected so far
+	base   int                            // len(res) before this round's row
+	one    [1]A                           // Apply's batch of one
+	oneRes []R                            // and its response row
 }
 
 // PSimOption configures a PSim instance.
@@ -175,13 +172,6 @@ const DefaultBackoffUpper = 4096
 // DefaultBatchBudget is the default per-announcement vector budget (see
 // WithBatchBudget).
 const DefaultBatchBudget = 64
-
-// hazardAttempts bounds the per-round hazard acquisition loop. A failed
-// attempt means a successful CAS intervened, so attempts failures imply that
-// many publishes since the round began — enough for the Observation 3.2
-// fallback argument — and the round is simply consumed, exactly like a
-// failed seq1/seq2 consistency check in the pooled variant.
-const hazardAttempts = 8
 
 // anonReadSlots is the number of claimable hazard slots Read() draws from,
 // on top of one slot per process id; more concurrent anonymous readers than
@@ -264,7 +254,7 @@ func (u *PSim[S, A, R]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRec
 	u.stats.Attach(reg, prefix, rec, tr)
 }
 
-// thread lazily initializes and returns thread i's private handle internals.
+// thread lazily initializes (setting u) and returns thread i's internals.
 // Apply(i, …) must only ever be called by one goroutine per i, which makes
 // the lazy init safe.
 func (u *PSim[S, A, R]) thread(i int) *psimThread[S, A, R] {
@@ -272,47 +262,23 @@ func (u *PSim[S, A, R]) thread(i int) *psimThread[S, A, R] {
 		panic(fmt.Sprintf("core: process id %d out of range [0,%d)", i, u.n))
 	}
 	t := &u.threads[i]
-	if !t.inited {
-		t.toggler = xatomic.NewToggler(u.act, i)
-		t.bo = backoff.NewAdaptive(u.boLower, u.boUpper)
-		t.active = xatomic.NewSnapshot(u.n)
-		t.diffs = xatomic.NewSnapshot(u.n)
+	if t.u == nil {
+		t.p = NewProc(u.act, u.stats, i, u.boLower, u.boUpper)
+		t.u, t.i = u, i
 		t.blk = u.pool.Pool().Handle(i)
-		t.oneRes = make([]R, 0, 1)
-		t.inited = true
 	}
 	return t
 }
 
-// record returns a State record for process i to build the next round into:
-// an unprotected recycled record from the memory plane, or a freshly
-// allocated one when every cached record is still protected (or the plane is
-// still warming up).
-func (u *PSim[S, A, R]) record(i int, t *psimThread[S, A, R]) *psimState[S, R] {
-	ns, fresh := u.pool.Get(t.blk)
-	u.stats.Recycled(i, fresh, t.blk.Cached(), 0)
-	return ns
-}
-
-// cloneStateInto rebuilds ns.st from ls.st, reusing ns's previous state
-// buffers when a CloneInto was supplied.
-func (u *PSim[S, A, R]) cloneStateInto(ns, ls *psimState[S, R]) {
-	if u.cloneInto != nil {
-		u.cloneInto(&ns.st, &ls.st)
-		return
-	}
-	ns.st = u.clone(ls.st)
-}
-
 // Apply announces operation arg on behalf of process i, participates in
 // combining until the operation has been applied, and returns its response.
-// It is a batch of one: one chunk of ApplyBatch's path, through a
-// per-thread one-element scratch so it allocates nothing. Each process id
-// must be driven by a single goroutine at a time.
+// It is ApplyBatch of a batch of one, through a per-thread one-element
+// scratch so it allocates nothing. Each process id must be driven by a
+// single goroutine at a time.
 func (u *PSim[S, A, R]) Apply(i int, arg A) R {
 	t := u.thread(i)
 	t.one[0] = arg
-	t.oneRes = u.applyChunk(i, t, t.one[:], t.oneRes[:0])
+	t.oneRes = u.ApplyBatch(i, t.one[:], t.oneRes)
 	return t.oneRes[0]
 }
 
@@ -323,182 +289,131 @@ func (u *PSim[S, A, R]) Apply(i int, arg A) R {
 // budget-sized chunk: no other process's operation is interleaved within a
 // chunk. Progress: at most two combining rounds per chunk, then the
 // lock-free hazard-protected fallback read. An empty args returns res
-// truncated to zero length.
+// truncated to zero length. At n == 1 each chunk runs one solo round and
+// nothing is announced.
 func (u *PSim[S, A, R]) ApplyBatch(i int, args []A, res []R) []R {
 	t := u.thread(i)
-	res = res[:0]
+	t.res = res[:0]
 	for len(args) > 0 {
 		c := min(len(args), u.batchBudget)
-		res = u.applyChunk(i, t, args[:c], res)
+		t.chunk = args[:c]
 		args = args[c:]
-	}
-	return res
-}
-
-// applyChunk announces and applies one budget-sized vector for process i.
-func (u *PSim[S, A, R]) applyChunk(i int, t *psimThread[S, A, R], chunk []A, res []R) []R {
-	op := u.stats.Start(i) // stamps are 0 (no clock read) unless this op is sampled
-	if u.n == 1 {
-		return u.applySolo(t, op, chunk, res)
-	}
-	// line 1: announce the operation vector, copied into a recycled
-	// announce box (no heap box per call; see collect/batch.go).
-	u.announce.Publish(i, chunk)
-	SchedYield(i, PointAnnounce)
-	t.toggler.Toggle() // lines 2–3: toggle pi's bit in Act (one F&A)
-	u.stats.Accesses.Add(i, 2)
-	t.bo.Wait() // line 4: back off so helpers accumulate work
-	return u.applyAnnounced(i, t, op, len(chunk), res)
-}
-
-// applyAnnounced runs the two-round combining protocol plus the Observation
-// 3.2 fallback for process i's just-published announcement of m operations,
-// and appends the m responses (i's row) to res. The caller has already
-// announced, toggled, and backed off.
-func (u *PSim[S, A, R]) applyAnnounced(i int, t *psimThread[S, A, R], op Op, m int, res []R) []R {
-	st := u.stats
-	um := uint64(m)
-	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
-
-	for j := 0; j < 2; j++ { // lines 5–27: at most two Attempt rounds
-		// line 6: "LL" — read the state reference, hazard-protected so the
-		// record cannot be recycled under us. A failed acquisition means
-		// hazardAttempts publishes succeeded meanwhile; the round is consumed
-		// like a failed seq-stamp check in the pooled variant.
-		ls, ok := u.haz.Acquire(i, &u.state, hazardAttempts)
-		st.Accesses.Add(i, 2)
-		if !ok {
-			st.CASFailed(i, j, 1)
+		op := u.stats.Start(i) // stamps are 0 (no clock read) unless this op is sampled
+		if u.n == 1 {
+			t.p.Solo(t, op, c)
 			continue
 		}
-		SchedYield(i, PointCollect)
-		u.act.LoadInto(t.active) // line 9: read Act
-		st.Accesses.Add(i, uint64(u.act.Words()))
-		// line 10: diffs = applied XOR active — the set of processes whose
-		// announced operations have not been applied to ls.
-		ls.applied.XorInto(t.active, t.diffs)
-
-		// line 12: if pi's bit agrees, its vector has been applied; the
-		// responses are already in ls (record protected — safe to read).
-		if t.diffs[myWord]&myMask == 0 {
-			res = append(res, ls.res.Row(i)...)
-			u.haz.Clear(i) // don't pin ls while parked outside Apply
-			st.Served(i, op, um)
-			return res
-		}
-		solo := t.diffs.IsOnlyBit(myWord, myMask)
-
-		// Build the successor record: lines 8/14–21 work on a private copy
-		// rebuilt into a recycled record — applied and the response rows are
-		// reused, and the state clone reuses buffers too under CloneInto.
-		ns := u.record(i, t)
-		ns.applied.CopyFrom(t.active)
-		ns.res.Forward(&ls.res)
-		u.cloneStateInto(ns, ls)
-		slots, ops := uint64(0), uint64(0)
-		abandoned := false
-		d := t.diffs
-		for { // lines 15–19: help every process in diffs
-			k := d.BitSearchFirst()
-			if k < 0 {
-				break
-			}
-			d.ClearBit(k)
-			var vec []A
-			if k == i {
-				// Our own box is stable for the duration of the operation —
-				// no protection needed.
-				vec = u.announce.OwnVec(i)
-			} else {
-				// line 17: discover k's operation vector, hazard-protected so
-				// k's box pool cannot rewrite it under us. A validation
-				// failure means k re-announced — its previous vector
-				// completed, so a publish succeeded after we loaded ls and
-				// our CAS below is doomed: abandon the round like a failed
-				// CAS (the staleness argument in collect/batch.go).
-				b, bok := u.announce.Protect(i, k)
-				if !bok {
-					abandoned = true
-					break
-				}
-				vec = b.Vec()
-			}
-			st.Accesses.Inc(i) // the O(k) announce reads of P-Sim
-			row := ns.res.Buf(k)
-			for _, a := range vec { // line 18, once per announced operation
-				row = append(row, u.apply(&ns.st, k, a))
-			}
-			ns.res.Serve(k, row)
-			slots++
-			ops += uint64(len(vec))
-		}
-		u.announce.Clear(i) // done reading other processes' boxes
-		if !abandoned {
-			// Read our responses BEFORE publishing: once published, ns may
-			// be retired and recycled by any later winner.
-			base := len(res)
-			res = append(res, ns.res.Row(i)...)
-
-			// lines 22–25: try to publish. CAS on the pointer plays the role
-			// of the CAS on the timestamped pool index.
-			st.Accesses.Inc(i)
-			SchedYield(i, PointCAS)
-			if u.state.CompareAndSwap(ls, ns) {
-				u.haz.Clear(i)        // unpin ls before retiring it to the plane
-				u.pool.Put(t.blk, ls) // line 26's pool rotation: retire the old record
-				st.Committed(i, op, um, slots, op.Act(t.active), ops)
-				if j == 0 || solo {
-					t.bo.Shrink() // low contention: waiting was wasted
-				}
-				return res
-			}
-			res = res[:base] // speculative copies die with the failed round
-		}
-		u.pool.Put(t.blk, ns) // never published — immediately reusable
-		st.CASFailed(i, j, 0)
-		if j == 0 {
-			st.BackoffGrew(i, t.bo) // line 13: contention detected — widen the window
-			t.bo.Wait()
-		}
+		// line 1: announce the operation vector, copied into a recycled
+		// announce box (no heap box per call; see collect/batch.go).
+		u.announce.Publish(i, t.chunk)
+		t.p.Combine(t, op, c)
 	}
-
-	// Lines 28–30: both rounds failed, so two successful CASes intervened;
-	// the second one must have applied our operations (Observation 3.2 /
-	// Lemma 3.3 carried to the practical algorithm — an abandoned round also
-	// witnesses an intervening publish). Read and return under hazard
-	// protection; each failed acquisition implies yet another concurrent
-	// publish, so the unbounded form is lock-free.
-	st.Accesses.Inc(i)
-	ls, _ := u.haz.Acquire(i, &u.state, 0)
-	res = append(res, ls.res.Row(i)...)
-	u.haz.Clear(i)
-	st.Served(i, op, um)
+	res, t.chunk, t.res = t.res, nil, nil // keep no caller slices
 	return res
 }
 
-// applySolo is ApplyBatch's chunk for n == 1: the announce array, Act
-// toggle, backoff wait, and CAS all exist to coordinate with helpers, and a
-// single-thread instance can never have one. Every operation of batch is
-// applied in order and the responses appended to res. No announced path
-// runs at n == 1, so the record's response rows are never read and are left
-// alone. Records still rotate through the memory plane's hazard-guarded
-// reissue so concurrent Read()ers stay safe.
-func (u *PSim[S, A, R]) applySolo(t *psimThread[S, A, R], op Op, batch []A, res []R) []R {
-	ls := u.state.Load() // current record: never retired, safe to read
-	ns := u.record(0, t)
-	// applied stays all-zero (Act is never toggled on this path), but copy
-	// it anyway so the record is well-formed if n==1 invariants ever change.
-	ns.applied.CopyFrom(ls.applied)
-	u.cloneStateInto(ns, ls)
-	for _, a := range batch {
-		res = append(res, u.apply(&ns.st, 0, a))
+// Load is Round.Load: the "LL" of line 6, hazard-protected so the record
+// cannot be recycled under the round.
+func (t *psimThread[S, A, R]) Load() (xatomic.Snapshot, bool) {
+	if t.ls = t.u.haz.RoundLoad(t.i, &t.u.state, t.u.n == 1); t.ls == nil {
+		return nil, false
 	}
-	u.state.Store(ns) // sole writer: plain atomic publish
-	u.pool.Put(t.blk, ls)
-	u.stats.Accesses.Add(0, 2)
-	ops := uint64(len(batch))
-	u.stats.Committed(0, op, ops, 1, 1, ops)
-	return res
+	return t.ls.applied, true
+}
+
+// Done is Round.Done: the responses are already in the loaded record, which
+// is protected, so safe to read.
+func (t *psimThread[S, A, R]) Done() bool {
+	t.res = append(t.res, t.ls.res.Row(t.i)...)
+	t.u.haz.Clear(t.i) // don't pin ls while parked outside Apply
+	return true
+}
+
+// Build is Round.Build: the successor is rebuilt into a record from the
+// memory plane — an unprotected recycled one, or a fresh one when every
+// cached record is still protected — reusing its applied vector and
+// response rows, and its state buffers too under CloneInto.
+func (t *psimThread[S, A, R]) Build(active xatomic.Snapshot) {
+	u := t.u
+	ns, fresh := u.pool.Get(t.blk)
+	u.stats.Recycled(t.i, fresh, t.blk.Cached(), 0)
+	ns.applied.CopyFrom(active)
+	if u.n > 1 { // at n == 1 the rows are left alone (see Serve)
+		ns.res.Forward(&t.ls.res)
+	}
+	if u.cloneInto != nil {
+		u.cloneInto(&ns.st, &t.ls.st)
+	} else {
+		ns.st = u.clone(t.ls.st)
+	}
+	t.ns, t.base = ns, len(t.res)
+}
+
+// Serve is Round.Serve: apply process k's vector (line 18, once per
+// operation) and record its response row.
+func (t *psimThread[S, A, R]) Serve(k int) (uint64, bool) {
+	u := t.u
+	vec := t.chunk
+	if k != t.i {
+		// line 17: discover k's vector, hazard-protected so k's box pool
+		// cannot rewrite it under us (collect/batch.go).
+		b, ok := u.announce.Protect(t.i, k)
+		if !ok {
+			return 0, false
+		}
+		vec = b.Vec()
+	}
+	if u.n == 1 { // no round reads the rows at n == 1: answer directly
+		for _, a := range vec {
+			t.res = append(t.res, u.apply(&t.ns.st, k, a))
+		}
+		return uint64(len(vec)), true
+	}
+	row := t.ns.res.Buf(k)
+	for _, a := range vec {
+		row = append(row, u.apply(&t.ns.st, k, a))
+	}
+	t.ns.res.Serve(k, row)
+	return uint64(len(vec)), true
+}
+
+// Seal is Round.Seal: copy the caller's row out of the successor.
+func (t *psimThread[S, A, R]) Seal() {
+	if t.u.n > 1 {
+		t.res = append(t.res, t.ns.res.Row(t.i)...)
+	}
+}
+
+// Publish is Round.Publish: the CAS on the pointer plays the role of the
+// CAS on the timestamped pool index, and retiring the replaced record to
+// the memory plane is line 26's pool rotation.
+func (t *psimThread[S, A, R]) Publish() bool {
+	u := t.u
+	if u.n == 1 {
+		u.state.Store(t.ns) // sole writer: plain atomic publish
+	} else {
+		u.announce.Clear(t.i) // done reading other processes' boxes
+		if !u.state.CompareAndSwap(t.ls, t.ns) {
+			return false
+		}
+		u.haz.Clear(t.i) // unpin ls before retiring it
+	}
+	u.pool.Put(t.blk, t.ls)
+	return true
+}
+
+// Discard is Round.Discard: a never-published record is immediately
+// reusable.
+func (t *psimThread[S, A, R]) Discard() {
+	t.u.announce.Clear(t.i)
+	t.u.pool.Put(t.blk, t.ns)
+	t.res = t.res[:t.base]
+}
+
+// Fallback is Round.Fallback: an unbounded protected load, then Done.
+func (t *psimThread[S, A, R]) Fallback() {
+	t.ls, _ = t.u.haz.Acquire(t.i, &t.u.state, 0)
+	t.Done()
 }
 
 // Read returns a snapshot of the current simulated state without announcing

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alloc"
-	"repro/internal/backoff"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/pad"
@@ -125,18 +124,24 @@ type wordsState struct {
 	_       pad.CacheLinePad
 }
 
+// wordsThread is process i's private handle internals and its Round (see
+// round.go); a bare one, with only the copy scratch set, serves ReadInto.
 type wordsThread struct {
-	toggler   *xatomic.Toggler
-	bo        *backoff.Adaptive
+	p         Proc
+	u         *PSimWords
+	i         int
 	poolIndex int // rotates over [0, C)
-	inited    bool
+	// the loaded ⟨index, stamp⟩ and its SC tag, and the record built into
+	lpIdx   uint16
+	lpStamp uint64
+	lpTag   xatomic.TimedTag
+	dst     *wordsState
 	// scratch buffers for the copied state
 	applied xatomic.Snapshot
-	active  xatomic.Snapshot
-	diffs   xatomic.Snapshot
 	st      []uint64
 	bn      []uint64
 	brv     []uint64  // WordBatchBudget columns of n words
+	res     []uint64  // responses collected so far
 	one     [1]uint64 // Apply's batch of one
 	oneRes  []uint64  // and its response row
 }
@@ -222,6 +227,7 @@ func NewPSimWordsHorizon(n, c int, init []uint64, apply func(st []uint64, pid in
 	u.p.Store(uint16(n*c), 0)
 	u.readScratch = alloc.NewShared(readScratchSlots, func() *wordsThread {
 		return &wordsThread{
+			u:       u,
 			applied: xatomic.NewSnapshot(n),
 			st:      make([]uint64, len(init)),
 			bn:      make([]uint64, n),
@@ -252,21 +258,13 @@ func (u *PSimWords) StateWords() int { return u.sWords }
 
 func (u *PSimWords) thread(i int) *wordsThread {
 	t := &u.threads[i]
-	if !t.inited {
-		t.toggler = xatomic.NewToggler(u.act, i)
-		upper := u.boUpper
-		if u.n == 1 {
-			upper = 0 // no helper can exist: waiting is pure overhead
-		}
-		t.bo = backoff.NewAdaptive(u.boLower, upper)
+	if t.u == nil {
+		t.p = NewProc(u.act, u.stats, i, u.boLower, u.boUpper)
+		t.u, t.i = u, i
 		t.applied = xatomic.NewSnapshot(u.n)
-		t.active = xatomic.NewSnapshot(u.n)
-		t.diffs = xatomic.NewSnapshot(u.n)
 		t.st = make([]uint64, u.sWords)
-		t.oneRes = make([]uint64, 0, 1)
 		t.bn = make([]uint64, u.n)
 		t.brv = make([]uint64, u.n*WordBatchBudget)
-		t.inited = true
 	}
 	return t
 }
@@ -304,12 +302,12 @@ func (u *PSimWords) unchanged(idx uint16, stamp uint64) bool {
 }
 
 // Apply announces arg for process i and returns the operation's response:
-// a batch of one, one chunk of ApplyBatch's path through a per-thread
-// one-element scratch. Each process id must be driven by a single goroutine.
+// ApplyBatch of a batch of one, through a per-thread one-element scratch.
+// Each process id must be driven by a single goroutine.
 func (u *PSimWords) Apply(i int, arg uint64) uint64 {
 	t := u.thread(i)
 	t.one[0] = arg
-	t.oneRes = u.applyChunk(i, t, t.one[:], t.oneRes[:0])
+	t.oneRes = u.ApplyBatch(i, t.one[:], t.oneRes)
 	return t.oneRes[0]
 }
 
@@ -317,134 +315,123 @@ func (u *PSimWords) Apply(i int, arg uint64) uint64 {
 // the responses in args order, appended to res[:0] (pass a slice kept across
 // calls for an allocation-free steady state; nil allocates). Vectors longer
 // than WordBatchBudget are split into budget-sized chunks, each applied
-// contiguously at its own linearization point.
+// contiguously at its own linearization point. There is no solo round: at
+// n == 1 the announced round runs with backoff off.
 func (u *PSimWords) ApplyBatch(i int, args []uint64, res []uint64) []uint64 {
 	t := u.thread(i)
-	res = res[:0]
+	t.res = res[:0]
+	an := &u.announce[i]
 	for len(args) > 0 {
 		m := min(len(args), WordBatchBudget)
-		res = u.applyChunk(i, t, args[:m], res)
+		op := u.stats.Start(i)
+		for j, a := range args[:m] { // line 1: announce
+			an.args[j].Store(a)
+		}
+		an.cnt.Store(uint64(m))
 		args = args[m:]
+		t.p.Combine(t, op, m)
 	}
+	res, t.res = t.res, nil
 	return res
 }
 
-// applyChunk announces and applies one budget-sized vector for process i.
-func (u *PSimWords) applyChunk(i int, t *wordsThread, chunk []uint64, res []uint64) []uint64 {
-	op := u.stats.Start(i)
-	an := &u.announce[i]
-	for j, a := range chunk { // line 1: announce
-		an.args[j].Store(a)
-	}
-	an.cnt.Store(uint64(len(chunk)))
-	t.toggler.Toggle() // lines 2–3: toggle pi's bit in Act
-	SchedYield(i, PointAnnounce)
-	t.bo.Wait() // line 4: backoff
-	return u.applyAnnounced(i, t, op, len(chunk), res)
+// Load is Round.Load: read ⟨index, stamp⟩ (line 6), copy the State it
+// names into local scratch (line 8) and check the seq stamps (line 11).
+func (t *wordsThread) Load() (xatomic.Snapshot, bool) {
+	u := t.u
+	t.lpIdx, t.lpStamp, t.lpTag = u.p.LL()
+	return t.applied, u.copyState(&u.pool[t.lpIdx], t)
 }
 
-// applyAnnounced runs the two-round combining protocol plus the fallback
-// read for process i's just-announced vector of m operations, and appends
-// the m responses (i's row) to res. The caller has announced and toggled.
-func (u *PSimWords) applyAnnounced(i int, t *wordsThread, op Op, m int, res []uint64) []uint64 {
-	st := u.stats
-	um := uint64(m)
-	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
+// Done is Round.Done: return the recorded responses, provided the copy is
+// still the published state — a consistent copy of a record its owner has
+// rewritten but not published is vetoed (see the type comment).
+func (t *wordsThread) Done() bool {
+	if !t.u.unchanged(t.lpIdx, t.lpStamp) {
+		return false
+	}
+	t.appendRow()
+	return true
+}
 
-	for j := 0; j < 2; j++ { // lines 5–27
-		lpIdx, lpStamp, lpTag := u.p.LL() // line 6: read ⟨index, stamp⟩
+// Build is Round.Build: open our own next pool record (line 14: seq1 =
+// seq2 + 1) and write applied ← active (line 20).
+func (t *wordsThread) Build(active xatomic.Snapshot) {
+	u := t.u
+	t.dst = &u.pool[t.i*u.c+t.poolIndex]
+	t.dst.seq1.Add(1)
+	for w := 0; w < u.words; w++ {
+		t.dst.applied[w].Store(active[w])
+	}
+}
 
-		// line 8: copy the current State into local scratch;
-		// line 11: consistency check via the seq stamps.
-		if !u.copyState(&u.pool[lpIdx], t) {
-			continue
-		}
-		SchedYield(i, PointCollect)
-		u.act.LoadInto(t.active)             // line 9
-		t.applied.XorInto(t.active, t.diffs) // line 10
+// Serve is Round.Serve: apply k's count and vector (line 17, read
+// unchecked: see the type comment) to the scratch state.
+func (t *wordsThread) Serve(k int) (uint64, bool) {
+	u := t.u
+	an := &u.announce[k]
+	cnt := min(max(an.cnt.Load(), 1), WordBatchBudget)
+	for q := uint64(0); q < cnt; q++ { // line 18, once per operation
+		t.brv[int(q)*u.n+k] = u.apply(t.st, k, an.args[q].Load())
+	}
+	t.bn[k] = cnt
+	return cnt, true
+}
 
-		// line 12: already applied? return the recorded responses, provided
-		// the copy is still the published state (see the type comment).
-		if t.diffs[myWord]&myMask == 0 && u.unchanged(lpIdx, lpStamp) {
-			st.Served(i, op, um)
-			return u.appendRow(res, t, i)
-		}
-
-		// lines 14–21: write the successor into our own pool record.
-		dst := &u.pool[i*u.c+t.poolIndex]
-		dst.seq1.Add(1) // line 14: open the record (seq1 = seq2 + 1)
-		slots, ops := uint64(0), uint64(0)
-		d := t.diffs
-		for { // lines 15–19: help everyone in diffs
-			k := d.BitSearchFirst()
-			if k < 0 {
-				break
-			}
-			d.ClearBit(k)
-			an := &u.announce[k]
-			// line 17: read k's count and vector (unchecked: see type comment)
-			cnt := min(max(an.cnt.Load(), 1), WordBatchBudget)
-			for q := uint64(0); q < cnt; q++ { // line 18, once per operation
-				t.brv[int(q)*u.n+k] = u.apply(t.st, k, an.args[q].Load())
-			}
-			t.bn[k] = cnt
-			slots++
-			ops += cnt
-		}
-		for w := 0; w < u.words; w++ { // line 20: applied ← active
-			dst.applied[w].Store(t.active[w])
-		}
-		for w := 0; w < u.sWords; w++ {
-			dst.st[w].Store(t.st[w])
-		}
-		for k := 0; k < u.n; k++ {
-			dst.bn[k].Store(t.bn[k])
-			for q := k; q < int(t.bn[k])*u.n; q += u.n {
-				dst.brv[q].Store(t.brv[q])
-			}
-		}
-		dst.seq2.Add(1) // line 21: close the record
-
-		// lines 22–25: SC P to ⟨our record, stamp+1⟩ (a CAS on the packed
-		// word below the wrap horizon, a cell swap above it).
-		SchedYield(i, PointCAS)
-		if u.p.SC(lpTag, uint16(i*u.c+t.poolIndex), lpStamp+1) {
-			t.poolIndex = (t.poolIndex + 1) % u.c // line 26
-			st.Committed(i, op, um, slots, op.Act(t.active), ops)
-			if j == 0 {
-				t.bo.Shrink()
-			}
-			return u.appendRow(res, t, i)
-		}
-		st.CASFailed(i, j, 0)
-		if j == 0 { // line 13's compute_backoff, applied on failure
-			st.BackoffGrew(i, t.bo)
-			t.bo.Wait()
+// Seal is Round.Seal: write the state and response rows into the record
+// and close it (line 21). The caller's row stays in scratch.
+func (t *wordsThread) Seal() {
+	u, dst := t.u, t.dst
+	for w := 0; w < u.sWords; w++ {
+		dst.st[w].Store(t.st[w])
+	}
+	for k := 0; k < u.n; k++ {
+		dst.bn[k].Store(t.bn[k])
+		for q := k; q < int(t.bn[k])*u.n; q += u.n {
+			dst.brv[q].Store(t.brv[q])
 		}
 	}
+	dst.seq2.Add(1)
+}
 
-	// Lines 28–30: both rounds failed ⇒ two successful CASes intervened and
-	// the second applied our operations. The paper reads the response from
-	// Pool[P.index] unchecked; we retry the seq-checked read a bounded
-	// number of times first and only then take the last copy unchecked (the
-	// unchecked read is only unsafe if the record is recycled mid-read, which
-	// needs C further publishes by one thread — the same window the paper's
-	// unchecked read tolerates).
-	st.Served(i, op, um)
+// Publish is Round.Publish: SC P to ⟨our record, stamp+1⟩ (lines 22–25; a
+// CAS on the packed word below the wrap horizon, a cell swap above it),
+// then rotate to our next record (line 26).
+func (t *wordsThread) Publish() bool {
+	u := t.u
+	if !u.p.SC(t.lpTag, uint16(t.i*u.c+t.poolIndex), t.lpStamp+1) {
+		return false
+	}
+	t.poolIndex = (t.poolIndex + 1) % u.c
+	t.appendRow()
+	return true
+}
+
+// Discard is Round.Discard: the record is ours and is rewritten next round.
+func (t *wordsThread) Discard() {}
+
+// Fallback is Round.Fallback. The paper reads the response from
+// Pool[P.index] unchecked; we retry the seq-checked read a bounded number
+// of times first and only then take the last copy unchecked (the unchecked
+// read is only unsafe if the record is recycled mid-read, which needs C
+// further publishes by one thread — the same window the paper's unchecked
+// read tolerates).
+func (t *wordsThread) Fallback() {
 	for tries := 0; ; tries++ {
-		lpIdx, _ := u.p.Load()
-		if u.copyState(&u.pool[lpIdx], t) || tries == 64 {
-			return u.appendRow(res, t, i)
+		if _, ok := t.Load(); ok || tries == 64 {
+			t.appendRow()
+			return
 		}
 	}
 }
 
-// appendRow appends process i's response row from t's copied scratch to res.
-func (u *PSimWords) appendRow(res []uint64, t *wordsThread, i int) []uint64 {
-	for q := i; q < int(t.bn[i])*u.n; q += u.n {
-		res = append(res, t.brv[q])
+// appendRow appends process i's response row from the copied scratch to
+// the collected responses.
+func (t *wordsThread) appendRow() {
+	n := t.u.n
+	for q := t.i; q < int(t.bn[t.i])*n; q += n {
+		t.res = append(t.res, t.brv[q])
 	}
-	return res
 }
 
 // ReadInto copies the current state into dst (len ≥ StateWords). Unlike

@@ -367,7 +367,8 @@ func TestPSimWordsSmallPoolStress(t *testing.T) {
 
 // TestPSimWordsUnpublishedSuccessorRejected: a reader that read P before a
 // record's owner republished can copy, seq-consistent, a successor the owner
-// has built there but not yet published; only the P re-check can tell.
+// has built there but not yet published; only the P re-check can tell, and
+// the round's early return (Done) must refuse the copy.
 func TestPSimWordsUnpublishedSuccessorRejected(t *testing.T) {
 	u := faaWord(1, 2, DefaultUpdateHorizon)
 	u.Apply(0, 1) // record 0 published, state 1
@@ -378,12 +379,53 @@ func TestPSimWordsUnpublishedSuccessorRejected(t *testing.T) {
 	SetSchedHook(func(_ int, p SchedPoint) {
 		if p == PointCAS { // record 0 now holds state 3, unpublished
 			consistent = u.copyState(&u.pool[idx], scratch)
-			current = u.unchanged(idx, stamp)
+			scratch.lpIdx, scratch.lpStamp = idx, stamp
+			current = scratch.Done() // the round's early return must veto it
 		}
 	})
 	defer SetSchedHook(nil)
 	u.Apply(0, 1)
 	if !consistent || scratch.st[0] != 3 || current {
 		t.Fatalf("copy consistent=%v st=%d, P re-check passed=%v; want true, 3, false", consistent, scratch.st[0], current)
+	}
+}
+
+// TestPSimWordsAccessCountSequential: the pooled P-Sim has no solo round, so
+// at n=1 each operation pays the announced round's exact bill: 2 for the
+// announce and toggle, 2 for the LL and record copy, 1 Act word, 1 served
+// process and 1 SC.
+func TestPSimWordsAccessCountSequential(t *testing.T) {
+	u := faaWord(1, 0, DefaultUpdateHorizon)
+	const per = 100
+	for k := 0; k < per; k++ {
+		u.Apply(0, 1)
+	}
+	if got := float64(u.Stats().SharedAccesses) / per; got != 7 {
+		t.Fatalf("accesses/op = %v, want 7", got)
+	}
+}
+
+// TestPSimWordsAccessCountGrowsWithHelping: the pooled P-Sim bills like
+// P-Sim under forced combining — a small constant plus the amortized
+// announce reads of the publishing operations.
+func TestPSimWordsAccessCountGrowsWithHelping(t *testing.T) {
+	const n, per = 8, 200
+	u := faaWord(n, 0, DefaultUpdateHorizon)
+	u.SetBackoff(512, 4096)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for k := 0; k < per; k++ {
+				u.Apply(id, 1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	perOp := float64(u.Stats().SharedAccesses) / float64(n*per)
+	t.Logf("accesses/op = %.2f", perOp)
+	if perOp < 5 || perOp > 20 {
+		t.Fatalf("accesses/op = %v, expected small constant + amortized k", perOp)
 	}
 }

@@ -298,11 +298,13 @@ func AblationActLayoutMakers() []harness.Maker {
 }
 
 // Table1Makers returns the instrumented universal constructions of the
-// Table 1 experiment — theoretical Sim, P-Sim, L-Sim (on a w=2 object) and
-// Herlihy's construction — each adding 1 per operation and reporting its
-// shared-memory accesses through Instance.Accesses. Sim's column stays flat
-// as n grows (the paper's O(1)); P-Sim pays O(k) announce reads; L-Sim
-// grows with contention k (O(kw)); Herlihy's grows with n.
+// Table 1 experiment — theoretical Sim, P-Sim, the pooled P-Sim, L-Sim (on a
+// w=2 object) and Herlihy's construction — each adding 1 per operation and
+// reporting its shared-memory accesses through Instance.Accesses. Sim's
+// column stays flat as n grows (the paper's O(1)); both P-Sims pay O(k)
+// announce reads (the pooled one has no solo round, so it pays the
+// announced round's 7 even at n = 1); L-Sim grows with contention k
+// (O(kw)); Herlihy's grows with n.
 func Table1Makers() []harness.Maker {
 	add := func(st uint64, _ int, arg uint64) (uint64, uint64) { return st + arg, st }
 	sim := func(n int) harness.Instance {
@@ -318,6 +320,16 @@ func Table1Makers() []harness.Maker {
 			return prev
 		})
 		inst := instance("P-Sim", u, func(id int, _ *workload.RNG) { u.Apply(id, 1) })
+		inst.Accesses = func() uint64 { return u.Stats().SharedAccesses }
+		return inst
+	}
+	pooled := func(n int) harness.Instance {
+		u := core.NewPSimWords(n, 0, []uint64{0}, func(st []uint64, _ int, arg uint64) uint64 {
+			prev := st[0]
+			st[0] += arg
+			return prev
+		})
+		inst := instance("P-Sim pooled", u, func(id int, _ *workload.RNG) { u.Apply(id, 1) })
 		inst.Accesses = func() uint64 { return u.Stats().SharedAccesses }
 		return inst
 	}
@@ -342,7 +354,7 @@ func Table1Makers() []harness.Maker {
 		inst.Accesses = u.SharedAccesses
 		return inst
 	}
-	return []harness.Maker{sim, psim, lsimW2, herlihyUC}
+	return []harness.Maker{sim, psim, pooled, lsimW2, herlihyUC}
 }
 
 // Table1Render formats the Table 1 results as a table of shared-memory

@@ -81,7 +81,7 @@ func TestPSimQueueFIFO(t *testing.T) {
 func TestTable1MeasureShapes(t *testing.T) {
 	cfg := harness.Config{Threads: []int{1, 4}, TotalOps: 200, MaxWork: 0, Reps: 1, Seed: 1}
 	rows := harness.Run(cfg, Table1Makers())
-	if len(rows) != 8 { // 4 algorithms × 2 thread counts
+	if len(rows) != 10 { // 5 algorithms × 2 thread counts
 		t.Fatalf("got %d rows", len(rows))
 	}
 	byAlgo := map[string]map[int]float64{}
@@ -95,7 +95,7 @@ func TestTable1MeasureShapes(t *testing.T) {
 		byAlgo[r.Impl][r.Threads] = r.AccessesPerOp
 	}
 	// At n=1 no helper exists, so every construction's bill is exact.
-	for algo, want := range map[string]float64{"Sim": 15, "P-Sim": 2, "L-Sim(w=2)": 35, "Herlihy-UC": 9} {
+	for algo, want := range map[string]float64{"Sim": 15, "P-Sim": 2, "P-Sim pooled": 7, "L-Sim(w=2)": 35, "Herlihy-UC": 9} {
 		if got := byAlgo[algo][1]; got != want {
 			t.Fatalf("%s accesses/op at n=1 = %v, want %v", algo, got, want)
 		}

@@ -142,11 +142,6 @@ type newVar struct {
 	next atomic.Pointer[newVar]
 }
 
-// hazardAttempts bounds the protected-load retries of the round-record LL.
-// Exhaustion means that many successful publishes raced the load, and is
-// treated exactly like a failed SC (the round is abandoned).
-const hazardAttempts = 8
-
 // anonItemSlots is the preallocated anonymous hazard-slot count of the item
 // plane (Current readers with no process id); more readers overflow, they
 // never wait.
@@ -333,6 +328,7 @@ func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R)
 		t.batch = append(t.batch, lop[V, A, R]{fn: op, arg: a})
 	}
 	l.announce.Publish(i, t.batch) // line 1
+	core.SchedYield(i, core.PointAnnounce)
 	l.stats.Accesses.Inc(i)
 	l.members[i].Join() // line 2
 	l.stats.Accesses.Inc(i)
@@ -383,14 +379,15 @@ func (obsoleteError) Error() string { return "lsim: state obsolete" }
 func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *bool) {
 	st := l.stats
 	for j := 0; j < 2; j++ { // line 9
-		ls, ok := l.haz.Acquire(i, &l.state, hazardAttempts) // line 11 (LL)
+		ls, ok := l.haz.Acquire(i, &l.state, core.HazardAttempts) // line 11 (LL)
 		l.stats.Accesses.Inc(i)
 		if !ok {
-			// hazardAttempts publishes raced the protected load; the round
+			// HazardAttempts publishes raced the protected load; the round
 			// is as doomed as a failed SC.
-			st.CASFailed(i, 1, 0)
+			st.CASFailed(i, j, 1)
 			continue
 		}
+		core.SchedYield(i, core.PointCollect)
 		l.act.GetSetInto(t.lact) // line 12
 		l.stats.Accesses.Add(i, uint64(l.act.Words()))
 
@@ -414,7 +411,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 
 		if l.state.Load() != ls { // line 38 (VL): the state we read is obsolete
 			l.stats.Accesses.Inc(i)
-			st.CASFailed(i, 1, 0)
+			st.CASFailed(i, j, 0)
 			l.rpool.Put(t.blk, ns)
 			continue
 		}
@@ -427,6 +424,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 			return // a later round already committed everything (line 40)
 		}
 
+		core.SchedYield(i, core.PointCAS)
 		if l.state.CompareAndSwap(ls, ns) { // line 45 (SC)
 			l.rpool.Put(t.blk, ls) // retire the replaced record
 			l.itemsWritten.Add(i, wrote)
@@ -438,7 +436,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 			}
 		} else {
 			l.rpool.Put(t.blk, ns)
-			st.CASFailed(i, 0, 0)
+			st.CASFailed(i, j, 0)
 		}
 		l.stats.Accesses.Inc(i)
 	}

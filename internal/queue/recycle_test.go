@@ -255,11 +255,11 @@ func nodeCounter(reg *obs.Registry, name string) uint64 {
 // allocates almost nothing, and that oldTail must stay untouched (not
 // reset) until an enqueue moves enqP on.
 func TestSimQueueDrainedBacklogRecycles(t *testing.T) {
-	const n, backlog, chunk, cycles = 8, 6 * batchBudget, 8, 8
+	const n, backlog, chunk, cycles = 8, 6 * core.DefaultBatchBudget, 8, 8
 	q := NewSimQueue[uint64](n)
 	reg := obs.NewRegistry()
 	q.Attach(reg, "q", nil, nil)
-	vals := make([]uint64, batchBudget)
+	vals := make([]uint64, core.DefaultBatchBudget)
 	var out []uint64
 	next, want := uint64(1), uint64(1)
 	var fresh0 uint64
@@ -267,7 +267,7 @@ func TestSimQueueDrainedBacklogRecycles(t *testing.T) {
 		if cycle == cycles/2 {
 			fresh0 = nodeCounter(reg, "alloc_fresh_total")
 		}
-		for k := 0; k < backlog/batchBudget; k++ {
+		for k := 0; k < backlog/core.DefaultBatchBudget; k++ {
 			for i := range vals {
 				vals[i] = next
 				next++

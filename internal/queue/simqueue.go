@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alloc"
-	"repro/internal/backoff"
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -81,10 +80,8 @@ import (
 // the GC — the Blelloch–Wei space guarantee. At n == 1 no stale reader can
 // exist, so the solo paths retire consumed nodes straight into the plane.
 //
-// Progress: as in core.PSim, everything up to the Observation-3.2 fallback
-// is bounded, but the fallback's hazard-protected read retries only when a
-// concurrent publish succeeds — lock-free rather than strictly bounded
-// (see internal/core/recycle.go).
+// Progress: each end runs core.Proc.Combine, so it is bounded up to a
+// lock-free fallback read, as in core.PSim.
 type SimQueue[V any] struct {
 	n int
 
@@ -108,19 +105,11 @@ type SimQueue[V any] struct {
 	dstate *alloc.Typed[deqState[V]]
 	nodes  *alloc.Pool[qnode[V]]
 
-	enqThreads []sqThread[V]
-	deqThreads []sqThread[V]
+	enqThreads []enqThread[V]
+	deqThreads []deqThread[V]
 	enqStats   *core.StatsPlane
 	deqStats   *core.StatsPlane
-
-	boLower, boUpper int
 }
-
-// batchBudget bounds how many operations one announcement may carry on
-// either end; EnqueueBatch/DequeueBatch split longer requests into
-// budget-sized chunks so one combining round's work stays bounded by
-// n×batchBudget — the constant in the wait-freedom bound.
-const batchBudget = 64
 
 // qnode is a queue node; next is written once with CAS when the node's
 // batch is spliced onto the shared list (and doubles as the memory plane's
@@ -157,25 +146,36 @@ type deqRes[V any] struct {
 	ok bool
 }
 
-type sqThread[V any] struct {
-	toggler *xatomic.Toggler
-	bo      *backoff.Adaptive
-	active  xatomic.Snapshot
-	diffs   xatomic.Snapshot
-	eblk    *alloc.Handle[enqState[V]] // record cache (enq threads)
-	dblk    *alloc.Handle[deqState[V]] // record cache (deq threads)
-	nblk    *alloc.Handle[qnode[V]]    // node cache (both ends, disjoint ids)
-	limbo   *nodeLimbo[V]              // consumed runs awaiting the era rule (deq threads, n > 1)
-	lastCnt uint64                     // last announced dequeue count (deq threads)
-	one     [1]V                       // Enqueue's batch of one
-	oneOut  []V                        // Dequeue's response buffer
-	inited  bool
+// enqThread is an enqueuer's private handle internals and its core.Round:
+// the record it loaded, the successor and the private node chain it builds.
+type enqThread[V any] struct {
+	p           core.Proc
+	q           *SimQueue[V]
+	id          int
+	eblk        *alloc.Handle[enqState[V]] // record cache
+	nblk        *alloc.Handle[qnode[V]]    // node cache
+	ls, ns      *enqState[V]               // loaded record, successor
+	first, last *qnode[V]                  // the private node chain
+	chunk       []V                        // the announced vector
+	one         [1]V                       // Enqueue's batch of one
 }
 
-// hazardAttempts mirrors core.PSim's bound: a failed hazard acquisition
-// implies a concurrent successful publish, so a bounded number of attempts
-// consumes the round the same way a failed CAS does.
-const hazardAttempts = 8
+// deqThread is a dequeuer's private handle internals and its core.Round:
+// the record it loaded, the successor it builds and the head it walks.
+type deqThread[V any] struct {
+	p             core.Proc
+	q             *SimQueue[V]
+	id            int
+	dblk          *alloc.Handle[deqState[V]] // record cache
+	nblk          *alloc.Handle[qnode[V]]    // node cache
+	limbo         *nodeLimbo[V]              // consumed runs awaiting the era rule (n > 1)
+	ls, ns        *deqState[V]               // loaded record, successor
+	oldHead, head *qnode[V]                  // the loaded head, the walked one
+	cnt           uint64                     // the announced count
+	out           []V                        // values collected so far
+	base          int                        // len(out) before this round's row
+	oneOut        []V                        // Dequeue's response buffer
+}
 
 // NewSimQueue returns an empty wait-free queue shared by n processes.
 func NewSimQueue[V any](n int) *SimQueue[V] {
@@ -188,12 +188,10 @@ func NewSimQueue[V any](n int) *SimQueue[V] {
 		deqAct:      xatomic.NewSharedBits(n),
 		deqCounts:   make([]pad.Uint64, n),
 		deqHaz:      core.NewHazards[deqState[V]](n, 0, nil, 0),
-		enqThreads:  make([]sqThread[V], n),
-		deqThreads:  make([]sqThread[V], n),
+		enqThreads:  make([]enqThread[V], n),
+		deqThreads:  make([]deqThread[V], n),
 		enqStats:    core.NewStatsPlane(n),
 		deqStats:    core.NewStatsPlane(n),
-		boLower:     1,
-		boUpper:     core.DefaultBackoffUpper,
 	}
 	q.enqP.Store(&enqState[V]{
 		applied: xatomic.NewSnapshot(n),
@@ -244,12 +242,28 @@ func NewSimQueue[V any](n int) *SimQueue[V] {
 	q.enqStats.AttachAllocPool("enq_state", q.estate.Pool())
 	q.enqStats.AttachAllocPool("node", q.nodes)
 	q.deqStats.AttachAllocPool("deq_state", q.dstate.Pool())
+	for id := 0; id < n; id++ {
+		e, d := &q.enqThreads[id], &q.deqThreads[id]
+		e.q, e.id = q, id
+		e.eblk, e.nblk = q.estate.Pool().Handle(id), q.nodes.Handle(id)
+		d.q, d.id = q, id
+		d.dblk, d.nblk = q.dstate.Pool().Handle(id), q.nodes.Handle(n+id)
+		if n > 1 {
+			d.limbo = &nodeLimbo[V]{}
+		}
+	}
+	q.SetBackoff(1, core.DefaultBackoffUpper)
 	return q
 }
 
 // SetBackoff reconfigures the adaptive backoff bounds (upper 0 disables).
-// Call before any operation.
-func (q *SimQueue[V]) SetBackoff(lower, upper int) { q.boLower, q.boUpper = lower, upper }
+// Call before any operation: it rebuilds every process's round state.
+func (q *SimQueue[V]) SetBackoff(lower, upper int) {
+	for id := range q.enqThreads {
+		q.enqThreads[id].p = core.NewProc(q.enqAct, q.enqStats, id, lower, upper)
+		q.deqThreads[id].p = core.NewProc(q.deqAct, q.deqStats, id, lower, upper)
+	}
+}
 
 // Attach connects the queue's instrument (see core.StatsPlane.Attach): both
 // ends' exact counters and memory planes attach in reg under prefix (the
@@ -262,59 +276,18 @@ func (q *SimQueue[V]) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecor
 	q.deqStats.Attach(reg, prefix, rec, tr)
 }
 
-func (q *SimQueue[V]) thread(ts []sqThread[V], act *xatomic.SharedBits, i int) *sqThread[V] {
-	t := &ts[i]
-	if !t.inited {
-		t.toggler = xatomic.NewToggler(act, i)
-		upper := q.boUpper
-		if q.n == 1 {
-			upper = 0 // no helper can exist: waiting is pure overhead
-		}
-		t.bo = backoff.NewAdaptive(q.boLower, upper)
-		t.active = xatomic.NewSnapshot(q.n)
-		t.diffs = xatomic.NewSnapshot(q.n)
-		if &ts[0] == &q.enqThreads[0] {
-			t.eblk = q.estate.Pool().Handle(i)
-			t.nblk = q.nodes.Handle(i)
-		} else {
-			t.dblk = q.dstate.Pool().Handle(i)
-			t.nblk = q.nodes.Handle(q.n + i)
-			t.oneOut = make([]V, 0, 1)
-			if q.n > 1 {
-				t.limbo = &nodeLimbo[V]{}
-			}
-		}
-		t.inited = true
-	}
-	return t
-}
-
-// node returns a queue node holding v from the thread's plane handle: its
-// cached blocks, a chain taken from the pool's shared slots (how dequeue-side
-// chains come back at n == 1), or a fresh allocation.
-func (q *SimQueue[V]) node(t *sqThread[V], v V) *qnode[V] {
-	nd, _ := t.nblk.Get() // Get clears the link; Reset cleared the value
-	nd.v = v
-	return nd
-}
-
-// freeNodes returns the private list first..last (never published — its CAS
-// lost) to the thread's plane handle.
-func (t *sqThread[V]) freeNodes(first, last *qnode[V]) {
-	for nd := first; ; {
+// putRun returns the nodes first..end (exclusive) to plane handle h.
+func putRun[V any](h *alloc.Handle[qnode[V]], first, end *qnode[V]) {
+	for nd := first; nd != end; {
 		nx := nd.next.Load() // Put overwrites the link: read it first
-		end := nd == last
-		t.nblk.Put(nd)
-		if end {
-			return
-		}
+		h.Put(nd)
 		nd = nx
 	}
 }
 
 // limboRuns bounds the consumed runs one dequeuer holds back under the era
-// rule; a run is one winning round's consumption, at most n×batchBudget
-// nodes.
+// rule; a run is one winning round's consumption, at most
+// n×core.DefaultBatchBudget nodes.
 const limboRuns = 16
 
 // nodeRun is the run first..end (exclusive) consumed by a winning dequeue
@@ -332,16 +305,17 @@ type nodeLimbo[V any] struct {
 	head, size int
 }
 
-// retireNodes parks the run first..end (exclusive) that process id's
+// retireNodes parks the run first..end (exclusive) that the dequeuer's
 // winning round consumed in publishing dequeue era r, then hands every
 // parked run that now passes the era rule (see the type comment) to the
 // dequeue-side plane handle. Wait-free: one bounded hazard acquire, one
 // scan of the 3n hazard slots, at most limboRuns runs released.
-func (q *SimQueue[V]) retireNodes(id int, t *sqThread[V], first, end *qnode[V], r uint64) {
+func (t *deqThread[V]) retireNodes(first, end *qnode[V], r uint64) {
+	q, id := t.q, t.id
 	// The enqueue era now, read under the help-splice slot so the record
 	// cannot be reissued (its era rewritten) while it is read. A failed
 	// acquire means enqueuers are publishing fast: leave the run to the GC.
-	es, ok := q.enqHaz.Acquire(q.n+id, &q.enqP, hazardAttempts)
+	es, ok := q.enqHaz.Acquire(q.n+id, &q.enqP, core.HazardAttempts)
 	if !ok {
 		q.enqHaz.Clear(q.n + id)
 		return
@@ -395,23 +369,6 @@ func (lb *nodeLimbo[V]) drop() {
 	lb.size--
 }
 
-// enqRecord returns an EnqState record for process id to build the next
-// batch into, reissued through the guarded plane (never one a stalled
-// combiner still reads).
-func (q *SimQueue[V]) enqRecord(id int, t *sqThread[V]) *enqState[V] {
-	ns, fresh := q.estate.Get(t.eblk)
-	q.enqStats.Recycled(id, fresh, t.eblk.Cached(), 0)
-	return ns
-}
-
-// deqRecord returns a DeqState record for process id to build the next
-// batch into, reissued through the guarded plane.
-func (q *SimQueue[V]) deqRecord(id int, t *sqThread[V]) *deqState[V] {
-	ns, fresh := q.dstate.Get(t.dblk)
-	q.deqStats.Recycled(id, fresh, t.dblk.Cached(), 0)
-	return ns
-}
-
 // splice links batch es onto the shared queue if not already done
 // (Algorithm 5 lines 18/34, Algorithm 6 lines 49–51). es must be protected
 // by a hazard slot (or be unreachable by recyclers, as on the solo paths).
@@ -421,7 +378,8 @@ func (q *SimQueue[V]) deqRecord(id int, t *sqThread[V]) *deqState[V] {
 // CAS it away — so only the CURRENT record can be unspliced, and every
 // return path of Enqueue splices the record covering its own operation.
 func splice[V any](es *enqState[V]) {
-	if es.oldTail != nil && es.lfirst != nil {
+	// Load first: the batch is usually spliced, and a failing CAS still costs.
+	if es.oldTail != nil && es.lfirst != nil && es.oldTail.next.Load() == nil {
 		es.oldTail.next.CompareAndSwap(nil, es.lfirst)
 	}
 }
@@ -429,7 +387,7 @@ func splice[V any](es *enqState[V]) {
 // Enqueue appends v on behalf of process id (Algorithm 5): EnqueueBatch of
 // a batch of one, through a per-thread one-element scratch.
 func (q *SimQueue[V]) Enqueue(id int, v V) {
-	t := q.thread(q.enqThreads, q.enqAct, id)
+	t := &q.enqThreads[id]
 	t.one[0] = v
 	q.EnqueueBatch(id, t.one[:])
 }
@@ -440,185 +398,134 @@ func (q *SimQueue[V]) Enqueue(id int, v V) {
 // consecutive nodes of its private list, so no other process's values
 // interleave within a chunk. An empty vals is a no-op.
 func (q *SimQueue[V]) EnqueueBatch(id int, vals []V) {
-	t := q.thread(q.enqThreads, q.enqAct, id)
+	t := &q.enqThreads[id]
 	for len(vals) > 0 {
-		m := min(len(vals), batchBudget)
-		chunk := vals[:m]
+		m := min(len(vals), core.DefaultBatchBudget)
+		t.chunk = vals[:m]
 		vals = vals[m:]
 
 		op := q.enqStats.Start(id)
 		if q.n == 1 {
-			q.enqueueSoloBatch(t, op, chunk)
+			t.p.Solo(t, op, m)
 			continue
 		}
-		q.enqAnnounce.Publish(id, chunk) // line 1: announce
-		core.SchedYield(id, core.PointAnnounce)
-		t.toggler.Toggle() // lines 2–3
-		t.bo.Wait()        // line 4
-		q.enqueueAnnounced(id, t, op, m)
+		q.enqAnnounce.Publish(id, t.chunk) // line 1: announce
+		t.p.Combine(t, op, m)
 	}
+	t.chunk = nil // keep no caller slice
 }
 
-// enqueueAnnounced runs the two-round combining protocol plus the fallback
-// for process id's just-published vector of m values.
-func (q *SimQueue[V]) enqueueAnnounced(id int, t *sqThread[V], op core.Op, m int) {
-	st := q.enqStats
-	um := uint64(m)
-	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
-
-	for j := 0; j < 2; j++ {
-		// lines 6–7: read the state reference under hazard protection so the
-		// record cannot be recycled while we use it.
-		ls, ok := q.enqHaz.Acquire(id, &q.enqP, hazardAttempts)
-		if !ok {
-			st.CASFailed(id, j, 1)
-			continue
-		}
-		core.SchedYield(id, core.PointCollect)
-		splice(ls) // line 18: help link the current batch (before any return)
-		q.enqAct.LoadInto(t.active)
-		ls.applied.XorInto(t.active, t.diffs)
-		if t.diffs[myWord]&myMask == 0 { // line 11: already applied
-			// Our batch B ≤ ls: if B < ls it was spliced before being
-			// replaced, and splice(ls) above covers B == ls.
-			q.enqHaz.Clear(id) // don't pin ls while parked outside Enqueue
-			st.Served(id, op, um)
-			return
-		}
-
-		// lines 12–27: build the private list — own vector first (lines
-		// 13–17), then every value of every remaining announced vector in
-		// diffs. Nodes come from the plane handle (refilled by failed rounds).
-		own := q.enqAnnounce.OwnVec(id)
-		first := q.node(t, own[0])
-		last := first
-		for _, v := range own[1:] {
-			nn := q.node(t, v)
-			last.next.Store(nn)
-			last = nn
-		}
-		t.diffs.ClearBit(id) // line 17: exclude self
-		slots, ops := uint64(1), uint64(len(own))
-		abandoned := false
-		for {
-			k := t.diffs.BitSearchFirst() // line 20
-			if k < 0 {
-				break
-			}
-			t.diffs.ClearBit(k)
-			// lines 21–24, batched: protect k's announce box and append its
-			// whole vector. A validation failure means k re-announced — an
-			// intervening publish doomed our CAS; abandon like a failed CAS.
-			b, bok := q.enqAnnounce.Protect(id, k)
-			if !bok {
-				abandoned = true
-				break
-			}
-			for _, v := range b.Vec() {
-				nn := q.node(t, v)
-				last.next.Store(nn)
-				last = nn
-				ops++
-			}
-			slots++
-		}
-		q.enqAnnounce.Clear(id) // done reading other processes' boxes
-		if abandoned {
-			t.freeNodes(first, last) // the list was never published: reuse it
-			st.CASFailed(id, j, 2)
-			if j == 0 {
-				st.BackoffGrew(id, t.bo)
-				t.bo.Wait()
-			}
-			continue
-		}
-
-		oldTail := ls.newTail    // capture before CAS: ls may recycle after it
-		ns := q.enqRecord(id, t) // lines 28–31, into a recycled record
-		ns.applied.CopyFrom(t.active)
-		ns.era.Store(ls.era.Load() + 1)
-		ns.oldTail = oldTail
-		ns.lfirst = first
-		ns.newTail = last
-		core.SchedYield(id, core.PointCAS)
-		if q.enqP.CompareAndSwap(ls, ns) { // line 35
-			// line 36: link our own batch. Splice from the locals — once
-			// published, ns may be retired and recycled by a later winner.
-			oldTail.next.CompareAndSwap(nil, first)
-			q.enqHaz.Clear(id)       // unpin ls before retiring it
-			q.estate.Put(t.eblk, ls) // retire the replaced record for reuse
-			st.Spliced(id, 0)        // own-batch hand-off
-			st.Committed(id, op, um, slots, op.Act(t.active), ops)
-			if j == 0 {
-				t.bo.Shrink()
-			}
-			return
-		}
-		t.freeNodes(first, last) // the list was never published: reuse it
-		q.estate.Put(t.eblk, ns) // likewise the record
-		st.CASFailed(id, j, 0)
-		if j == 0 {
-			st.BackoffGrew(id, t.bo)
-			t.bo.Wait()
-		}
+// Load is core.Round.Load (lines 6–7): the state reference, read under
+// hazard protection so the record cannot be recycled while we use it.
+func (t *enqThread[V]) Load() (xatomic.Snapshot, bool) {
+	if t.ls = t.q.enqHaz.RoundLoad(t.id, &t.q.enqP, t.q.n == 1); t.ls == nil {
+		return nil, false
 	}
-	// line 38: two failed CASes ⇒ a helper applied our enqueue in batch B.
-	// Ensure B is spliced before returning: one hazard attempt either
-	// protects the current record (splice covers B ≤ current) or fails
-	// because the current record was replaced — and replaced ⇒ spliced.
-	if es, ok := q.enqHaz.Acquire(id, &q.enqP, 1); ok {
-		splice(es)
-	}
-	q.enqHaz.Clear(id)
-	st.Served(id, op, um)
+	return t.ls.applied, true
 }
 
-// enqueueSoloBatch is EnqueueBatch's chunk for n == 1: no helper can exist,
-// so skip announce, toggle, backoff, and CAS (process 0's enqueuer is the
-// sole writer of enqP). The whole chunk becomes one private chain spliced
-// with a single record rotation; records rotate through the plane's record
-// cache and nodes through its node pool (consumed chains flow back from the
-// dequeue-side handle via the pool's shared slots), so the steady-state path
-// allocates nothing.
-func (q *SimQueue[V]) enqueueSoloBatch(t *sqThread[V], op core.Op, vals []V) {
-	ls := q.enqP.Load()
-	first := q.node(t, vals[0])
-	last := first
-	for _, v := range vals[1:] {
-		nn := q.node(t, v)
-		last.next.Store(nn)
-		last = nn
-	}
-	ns := q.enqRecord(0, t)
-	ns.applied.CopyFrom(ls.applied)
+// Done is core.Round.Done (line 11). Our batch B ≤ ls: if B < ls it was
+// spliced before being replaced, and splicing ls covers B == ls.
+func (t *enqThread[V]) Done() bool {
+	splice(t.ls)           // line 18: help link the current batch before returning
+	t.q.enqHaz.Clear(t.id) // don't pin ls while parked outside Enqueue
+	return true
+}
+
+// Build is core.Round.Build: help link the loaded batch (line 18 — a record
+// is spliced before it is replaced), then start the successor (lines
+// 28–31) in a record reissued through the guarded plane, never one a
+// stalled combiner still reads.
+func (t *enqThread[V]) Build(active xatomic.Snapshot) {
+	q, ls := t.q, t.ls
+	splice(ls)
+	ns, fresh := q.estate.Get(t.eblk)
+	q.enqStats.Recycled(t.id, fresh, t.eblk.Cached(), 0)
+	ns.applied.CopyFrom(active)
 	ns.era.Store(ls.era.Load() + 1)
 	ns.oldTail = ls.newTail
-	ns.lfirst = first
-	ns.newTail = last
-	q.enqP.Store(ns)
-	// Splice before returning; prior batches were spliced by their own
-	// enqueues, so the tail's next is nil until this CAS.
-	ns.oldTail.next.CompareAndSwap(nil, first)
-	q.estate.Put(t.eblk, ls)
-	m := uint64(len(vals))
-	q.enqStats.Committed(0, op, m, 1, 1, m)
+	t.ns, t.first, t.last = ns, nil, nil
 }
 
-// announceDeqCount publishes process id's dequeue count for the next toggle.
-// The word is single-writer and most operations are single dequeues, so the
-// store is skipped when the count is unchanged.
-func (q *SimQueue[V]) announceDeqCount(id int, t *sqThread[V], m uint64) {
-	if t.lastCnt != m {
-		q.deqCounts[id].V.Store(m)
-		t.lastCnt = m
+// Serve is core.Round.Serve (lines 12–27, batched): append k's whole
+// vector to the private list, nodes coming from the plane handle (refilled
+// by failed rounds). Another process's box is protected first.
+func (t *enqThread[V]) Serve(k int) (uint64, bool) {
+	vec := t.chunk
+	if k != t.id {
+		b, ok := t.q.enqAnnounce.Protect(t.id, k)
+		if !ok {
+			return 0, false
+		}
+		vec = b.Vec()
 	}
+	for _, v := range vec {
+		nd, _ := t.nblk.Get() // Get clears the link; Reset cleared the value
+		nd.v = v
+		if t.last == nil {
+			t.first = nd
+		} else {
+			t.last.next.Store(nd)
+		}
+		t.last = nd
+	}
+	return uint64(len(vec)), true
+}
+
+// Seal is core.Round.Seal: the successor names the private list.
+func (t *enqThread[V]) Seal() {
+	t.ns.lfirst, t.ns.newTail = t.first, t.last
+}
+
+// Publish is core.Round.Publish (line 35), then line 36: link our own batch
+// while ls, and with it the old tail, is still protected. The splice reads
+// the locals — once published, ns may be retired and recycled by a later
+// winner.
+func (t *enqThread[V]) Publish() bool {
+	q := t.q
+	oldTail := t.ns.oldTail
+	if q.n == 1 {
+		q.enqP.Store(t.ns) // sole writer: plain atomic publish
+	} else {
+		q.enqAnnounce.Clear(t.id) // done reading other processes' boxes
+		if !q.enqP.CompareAndSwap(t.ls, t.ns) {
+			return false
+		}
+	}
+	oldTail.next.CompareAndSwap(nil, t.first)
+	if q.n > 1 {
+		q.enqHaz.Clear(t.id) // unpin ls before retiring it
+	}
+	q.estate.Put(t.eblk, t.ls)
+	q.enqStats.Spliced(t.id, 0) // own-batch hand-off
+	return true
+}
+
+// Discard is core.Round.Discard: the list and the record were never
+// published, so both are reusable at once.
+func (t *enqThread[V]) Discard() {
+	t.q.enqAnnounce.Clear(t.id)
+	putRun(t.nblk, t.first, nil) // the private list ends in a nil link
+	t.q.estate.Put(t.eblk, t.ns)
+}
+
+// Fallback is core.Round.Fallback (line 38): a helper applied our enqueue in
+// batch B. Ensure B is spliced before returning: one hazard attempt either
+// protects the current record (splice covers B ≤ current) or fails because
+// the current record was replaced — and replaced ⇒ spliced.
+func (t *enqThread[V]) Fallback() {
+	q := t.q
+	if es, ok := q.enqHaz.Acquire(t.id, &q.enqP, 1); ok {
+		splice(es)
+	}
+	q.enqHaz.Clear(t.id)
 }
 
 // Dequeue removes and returns the front value on behalf of process id
 // (Algorithm 6); ok is false if the queue was empty. It is DequeueBatch of a
 // batch of one, through a per-thread one-element buffer.
 func (q *SimQueue[V]) Dequeue(id int) (V, bool) {
-	t := q.thread(q.deqThreads, q.deqAct, id)
+	t := &q.deqThreads[id]
 	t.oneOut = q.DequeueBatch(id, 1, t.oneOut)
 	if len(t.oneOut) == 0 {
 		var zero V
@@ -634,127 +541,146 @@ func (q *SimQueue[V]) Dequeue(id int) (V, bool) {
 // linearization point; fewer than want values are returned exactly when the
 // queue ran empty at the last chunk's linearization point.
 func (q *SimQueue[V]) DequeueBatch(id int, want int, out []V) []V {
-	t := q.thread(q.deqThreads, q.deqAct, id)
-	out = out[:0]
+	t := &q.deqThreads[id]
+	t.out = out[:0]
 	for want > 0 {
-		m := min(want, batchBudget)
+		m := min(want, core.DefaultBatchBudget)
 		want -= m
 
 		op := q.deqStats.Start(id)
-		before := len(out)
-		if q.n == 1 {
-			out = q.dequeueSoloBatch(t, op, m, out)
-		} else {
-			q.announceDeqCount(id, t, uint64(m))
-			core.SchedYield(id, core.PointAnnounce)
-			t.toggler.Toggle() // lines 39–40 (a dequeue announces only its count)
-			t.bo.Wait()        // line 41
-			out = q.dequeueAnnounced(id, t, op, m, out)
+		before := len(t.out)
+		// lines 39–40: a dequeue announces only its count. The word is
+		// single-writer and most operations are single dequeues, so the
+		// store is skipped when the count is unchanged.
+		if c := uint64(m); c != t.cnt {
+			t.cnt = c
+			q.deqCounts[id].V.Store(c)
 		}
-		if len(out)-before < m {
+		if q.n == 1 {
+			t.p.Solo(t, op, m)
+		} else {
+			t.p.Combine(t, op, m)
+		}
+		if len(t.out)-before < m {
 			break // the queue was empty at the chunk's linearization point
 		}
 	}
+	out, t.out = t.out, nil
 	return out
 }
 
-// dequeueAnnounced runs the two-round combining protocol plus the fallback
-// for process id's just-announced count of m dequeues, and appends the
-// successful responses of its row to out in dequeue order.
-func (q *SimQueue[V]) dequeueAnnounced(id int, t *sqThread[V], op core.Op, m int, out []V) []V {
-	st := q.deqStats
-	um := uint64(m)
-	myWord, myMask := t.toggler.Word(), t.toggler.Mask()
-
-	for j := 0; j < 2; j++ {
-		ls, ok := q.deqHaz.Acquire(id, &q.deqP, hazardAttempts) // lines 43–44
-		if !ok {
-			st.CASFailed(id, j, 1)
-			continue
-		}
-		core.SchedYield(id, core.PointCollect)
-		q.deqAct.LoadInto(t.active)
-		ls.applied.XorInto(t.active, t.diffs)
-		if t.diffs[myWord]&myMask == 0 { // line 48: already applied
-			out = appendHits(out, ls.res.Row(id)) // record hazard-protected: safe to read
-			q.deqHaz.Clear(id)                    // don't pin ls while parked outside Dequeue
-			st.Served(id, op, um)
-			return out
-		}
-
-		// lines 49–51: help enqueuers splice their latest batch. Best
-		// effort under a bounded hazard acquire: a failure means enqueuers
-		// are actively publishing, and since every COMPLETED enqueue splices
-		// its batch before returning, an unspliced batch can only contain
-		// in-flight operations — missing those is linearizable.
-		if es, ok := q.enqHaz.Acquire(q.n+id, &q.enqP, hazardAttempts); ok {
-			core.SchedYield(id, core.PointCollect)
-			splice(es)
-			st.Spliced(id, 1) // dequeuer helped the hand-off
-		}
-		q.enqHaz.Clear(q.n + id) // help slot done: never leave it set
-
-		oldHead, head := ls.head, ls.head
-		era := ls.era.Load() + 1 // a local: once published, ns may recycle
-		ns := q.deqRecord(id, t) // recycled record: reuse applied and the rows
-		ns.applied.CopyFrom(t.active)
-		ns.era.Store(era)
-		ns.res.Forward(&ls.res)
-		slots, ops := uint64(0), uint64(0)
-		for { // lines 53–61: serve every dequeuer in diffs, its whole count
-			k := t.diffs.BitSearchFirst()
-			if k < 0 {
-				break
-			}
-			t.diffs.ClearBit(k)
-			cnt := min(max(q.deqCounts[k].V.Load(), 1), batchBudget) // unchecked: see the type comment
-			row := ns.res.Buf(k)
-			for c := uint64(0); c < cnt; c++ {
-				r := deqRes[V]{}
-				if next := head.next.Load(); next != nil {
-					r = deqRes[V]{v: next.v, ok: true}
-					head = next
-				}
-				row = append(row, r)
-			}
-			ns.res.Serve(k, row)
-			slots++
-			ops += cnt
-		}
-		ns.head = head
-		// Read the responses BEFORE publishing: once published, ns may be
-		// retired and recycled by any later winner.
-		base := len(out)
-		out = appendHits(out, ns.res.Row(id))
-		core.SchedYield(id, core.PointCAS)
-		if q.deqP.CompareAndSwap(ls, ns) { // line 67
-			q.deqHaz.Clear(id) // unpin ls before retiring it
-			q.dstate.Put(t.dblk, ls)
-			if head != oldHead {
-				q.retireNodes(id, t, oldHead, head, era)
-			}
-			st.Committed(id, op, um, slots, op.Act(t.active), ops)
-			if j == 0 {
-				t.bo.Shrink()
-			}
-			return out
-		}
-		out = out[:base]         // speculative copies die with the failed round
-		q.dstate.Put(t.dblk, ns) // never published — immediately reusable
-		st.CASFailed(id, j, 0)
-		if j == 0 {
-			st.BackoffGrew(id, t.bo)
-			t.bo.Wait()
-		}
+// Load is core.Round.Load (lines 43–44), as for enqueuers.
+func (t *deqThread[V]) Load() (xatomic.Snapshot, bool) {
+	if t.ls = t.q.deqHaz.RoundLoad(t.id, &t.q.deqP, t.q.n == 1); t.ls == nil {
+		return nil, false
 	}
-	// lines 70–72: a helper served us; read the published record under
-	// hazard protection (unbounded form is lock-free: each failure implies
-	// a concurrent successful publish).
-	st.Served(id, op, um)
-	ls, _ := q.deqHaz.Acquire(id, &q.deqP, 0)
-	out = appendHits(out, ls.res.Row(id))
-	q.deqHaz.Clear(id)
-	return out
+	return t.ls.applied, true
+}
+
+// Done is core.Round.Done (line 48): the record is hazard-protected, so its
+// rows are safe to read.
+func (t *deqThread[V]) Done() bool {
+	t.out = appendHits(t.out, t.ls.res.Row(t.id))
+	t.q.deqHaz.Clear(t.id) // don't pin ls while parked outside Dequeue
+	return true
+}
+
+// Build is core.Round.Build. First, lines 49–51: help enqueuers splice
+// their latest batch. Best effort under a bounded hazard acquire: a failure
+// means enqueuers are actively publishing, and since every COMPLETED
+// enqueue splices its batch before returning, an unspliced batch can only
+// contain in-flight operations — missing those is linearizable. At n == 1
+// every batch is spliced by its own enqueue. Then the successor, in a
+// recycled record whose applied vector and rows are reused.
+func (t *deqThread[V]) Build(active xatomic.Snapshot) {
+	q, ls := t.q, t.ls
+	if q.n > 1 {
+		if es, ok := q.enqHaz.Acquire(q.n+t.id, &q.enqP, core.HazardAttempts); ok {
+			core.SchedYield(t.id, core.PointCollect)
+			splice(es)
+			q.deqStats.Spliced(t.id, 1) // dequeuer helped the hand-off
+		}
+		q.enqHaz.Clear(q.n + t.id) // help slot done: never leave it set
+	}
+	ns, fresh := q.dstate.Get(t.dblk)
+	q.deqStats.Recycled(t.id, fresh, t.dblk.Cached(), 0)
+	ns.applied.CopyFrom(active)
+	ns.era.Store(ls.era.Load() + 1)
+	if q.n > 1 { // at n == 1 the rows are left alone (see Serve)
+		ns.res.Forward(&ls.res)
+	}
+	t.ns, t.oldHead, t.head, t.base = ns, ls.head, ls.head, len(t.out)
+}
+
+// Serve is core.Round.Serve (lines 53–61): serve k's whole count from the
+// front. Another process's count is read unchecked (see the type comment).
+func (t *deqThread[V]) Serve(k int) (uint64, bool) {
+	cnt := t.cnt
+	if t.q.n == 1 { // no round reads the rows at n == 1: answer directly
+		for c := uint64(0); c < cnt && t.head.next.Load() != nil; c++ {
+			t.head = t.head.next.Load()
+			t.out = append(t.out, t.head.v)
+		}
+		return cnt, true
+	}
+	if k != t.id {
+		cnt = min(max(t.q.deqCounts[k].V.Load(), 1), core.DefaultBatchBudget)
+	}
+	row := t.ns.res.Buf(k)
+	for c := uint64(0); c < cnt; c++ {
+		r := deqRes[V]{}
+		if next := t.head.next.Load(); next != nil {
+			r = deqRes[V]{v: next.v, ok: true}
+			t.head = next
+		}
+		row = append(row, r)
+	}
+	t.ns.res.Serve(k, row)
+	return cnt, true
+}
+
+// Seal is core.Round.Seal: the successor's head, and our values out of it.
+func (t *deqThread[V]) Seal() {
+	t.ns.head = t.head
+	if t.q.n > 1 {
+		t.out = appendHits(t.out, t.ns.res.Row(t.id))
+	}
+}
+
+// Publish is core.Round.Publish (line 67), then the consumed run
+// oldHead..head retires: under the era rule, or straight into the plane at
+// n == 1 (see the type comment).
+func (t *deqThread[V]) Publish() bool {
+	q := t.q
+	era := t.ns.era.Load() // a local: once published, ns may recycle
+	if q.n == 1 {
+		q.deqP.Store(t.ns) // sole writer: plain atomic publish
+	} else if !q.deqP.CompareAndSwap(t.ls, t.ns) {
+		return false
+	} else {
+		q.deqHaz.Clear(t.id) // unpin ls before retiring it
+	}
+	q.dstate.Put(t.dblk, t.ls)
+	if q.n == 1 {
+		putRun(t.nblk, t.oldHead, t.head)
+	} else if t.head != t.oldHead {
+		t.retireNodes(t.oldHead, t.head, era)
+	}
+	return true
+}
+
+// Discard is core.Round.Discard: the values copied out die with the
+// round, and the never-published record is reusable at once.
+func (t *deqThread[V]) Discard() {
+	t.out = t.out[:t.base]
+	t.q.dstate.Put(t.dblk, t.ns)
+}
+
+// Fallback is core.Round.Fallback (lines 70–72): a helper served us; an
+// unbounded protected load, then Done.
+func (t *deqThread[V]) Fallback() {
+	t.ls, _ = t.q.deqHaz.Acquire(t.id, &t.q.deqP, 0)
+	t.Done()
 }
 
 // appendHits appends the successful dequeue values of row to out. Misses are
@@ -766,44 +692,6 @@ func appendHits[V any](out []V, row []deqRes[V]) []V {
 			out = append(out, r.v)
 		}
 	}
-	return out
-}
-
-// dequeueSoloBatch is DequeueBatch's chunk for n == 1: up to m front values
-// are consumed in one record rotation. Consumed nodes retire into the
-// dequeue-side plane handle, whose full chains flow back to the enqueue end
-// through the pool's shared slots — nodes strictly before the head are
-// unreachable from every record still in use, and with one process per end
-// no stalled combiner can be traversing them. No announced path runs at
-// n == 1, so the record's response rows are never read and are left alone.
-func (q *SimQueue[V]) dequeueSoloBatch(t *sqThread[V], op core.Op, m int, out []V) []V {
-	ls := q.deqP.Load()
-	head := ls.head
-	got := 0
-	newHead := head
-	for got < m {
-		next := newHead.next.Load()
-		if next == nil {
-			break
-		}
-		out = append(out, next.v)
-		newHead = next
-		got++
-	}
-	ns := q.deqRecord(0, t)
-	ns.applied.CopyFrom(ls.applied)
-	ns.era.Store(ls.era.Load() + 1)
-	ns.head = newHead
-	q.deqP.Store(ns)
-	q.dstate.Put(t.dblk, ls)
-	// Nodes head..(node before newHead) were consumed: retire each (Put's
-	// Reset clears values; read the link before Put overwrites it).
-	for nd := head; nd != newHead; {
-		nx := nd.next.Load()
-		t.nblk.Put(nd)
-		nd = nx
-	}
-	q.deqStats.Committed(0, op, uint64(m), 1, 1, uint64(m))
 	return out
 }
 
