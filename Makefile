@@ -34,7 +34,7 @@ experiments:
 # allocs/op, helping degree for the fig2/fig3 families) checked in as
 # BENCH_psim.json.
 bench-json:
-	$(GO) run ./cmd/simbench -experiment fig2,fig3stack,fig3queue,fig2-batch,map-sharded,ingest,largeobject-crossover \
+	$(GO) run ./cmd/simbench -experiment fig2,fig3stack,fig3queue,fig2-batch,map,ingest,largeobject-crossover \
 		-ops $(OPS) -reps $(REPS) -ingest-batch 1,8,32 -json BENCH_psim.json
 
 examples:

@@ -1,7 +1,7 @@
 // Edge-case tests for the batched entry points, written to run under the
 // race detector: empty vectors, vectors larger than the combining budget
 // (forcing the chunking paths), batched producers racing batched consumers,
-// and multi-key reads spanning shards.
+// and multi-key reads spanning stripes.
 package simuc_test
 
 import (
@@ -57,7 +57,7 @@ func TestBatchEmpty(t *testing.T) {
 		t.Error("stack non-empty after empty PushBatch")
 	}
 
-	m := simmap.NewSharded[uint64, uint64](2, 4, 2)
+	m := simmap.New[uint64, uint64](2, 8)
 	if prevs, existed := m.MSet(0, nil, nil); len(prevs) != 0 || len(existed) != 0 {
 		t.Error("MSet(empty) returned non-empty results")
 	}
@@ -73,12 +73,12 @@ func TestBatchEmpty(t *testing.T) {
 // times the combining budget must still apply exactly once each, in order,
 // with results identical to sequential application.
 func TestBatchLargerThanBudget(t *testing.T) {
-	const budget, total = 4, 50
+	const total = 3*core.DefaultBatchBudget + 5
 	u := core.NewPSim(2, uint64(0), func(st *uint64, _ int, d uint64) uint64 {
 		old := *st
 		*st += d
 		return old
-	}, core.WithBatchBudget[uint64](budget))
+	})
 	args := make([]uint64, total)
 	for i := range args {
 		args[i] = 1
@@ -213,15 +213,15 @@ func TestBatchEnqueueVsDequeue(t *testing.T) {
 	}
 }
 
-// TestBatchCrossShardMGet checks the consistency a sharded multi-get DOES
+// TestBatchCrossShardMGet checks the consistency a striped multi-get DOES
 // promise: each key individually reads a value that was current at some
 // point during the call. Writers publish strictly increasing values per
-// key (keys spread across all shards); a reader's repeated MGets must then
-// observe per-key non-decreasing values — a torn read or a stale shard
+// key (keys spread across all stripes); a reader's repeated MGets must then
+// observe per-key non-decreasing values — a torn read or a stale stripe
 // snapshot surfacing an older value after a newer one fails here.
 func TestBatchCrossShardMGet(t *testing.T) {
 	const writers, keysPerWriter, rounds = 3, 8, 400
-	m := simmap.NewSharded[uint64, uint64](writers+1, 4, 2)
+	m := simmap.New[uint64, uint64](writers+1, 8)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

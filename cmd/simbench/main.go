@@ -15,12 +15,10 @@
 //	table1                 Table 1: shared-memory accesses per operation
 //	lsim                   L-Sim vs P-Sim on large objects (the paper's deferred experiment)
 //	largeobject-crossover  large-value crossover (-vsize 16,256,1024,4096)
-//	map                    striped map: multiple Sim instances vs one
-//	map-sharded            sharded map sweep (-shards 1,4)
+//	map                    striped map: stripes 1, 8, 32; MSet batch = the largest -batch
 //	ingest                 ingest pipeline events/sec + p99 append latency (-ingest-batch 1,8,32)
 //	ablation-backoff       adaptive backoff vs none
 //	ablation-publication   GC state publication vs paper-exact pool/seqlock, 1 and 8 words
-//	ablation-act           dense vs padded Act layout (run it with -threads 16,64,128)
 //	ablation-queue         SimQueue's two instances vs one P-Sim queue
 //
 // -json FILE writes machine-readable results (ns/op with its spread over
@@ -60,10 +58,10 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// axes are the per-experiment sweep lists parsed from -batch, -shards,
+// axes are the per-experiment sweep lists parsed from -batch,
 // -ingest-batch and -vsize.
 type axes struct {
-	batches, shards, ingestBatches, vsizes []int
+	batches, ingestBatches, vsizes []int
 }
 
 // experiment is one entry of simbench's experiment list. run returns the
@@ -116,15 +114,11 @@ var experimentTable = []experiment{
 			}
 			return runSweep(smaller(cfg), experiments.LargeValueCrossoverMakers(ax.vsizes...), targets...)
 		}},
-	{"map", "Striped map: multiple Sim instances vs one",
-		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
-			return runSweep(cfg, experiments.MapContentionMakers(8, 1), "Map(stripes=8)")
-		}},
-	{"map-sharded", "Sharded map sweep: shard counts (-shards), MSet batch = the largest -batch",
+	{"map", "Striped map: multiple Sim instances vs one, MSet batch = the largest -batch",
 		func(cfg harness.Config, ax axes) ([]harness.Result, []string) {
 			b := ax.batches[len(ax.batches)-1]
-			target := fmt.Sprintf("Sharded(%d) b=%d", ax.shards[len(ax.shards)-1], b)
-			return runSweep(cfg, experiments.ShardedMapMakers(ax.shards, b), target)
+			target := fmt.Sprintf("Map(stripes=32) b=%d", b)
+			return runSweep(cfg, experiments.MapMakers(b, 1, 8, 32), target)
 		}},
 	{"ingest", "Ingest pipeline: append+drain through queue and spool (-ingest-batch)",
 		func(cfg harness.Config, ax axes) ([]harness.Result, []string) {
@@ -141,10 +135,6 @@ var experimentTable = []experiment{
 	{"ablation-publication", "Ablation: GC state publication vs paper-exact pool/seqlock, 1 and 8 words",
 		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
 			return runSweep(cfg, experiments.AblationPublicationMakers(), "P-Sim(GC)", "P-Sim(GC) s=8")
-		}},
-	{"ablation-act", "Ablation: dense vs padded Act bit-vector layout",
-		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
-			return runSweep(cfg, experiments.AblationActLayoutMakers(), "Act-dense")
 		}},
 	{"ablation-queue", "Ablation: SimQueue's two Sim instances vs one P-Sim simulating the whole queue",
 		func(cfg harness.Config, _ axes) ([]harness.Result, []string) {
@@ -191,11 +181,9 @@ func main() {
 		flightSample = flag.Int("flight-sample", 1,
 			"with -flight, record one in N operations per thread (1 = every op)")
 		batches = flag.String("batch", "1,16",
-			"comma-separated batch sizes for fig2-batch (ops per ApplyBatch call; 1 = plain Apply)")
+			"comma-separated batch sizes for fig2-batch (ops per ApplyBatch call; 1 = plain Apply); map runs the largest")
 		ingestBatches = flag.String("ingest-batch", "1,8,32",
 			"comma-separated producer batch sizes for the ingest experiment")
-		shards = flag.String("shards", "1,4",
-			"comma-separated shard counts for map-sharded (rounded up to powers of two)")
 		vsizes = flag.String("vsize", "16,256,1024,4096",
 			"comma-separated value sizes in bytes for largeobject-crossover")
 	)
@@ -214,10 +202,6 @@ func main() {
 	var ax axes
 	if ax.batches, err = parseThreads(*batches); err != nil {
 		fmt.Fprintln(os.Stderr, "simbench: -batch:", err)
-		os.Exit(2)
-	}
-	if ax.shards, err = parseThreads(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "simbench: -shards:", err)
 		os.Exit(2)
 	}
 	if ax.ingestBatches, err = parseThreads(*ingestBatches); err != nil {

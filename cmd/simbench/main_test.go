@@ -32,8 +32,8 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 	cfg := harness.Config{Threads: []int{1, 2}, TotalOps: 400, MaxWork: 16, Reps: 1, Seed: 1}
 	for _, ax := range []axes{
-		{batches: []int{1, 4}, shards: []int{1, 2}, ingestBatches: []int{1, 8}, vsizes: []int{16, 256}},
-		{batches: []int{1}, shards: []int{1, 2}, ingestBatches: []int{1}, vsizes: []int{16}},
+		{batches: []int{1, 4}, ingestBatches: []int{1, 8}, vsizes: []int{16, 256}},
+		{batches: []int{1}, ingestBatches: []int{1}, vsizes: []int{16}},
 	} {
 		collected := map[string][]harness.Result{}
 		for _, e := range experimentTable {

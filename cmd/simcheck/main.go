@@ -27,7 +27,7 @@
 // queue history holds three single-op pairs per process at B = 1, one
 // B-wide pair at B > 1. A fmul batch is also checked for internal
 // consistency (res[j+1] = res[j]*f[j]) and collapsed to one Fetch&Multiply
-// of the factors' product. -object map checks the SHARDED map (impl sim)
+// of the factors' product. -object map checks the STRIPED map (impl sim)
 // per key, exactly the guarantee it makes; -partition=false checks the
 // same history against the whole-map spec (same verdict by Herlihy–Wing
 // locality: a cross-validation path).
@@ -126,7 +126,7 @@ type config struct {
 
 func main() {
 	c := config{lin: v2.DefaultOptions()}
-	flag.StringVar(&c.object, "object", "stack", "object to check: stack, queue, fmul, map (sharded)")
+	flag.StringVar(&c.object, "object", "stack", "object to check: stack, queue, fmul, map (striped)")
 	flag.StringVar(&c.impl, "impl", "sim", "implementation (stack: sim|treiber|elimination|clh|fc; queue: sim|ms|twolock|fc; fmul: psim|pool|clh|mcs|lockfree|fc|herlihy|combtree; map: sim)")
 	flag.StringVar(&c.mode, "mode", "stress", "check mode: stress or linearize")
 	flag.IntVar(&c.threads, "threads", 8, "concurrent processes")
@@ -559,23 +559,23 @@ func fmulOps(o fmul.Interface, b int) instance {
 	return instance{stress: stress, process: process}
 }
 
-// newSharded builds a sharded map wired to the flight recorder (every shard
-// shares the one ring — multi-key calls touch shards sequentially, so the
+// newMap builds a striped map wired to the flight recorder (every stripe
+// shares the one ring — multi-key calls touch stripes sequentially, so the
 // single-writer-per-lane discipline holds).
-func newSharded(n, shards, stripes int) *simmap.Sharded[uint64, uint64] {
-	m := simmap.NewSharded[uint64, uint64](n, shards, stripes)
-	m.Attach(nil, "", flight)
+func newMap(n, stripes int) *simmap.Map[uint64, uint64] {
+	m := simmap.New[uint64, uint64](n, stripes)
+	m.Attach(nil, "", nil, flight)
 	return m
 }
 
-// mapStress checks the sharded map: every thread owns a DISJOINT key range
-// on one shared Sharded instance (shards and stripes stay contended even
-// though keys are not) and hammers it with batched MSet/MDelete; because
+// mapStress checks the striped map: every thread owns a DISJOINT key range
+// on one shared 16-stripe Map (stripes stay contended even though keys
+// are not) and hammers it with batched MSet/MDelete; because
 // each key has a single writer, its final binding is deterministic and
 // verified with MGet afterwards.
 func mapStress(c config) bool {
 	const keysPerThread = 64
-	m := newSharded(c.threads, 4, 4)
+	m := newMap(c.threads, 16)
 	runWorkers(sched.Config{Threads: c.threads}, func(id int) {
 		base := uint64(id * keysPerThread)
 		keys, vals := make([]uint64, 0, keysPerThread), make([]uint64, 0, keysPerThread)
@@ -629,7 +629,7 @@ func mapStress(c config) bool {
 // default; -partition=false routes the same history through the whole-map
 // spec instead).
 func mapHistory(c config, r int) process {
-	m := newSharded(3, 2, 1)
+	m := newMap(3, 2)
 	return func(rec *check.Recorder, id int) error {
 		// Tiny deterministic PRNG so failures replay.
 		seed := uint64(r*3+id)*2654435761 + 1

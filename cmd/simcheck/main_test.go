@@ -96,16 +96,16 @@ func TestCheckFMulBatched(t *testing.T) {
 
 func TestCheckMap(t *testing.T) {
 	if !pass(t, conf("map", "sim", "stress", 200, 1)) {
-		t.Fatal("sharded map failed stress check")
+		t.Fatal("striped map failed stress check")
 	}
 	if !pass(t, conf("map", "sim", "stress", 200, 4)) {
-		t.Fatal("sharded map failed batched stress check")
+		t.Fatal("striped map failed batched stress check")
 	}
 	for _, partition := range []bool{true, false} {
 		c := conf("map", "sim", "linearize", 10, 4)
 		c.lin.Partition = partition
 		if !pass(t, c) {
-			t.Fatalf("sharded map failed batched linearizability check (partition=%v)", partition)
+			t.Fatalf("striped map failed batched linearizability check (partition=%v)", partition)
 		}
 	}
 }

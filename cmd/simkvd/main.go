@@ -32,7 +32,7 @@
 //	                     ?format=text, &last=N to trim to the newest N events
 //	/debug/timeline      the telemetry timeline (-timeline enables it, on by
 //	                     default at 1s): windowed per-series rate/latency
-//	                     history ?window=60s&series=map,map{shard="0"} —
+//	                     history ?window=60s&series=map,blob —
 //	                     watch it live with cmd/simstat
 //
 // -watchdog BUDGET additionally starts a progress watchdog that reports (to
@@ -68,7 +68,6 @@ type options struct {
 	flight       int           // flight-recorder ring capacity; 0 disables
 	flightSample int           // record 1 in N operations
 	watchdog     int           // stall budget in committed rounds; 0 disables
-	shards       int           // sharded store; <=1 keeps the single striped map
 	pipeline     int           // pipelined protocol batch depth; <=1 disables
 	largeThresh  int           // BPUT/BGET/BDEL tier threshold in bytes; 0 disables the blob store
 	timeline     time.Duration // telemetry-timeline scrape interval; 0 disables
@@ -78,8 +77,7 @@ type options struct {
 // start boots the KV server on addr and, when metricsAddr is non-empty, the
 // /metrics + /debug HTTP surface on metricsAddr.
 func start(addr, metricsAddr string, clients, stripes int, opt options) (*daemon, error) {
-	kvOpts := []kvserver.Option{
-		kvserver.WithShards(opt.shards), kvserver.WithPipeline(opt.pipeline)}
+	kvOpts := []kvserver.Option{kvserver.WithPipeline(opt.pipeline)}
 	if opt.largeThresh > 0 {
 		kvOpts = append(kvOpts, kvserver.WithLargeValues(opt.largeThresh))
 	}
@@ -106,7 +104,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7070", "listen address")
 		clients     = flag.Int("clients", 64, "max concurrent client connections")
-		stripes     = flag.Int("stripes", 16, "map stripes (Sim instances)")
+		stripes     = flag.Int("stripes", 16, "map stripes: independent Sim instances the keys are hashed over")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug on this address (empty disables)")
 		flight      = flag.Int("flight", 0,
 			"flight-recorder events per client slot (rounded up to a power of two; 0 disables)")
@@ -114,8 +112,6 @@ func main() {
 			"with -flight, record one in N operations per slot (1 = every op)")
 		watchdog = flag.Int("watchdog", 0,
 			"report client slots whose announced op hasn't committed within N system-wide rounds (0 disables; implies -flight)")
-		shards = flag.Int("shards", 1,
-			"independent map shards (rounded up to a power of two; 1 = single striped map)")
 		pipeline = flag.Int("pipeline", 1,
 			"pipelined protocol batch depth: execute up to N queued requests per wakeup as batched map ops (1 = request-at-a-time)")
 		largeThresh = flag.Int("large-threshold", 0,
@@ -129,14 +125,14 @@ func main() {
 
 	d, err := start(*addr, *metricsAddr, *clients, *stripes,
 		options{flight: *flight, flightSample: *flightSample, watchdog: *watchdog,
-			shards: *shards, pipeline: *pipeline, largeThresh: *largeThresh,
+			pipeline: *pipeline, largeThresh: *largeThresh,
 			timeline: *timelineEvery, slo: *slo})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simkvd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("simkvd listening on %s (%d client slots, %d stripes, %d shard(s), pipeline %d)\n",
-		d.addr, *clients, *stripes, *shards, *pipeline)
+	fmt.Printf("simkvd listening on %s (%d client slots, %d stripes, pipeline %d)\n",
+		d.addr, *clients, *stripes, *pipeline)
 	if *largeThresh > 0 {
 		fmt.Printf("simkvd large-value tier on: values >= %d bytes served by L-Sim items (BPUT/BGET/BDEL)\n",
 			*largeThresh)

@@ -43,7 +43,7 @@ func main() {
 
 	url := fmt.Sprintf("http://%s/debug/timeline?window=%s", *addr, *window)
 	if *series != "" {
-		// Series names carry label blocks (`map{shard="0"}`); escape them.
+		// Series names carry label blocks (`ingest{partition="0"}`); escape them.
 		url += "&series=" + neturl.QueryEscape(*series)
 	}
 

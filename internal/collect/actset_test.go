@@ -90,52 +90,3 @@ func TestActSetConcurrentChurn(t *testing.T) {
 		}
 	}
 }
-
-func TestAnnounceBasics(t *testing.T) {
-	a := NewAnnounce[int](4)
-	if a.N() != 4 {
-		t.Fatalf("N = %d", a.N())
-	}
-	if a.Read(2) != nil {
-		t.Fatal("fresh slot non-nil")
-	}
-	v := 42
-	a.Write(2, &v)
-	if got := a.Read(2); got == nil || *got != 42 {
-		t.Fatalf("Read = %v", got)
-	}
-	w := 43
-	if prev := a.Swap(2, &w); prev == nil || *prev != 42 {
-		t.Fatalf("Swap prev = %v", prev)
-	}
-	if *a.Read(2) != 43 {
-		t.Fatal("Swap did not install")
-	}
-}
-
-// TestAnnounceHandoff: the announce array transfers a struct written before
-// publication to a concurrent reader (the memory-ordering property P-Sim's
-// helpers rely on).
-func TestAnnounceHandoff(t *testing.T) {
-	type payload struct{ a, b uint64 }
-	an := NewAnnounce[payload](2)
-	const rounds = 2000
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for k := uint64(1); k <= rounds; k++ {
-			an.Write(0, &payload{a: k, b: k * 2})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for k := 0; k < rounds; k++ {
-			if p := an.Read(0); p != nil && p.b != p.a*2 {
-				t.Errorf("torn announce: %+v", *p)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-}

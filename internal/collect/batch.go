@@ -2,7 +2,12 @@ package collect
 
 import "repro/internal/pad"
 
-// This file extends the announce array with BATCH slots: each process
+// The announce array is P-Sim's practical substitute for the collect object
+// (§4): n single-writer registers, one per process, each on its own cache
+// line. Helpers read the slots of the processes whose Act bits differ from
+// the applied vector, which raises Sim's step complexity from O(1) to O(k),
+// k the interval contention, but shrinks the Fetch&Add object to one bit per
+// process. Its slots are BATCH slots: each process
 // announces a *vector* of operations instead of a single one, so one
 // combining round can apply a whole pipeline's worth of work per announced
 // process (degree of combining × batch amplification). The slot still holds

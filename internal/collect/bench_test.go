@@ -42,15 +42,6 @@ func BenchmarkActSetJoinLeave(b *testing.B) {
 	}
 }
 
-func BenchmarkAnnounceWriteRead(b *testing.B) {
-	a := NewAnnounce[uint64](8)
-	v := uint64(42)
-	for i := 0; i < b.N; i++ {
-		a.Write(3, &v)
-		_ = a.Read(3)
-	}
-}
-
 // copySink keeps BenchmarkRowsForward's plain copy from being optimised
 // away.
 var copySink []uint64

@@ -3,9 +3,9 @@
 // step complexity 1 for update and ⌈nd/b⌉ for collect), SimActSet (an
 // active set over one bit per process), the linearizable single-word
 // snapshot obtained when all components fit in one Fetch&Add word, and the
-// Announce array of single-writer registers that P-Sim substitutes for the
-// collect object in practice (§4), with its batch form (BatchAnnounce:
-// operation vectors in) and the per-process response rows that answer it
+// announce array of single-writer registers that P-Sim substitutes for the
+// collect object in practice (§4), in its batch form (BatchAnnounce:
+// operation vectors in), with the per-process response rows that answer it
 // (Rows: responses out).
 package collect
 

@@ -60,23 +60,6 @@ func TestUpdaterIndependentComponentsConcurrent(t *testing.T) {
 	}
 }
 
-// TestAnnounceNilOverwrite: writing nil clears the register (the theoretical
-// algorithm's ⊥), and Swap returns the displaced announcement.
-func TestAnnounceNilOverwrite(t *testing.T) {
-	a := NewAnnounce[int](2)
-	v := 5
-	a.Write(0, &v)
-	a.Write(0, nil)
-	if a.Read(0) != nil {
-		t.Fatal("nil write did not clear the slot")
-	}
-	w := 6
-	a.Write(0, &w)
-	if prev := a.Swap(0, nil); prev == nil || *prev != 6 {
-		t.Fatalf("Swap returned %v", prev)
-	}
-}
-
 // TestSimCollectManyWriters: 64 single-writer components of 8 bits across 8
 // words, all hammered concurrently.
 func TestSimCollectManyWriters(t *testing.T) {

@@ -73,7 +73,6 @@ type PSim[S, A, R any] struct {
 	stats   *StatsPlane
 
 	boLower, boUpper int
-	batchBudget      int
 }
 
 // psimState is one published state record: the simulated state, the applied
@@ -115,8 +114,6 @@ type psimOptions[S any] struct {
 	clone            func(S) S
 	cloneInto        func(dst, src *S)
 	boLower, boUpper int
-	padActWords      bool
-	batchBudget      int
 }
 
 // WithClone supplies a deep-copy function for the state, required when S
@@ -146,31 +143,15 @@ func WithBackoff[S any](lower, upper int) PSimOption[S] {
 	return func(o *psimOptions[S]) { o.boLower, o.boUpper = lower, upper }
 }
 
-// WithPaddedAct spreads the Act bit vector one word per cache line instead
-// of the paper's dense minimal-lines layout.
-func WithPaddedAct[S any]() PSimOption[S] {
-	return func(o *psimOptions[S]) { o.padActWords = true }
-}
-
-// WithBatchBudget bounds how many operations one announcement may carry;
-// ApplyBatch splits longer vectors into budget-sized chunks, each its own
-// announce/toggle round. The budget times n bounds the sequential work one
-// combining round performs — the constant in the wait-freedom bound.
-func WithBatchBudget[S any](b int) PSimOption[S] {
-	return func(o *psimOptions[S]) {
-		if b > 0 {
-			o.batchBudget = b
-		}
-	}
-}
-
 // DefaultBackoffUpper is the default adaptive-backoff ceiling, in delay-loop
 // iterations. It is deliberately modest: the right value is machine
 // dependent and the harness sweeps it.
 const DefaultBackoffUpper = 4096
 
-// DefaultBatchBudget is the default per-announcement vector budget (see
-// WithBatchBudget).
+// DefaultBatchBudget bounds how many operations one announcement may carry;
+// ApplyBatch splits longer vectors into budget-sized chunks, each its own
+// announce/toggle round. The budget times n bounds the sequential work one
+// combining round performs — the constant in the wait-freedom bound.
 const DefaultBatchBudget = 64
 
 // anonReadSlots is the number of claimable hazard slots Read() draws from,
@@ -187,7 +168,7 @@ func NewPSim[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, op
 	if n < 1 {
 		panic("core: PSim needs n >= 1")
 	}
-	o := &psimOptions[S]{boLower: 1, boUpper: DefaultBackoffUpper, batchBudget: DefaultBatchBudget}
+	o := &psimOptions[S]{boLower: 1, boUpper: DefaultBackoffUpper}
 	for _, f := range opts {
 		f(o)
 	}
@@ -195,24 +176,17 @@ func NewPSim[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, op
 	if clone == nil {
 		clone = func(s S) S { return s }
 	}
-	var act *xatomic.SharedBits
-	if o.padActWords {
-		act = xatomic.NewSharedBitsPadded(n)
-	} else {
-		act = xatomic.NewSharedBits(n)
-	}
 	u := &PSim[S, A, R]{
-		n:           n,
-		apply:       apply,
-		clone:       clone,
-		cloneInto:   o.cloneInto,
-		announce:    collect.NewBatchAnnounce[A](n),
-		act:         act,
-		threads:     make([]psimThread[S, A, R], n),
-		stats:       NewStatsPlane(n),
-		boLower:     o.boLower,
-		boUpper:     o.boUpper,
-		batchBudget: o.batchBudget,
+		n:         n,
+		apply:     apply,
+		clone:     clone,
+		cloneInto: o.cloneInto,
+		announce:  collect.NewBatchAnnounce[A](n),
+		act:       xatomic.NewSharedBits(n),
+		threads:   make([]psimThread[S, A, R], n),
+		stats:     NewStatsPlane(n),
+		boLower:   o.boLower,
+		boUpper:   o.boUpper,
 	}
 	u.haz = NewHazards[psimState[S, R]](n, anonReadSlots, u.stats, 0)
 	// The unified memory plane: chains of n+1 records (per-thread cache
@@ -295,7 +269,7 @@ func (u *PSim[S, A, R]) ApplyBatch(i int, args []A, res []R) []R {
 	t := u.thread(i)
 	t.res = res[:0]
 	for len(args) > 0 {
-		c := min(len(args), u.batchBudget)
+		c := min(len(args), DefaultBatchBudget)
 		t.chunk = args[:c]
 		args = args[c:]
 		op := u.stats.Start(i) // stamps are 0 (no clock read) unless this op is sampled

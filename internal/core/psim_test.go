@@ -223,25 +223,6 @@ func TestPSimHelpingUnderWideBackoff(t *testing.T) {
 	}
 }
 
-func TestPSimPaddedActOption(t *testing.T) {
-	const n, per = 70, 20 // two Act words
-	u := faaPSim(n, WithPaddedAct[uint64]())
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for k := 0; k < per; k++ {
-				u.Apply(id, 1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := u.Read(); got != n*per {
-		t.Fatalf("final = %d, want %d", got, n*per)
-	}
-}
-
 func TestPSimManyThreadsMultiWordAct(t *testing.T) {
 	const n, per = 130, 10 // three Act words, dense layout
 	u := faaPSim(n)

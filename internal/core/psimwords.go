@@ -89,8 +89,8 @@ type PSimWords struct {
 }
 
 // WordBatchBudget is the announce-vector capacity of the pooled P-Sim:
-// ApplyBatch splits longer vectors into budget-sized chunks. Fixed (unlike
-// PSim's WithBatchBudget) because the argument registers and the
+// ApplyBatch splits longer vectors into budget-sized chunks. Smaller than
+// PSim's DefaultBatchBudget because the argument registers and the
 // batch-response rows in every pool record are statically sized by it.
 const WordBatchBudget = 8
 

@@ -76,9 +76,9 @@ func NewStatsPlane(n int) *StatsPlane {
 //     <prefix>_ops_total, _cas_success_total, _cas_fail_total,
 //     _combined_total, _served_by_total, plus the attached alloc pools. A
 //     labeled prefix (obs.Labeled) keeps the label block trailing:
-//     map{shard="3"} registers map_ops_total{shard="3"}. Several planes may
-//     attach under one prefix (striped structures, a queue's two ends); the
-//     registry sums them.
+//     ingest{partition="3"} registers ingest_ops_total{partition="3"}.
+//     Several planes may attach under one prefix (striped structures, a
+//     queue's two ends); the registry sums them.
 //   - rec (nil = off) records the sampled distributions. Several planes may
 //     share one recorder: process id i is driven by one goroutine at a time,
 //     so slot i keeps a single writer whichever plane it reports through.

@@ -340,13 +340,6 @@ func attachCases(n int) []attachCase {
 				}
 			}
 		}},
-		{name: "Sharded", exact: true, classes: []string{"state"}, recycles: true, attach: func(reg *obs.Registry, p string, tr *trace.Tracer) func(int, int) {
-			m := simmap.NewSharded[int, int](n, 2, 2)
-			for _, rec := range m.Attach(reg, p, tr) {
-				rec.SetSampleEvery(1)
-			}
-			return func(id, k int) { m.Put(id, k%8, k) }
-		}},
 		{name: "Pipeline", classes: []string{"queue_enq_state", "queue_deq_state", "queue_node", "spool_state"}, recycles: true, attach: func(reg *obs.Registry, p string, tr *trace.Tracer) func(int, int) {
 			pl := ingest.New(n, ingest.Config{Batch: 4})
 			pl.Attach(reg, p, tr) // recorders keep the default 1-in-64 sampling

@@ -286,17 +286,6 @@ func AblationPublicationMakers() []harness.Maker {
 	}
 }
 
-// AblationActLayoutMakers compares the paper's dense Act vector layout with
-// a one-word-per-cache-line layout.
-func AblationActLayoutMakers() []harness.Maker {
-	return []harness.Maker{
-		fmulMaker("Act-dense", func(n int) fmul.Interface { return fmul.NewPSim(n) }),
-		fmulMaker("Act-padded", func(n int) fmul.Interface {
-			return fmul.NewPSim(n, core.WithPaddedAct[uint64]())
-		}),
-	}
-}
-
 // Table1Makers returns the instrumented universal constructions of the
 // Table 1 experiment — theoretical Sim, P-Sim, the pooled P-Sim, L-Sim (on a
 // w=2 object) and Herlihy's construction — each adding 1 per operation and

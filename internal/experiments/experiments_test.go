@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -56,7 +57,6 @@ func TestAblationMakersRun(t *testing.T) {
 	}{
 		{AblationBackoffMakers(), 2},
 		{AblationPublicationMakers(), 4}, // GC and pooled, at 1 and 8 words
-		{AblationActLayoutMakers(), 2},
 		{AblationQueueMakers(), 2},
 	} {
 		if res := runMakers(t, c.makers); len(res) != c.rows {
@@ -156,10 +156,17 @@ func TestLargeObjectMakersRun(t *testing.T) {
 	}
 }
 
+// TestMapContentionMakersRun runs the map experiment's maker set with
+// single ops and with MSet/MDelete batches.
 func TestMapContentionMakersRun(t *testing.T) {
-	res := runMakers(t, MapContentionMakers(4, 1))
-	if len(res) != 2 {
-		t.Fatalf("got %d results", len(res))
+	for _, b := range []int{1, 4} {
+		res := runMakers(t, MapMakers(b, 1, 4))
+		if len(res) != 2 {
+			t.Fatalf("b=%d: got %d results", b, len(res))
+		}
+		if want := fmt.Sprintf("Map(stripes=4) b=%d", b); res[1].Impl != want {
+			t.Fatalf("row %q, want %q", res[1].Impl, want)
+		}
 	}
 }
 

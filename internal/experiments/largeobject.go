@@ -180,69 +180,47 @@ func LargeValueCrossoverMakers(vsizes ...int) []harness.Maker {
 	return makers
 }
 
-// MapContentionMakers runs the striped wait-free map at each stripe count;
-// one stripe is a single global P-Sim instance managing the whole object,
-// so the sweep quantifies what the multiple-instances idea (SimQueue's
-// trick, §5) buys on a map workload.
-func MapContentionMakers(stripes ...int) []harness.Maker {
+// MapMakers runs the striped wait-free map at each stripe count over a
+// 512-key space, 3 puts to 1 delete. One stripe is a single global P-Sim
+// instance managing the whole object, so the sweep quantifies what the
+// multiple-instances idea (SimQueue's trick, §5) buys on a map workload.
+// With batch > 1 every call is an MSet (or MDelete) of batch random keys,
+// one combining round per touched stripe; rows are named
+// "Map(stripes=S) b=B" at every batch, as in Fig2BatchMakers.
+func MapMakers(batch int, stripes ...int) []harness.Maker {
+	batch = max(batch, 1)
 	var makers []harness.Maker
 	for _, s := range stripes {
+		name := fmt.Sprintf("Map(stripes=%d) b=%d", s, batch)
 		makers = append(makers, func(n int) harness.Instance {
 			m := simmap.New[uint64, uint64](n, s)
-			return instance(fmt.Sprintf("Map(stripes=%d)", s), m, func(id int, rng *workload.RNG) {
-				k := rng.Uint64() % 512
-				if rng.Intn(4) == 0 {
-					m.Delete(id, k)
-				} else {
-					m.Put(id, k, k)
-				}
-			})
-		})
-	}
-	return makers
-}
-
-// ShardedMapMakers sweeps the sharded wait-free map across shard counts,
-// driving every instance with MSet batches of `batch` random keys
-// (batch <= 1 degrades to single Puts); rows are named "Sharded(k) b=B" at
-// every batch, as in Fig2BatchMakers. One shard is the baseline: it shows
-// what hash-partitioning across independent Sim instances buys on top of
-// striping alone, so stripes-per-shard stays FIXED (8) while the shard
-// count sweeps — per-stripe trie size is held constant by the 512-key
-// space, matching MapContentionMakers.
-func ShardedMapMakers(shards []int, batch int) []harness.Maker {
-	var makers []harness.Maker
-	for _, k := range shards {
-		name := fmt.Sprintf("Sharded(%d) b=%d", k, max(batch, 1))
-		makers = append(makers, func(n int) harness.Instance {
-			m := simmap.NewSharded[uint64, uint64](n, k, 8)
-			if batch <= 1 {
-				return harness.Instance{
-					Name: name,
-					Op: func(id int, rng *workload.RNG) {
-						key := rng.Uint64() % 512
-						m.Put(id, key, key)
-					},
-				}
+			if batch == 1 {
+				return instance(name, m, func(id int, rng *workload.RNG) {
+					k := rng.Uint64() % 512
+					if rng.Intn(4) == 0 {
+						m.Delete(id, k)
+					} else {
+						m.Put(id, k, k)
+					}
+				})
 			}
 			keys := make([][]uint64, n)
-			vals := make([][]uint64, n)
 			for i := range keys {
 				keys[i] = make([]uint64, batch)
-				vals[i] = make([]uint64, batch)
 			}
-			return harness.Instance{
-				Name:       name,
-				OpsPerCall: batch,
-				Op: func(id int, rng *workload.RNG) {
-					ks, vs := keys[id], vals[id]
-					for i := range ks {
-						ks[i] = rng.Uint64() % 512
-						vs[i] = ks[i]
-					}
-					m.MSet(id, ks, vs)
-				},
-			}
+			in := instance(name, m, func(id int, rng *workload.RNG) {
+				ks := keys[id]
+				for i := range ks {
+					ks[i] = rng.Uint64() % 512
+				}
+				if rng.Intn(4) == 0 {
+					m.MDelete(id, ks)
+				} else {
+					m.MSet(id, ks, ks)
+				}
+			})
+			in.OpsPerCall = batch
+			return in
 		})
 	}
 	return makers

@@ -86,13 +86,16 @@ func (f *FC[A, R]) NewHandle(pid int) *Handle[A, R] {
 	return &Handle[A, R]{fc: f, rec: &record[A, R]{pid: pid}}
 }
 
-// enlist links the record at the head of the publication list.
+// enlist links the record at the head of the publication list. The flag is
+// set before the record becomes reachable: set after the CAS, a cleanup
+// could unlink the record in between and the late store would mark an
+// unlinked record enlisted, so its owner would never re-enlist it.
 func (f *FC[A, R]) enlist(r *record[A, R]) {
+	r.enlisted.Store(true)
 	for {
 		h := f.head.Load()
 		r.next.Store(h)
 		if f.head.CompareAndSwap(h, r) {
-			r.enlisted.Store(true)
 			return
 		}
 	}
@@ -156,7 +159,10 @@ func (f *FC[A, R]) combine() {
 
 // cleanup unlinks records idle for more than maxIdleAge passes; caller must
 // hold the lock. The head record stays (simplifies the unlink), matching the
-// original implementation.
+// original implementation. A record is unlinked before its enlisted flag is
+// cleared: once the flag reads false its owner may re-enlist it at the head,
+// rewriting its next link, and an unlink that read that link afterwards
+// would close the list into a cycle.
 func (f *FC[A, R]) cleanup(pass uint64) {
 	prev := f.head.Load()
 	if prev == nil {
@@ -164,8 +170,8 @@ func (f *FC[A, R]) cleanup(pass uint64) {
 	}
 	for cur := prev.next.Load(); cur != nil; cur = prev.next.Load() {
 		if !cur.pending.Load() && pass-cur.lastUsed.Load() > f.maxIdleAge {
-			cur.enlisted.Store(false)
 			prev.next.Store(cur.next.Load())
+			cur.enlisted.Store(false)
 			continue
 		}
 		prev = cur

@@ -209,3 +209,55 @@ func TestFCBlockedCombinerBlocksEveryone(t *testing.T) {
 		t.Fatal("operation still blocked after the lock was released")
 	}
 }
+
+// TestFCCleanupRacesEnlist races owners re-enlisting their records against
+// a cleanup that runs every session and unlinks everything idle. An unlink
+// that clears a record's enlisted flag before it reads the record's next
+// link lets the owner re-enlist at the head in between, and the stale link
+// then closes the publication list into a cycle that the lock holder walks
+// forever; a record whose enlisted flag is set after it is published can be
+// unlinked in between and never re-enlisted, so its owner waits forever.
+// Either way the workers stop finishing. Each round is a fresh instance;
+// one round hits the window most of the time, so the full run takes five.
+func TestFCCleanupRacesEnlist(t *testing.T) {
+	const n, per = 16, 200_000
+	rounds := 5
+	if testing.Short() {
+		rounds = 1
+	}
+	for r := 0; r < rounds; r++ {
+		fc, state := counterFC(1, 1) // one scan, cleanup every session
+		fc.maxIdleAge = 0            // unlink anything idle at all
+		done := make(chan struct{})
+		go func() {
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					h := fc.NewHandle(id)
+					for k := 0; k < per; k++ {
+						h.Apply(1)
+					}
+				}(i)
+			}
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: workers stalled: a publication-list cycle or a lost record", r)
+		}
+		if *state != n*per {
+			t.Fatalf("round %d: state = %d, want %d", r, *state, n*per)
+		}
+		seen := map[*record[uint64, uint64]]bool{}
+		for rec := fc.head.Load(); rec != nil; rec = rec.next.Load() {
+			if seen[rec] {
+				t.Fatalf("round %d: publication list has a cycle", r)
+			}
+			seen[rec] = true
+		}
+	}
+}

@@ -49,15 +49,11 @@
 // requests without waiting for responses. The server takes up to the
 // configured depth of ALREADY-QUEUED complete lines per wakeup, executes
 // consecutive runs of the same command as ONE batched map operation
-// (simmap MSet/MGet/MDelete — one combining round per touched shard
+// (simmap MSet/MGet/MDelete — one combining round per touched stripe
 // instead of one per key), and writes the responses back strictly in
 // request order. Responses are byte-identical to the unpipelined protocol,
 // and leave in one Write per read at every depth, so the depth only groups
 // execution.
-//
-// Sharding (WithShards): the store becomes a simmap.Sharded of independent
-// per-shard maps, so heavy multi-client write loads scale past a single
-// combiner.
 //
 // Every server carries an obs.Registry (see internal/obs): the striped map's
 // Sim recorders (map_* metrics: op latency, combining degree, CAS outcomes)
@@ -75,36 +71,20 @@ import (
 	"runtime/pprof"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/lineserver"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/simmap"
 )
 
-// Store is the map surface the server runs on; both simmap.Map (striped)
-// and simmap.Sharded (sharded-and-striped) satisfy it.
-type Store interface {
-	Put(id int, k string, v uint64) (prev uint64, existed bool)
-	Delete(id int, k string) (prev uint64, existed bool)
-	Get(k string) (uint64, bool)
-	MSet(id int, keys []string, vals []uint64) (prevs []uint64, existed []bool)
-	MDelete(id int, keys []string) (prevs []uint64, existed []bool)
-	MGet(id int, keys []string) (vals []uint64, ok []bool)
-	Len() int
-	Stats() core.Stats
-}
-
 // Server is a key-value server instance. Up to MaxClients connections are
 // served concurrently; each holds one of the map's process ids while
 // connected. Listen and Close come from the embedded line server.
 type Server struct {
 	*lineserver.Server
-	store    Store
-	m        *simmap.Map[string, uint64]     // non-nil in unsharded mode
-	sh       *simmap.Sharded[string, uint64] // non-nil in sharded mode
-	blob     *simmap.Tiered[string]          // non-nil with WithLargeValues
-	pipeline int                             // batch depth; <=1 is a batch of one
+	m        *simmap.Map[string, uint64]
+	blob     *simmap.Tiered[string] // non-nil with WithLargeValues
+	pipeline int                    // batch depth; <=1 is a batch of one
 
 	reg    *obs.Registry
 	tracer *trace.Tracer // nil without WithFlightRecorder
@@ -118,18 +98,12 @@ type Server struct {
 type Option func(*serverCfg)
 
 type serverCfg struct {
-	shards       int
 	pipeline     int
 	largeVals    bool
 	threshold    int
 	flight       int // flight-recorder ring capacity; <= 0 disables
 	flightSample int
 }
-
-// WithShards partitions the store into k independent shards (rounded up to
-// a power of two; <=1 keeps the single striped map). Each shard gets its
-// own labeled metric series (map_*_total{shard="<i>"}).
-func WithShards(k int) Option { return func(c *serverCfg) { c.shards = k } }
 
 // WithPipeline enables pipelined request handling with the given batch
 // depth: up to depth queued requests are taken per wakeup and consecutive
@@ -153,8 +127,9 @@ func WithFlightRecorder(capacity, sampleEvery int) Option {
 }
 
 // New returns a server allowing maxClients concurrent connections, with the
-// given stripe count for the underlying map (0 selects maxClients; in
-// sharded mode the count applies per shard).
+// given stripe count for the underlying map (0 selects maxClients). Each
+// stripe is an independent P-Sim instance, so the stripe count is the one
+// knob that partitions the key space.
 func New(maxClients, stripes int, opts ...Option) *Server {
 	if maxClients < 1 {
 		maxClients = 1
@@ -187,23 +162,14 @@ func New(maxClients, stripes int, opts ...Option) *Server {
 	}
 	// Record every operation's latency: map mutations sit behind network
 	// round-trips here, so the default distribution sampling would only thin
-	// out an already low-rate signal. Shards, stripes and the blob store all
-	// share the tracer: a multi-key call touches shards one after another,
-	// so per-pid rings keep a single writer, and one interleaved stream is
-	// the right shape for /debug/flight.
-	if cfg.shards > 1 {
-		s.sh = simmap.NewSharded[string, uint64](maxClients, cfg.shards, stripes)
-		s.store = s.sh
-		for _, rec := range s.sh.Attach(reg, "map", s.tracer) {
-			rec.SetSampleEvery(1)
-		}
-	} else {
-		s.m = simmap.New[string, uint64](maxClients, stripes)
-		s.store = s.m
-		rec := obs.NewSimRecorder(reg, "map", maxClients)
-		rec.SetSampleEvery(1)
-		s.m.Attach(reg, "map", rec, s.tracer)
-	}
+	// out an already low-rate signal. Stripes and the blob store all share
+	// the tracer: a multi-key call touches stripes one after another, so
+	// per-pid rings keep a single writer, and one interleaved stream is the
+	// right shape for /debug/flight.
+	s.m = simmap.New[string, uint64](maxClients, stripes)
+	rec := obs.NewSimRecorder(reg, "map", maxClients)
+	rec.SetSampleEvery(1)
+	s.m.Attach(reg, "map", rec, s.tracer)
 	if cfg.largeVals {
 		s.blob = simmap.NewTiered[string](maxClients, stripes, cfg.threshold)
 		rec := obs.NewSimRecorder(reg, "blob", maxClients)
@@ -329,17 +295,17 @@ func (ex *executor) flush() {
 	switch ex.kind {
 	case 'P':
 		s.cPut.Add(id, m)
-		prevs, existed := s.store.MSet(id, ex.keys, ex.vals)
+		prevs, existed := s.m.MSet(id, ex.keys, ex.vals)
 		writePrevs(w, prevs, existed)
 	case 'G':
 		s.cGet.Add(id, m)
-		vals, ok := s.store.MGet(id, ex.keys)
+		vals, ok := s.m.MGet(id, ex.keys)
 		for i := range vals {
 			writeGet(w, vals[i], ok[i])
 		}
 	case 'D':
 		s.cDel.Add(id, m)
-		prevs, existed := s.store.MDelete(id, ex.keys)
+		prevs, existed := s.m.MDelete(id, ex.keys)
 		writePrevs(w, prevs, existed)
 	}
 	ex.keys = ex.keys[:0]
@@ -388,21 +354,21 @@ func (s *Server) handle(id int, w *bufio.Writer, cmd string, f [][]byte) (quit b
 			return s.fail(id, w, "ERR value must be a uint64")
 		}
 		s.cPut.Inc(id)
-		prev, existed := s.store.Put(id, string(f[1]), v)
+		prev, existed := s.m.Put(id, string(f[1]), v)
 		writePrev(w, prev, existed)
 	case "GET":
 		if len(f) != 2 {
 			return s.fail(id, w, "ERR usage: GET <key>")
 		}
 		s.cGet.Inc(id)
-		v, ok := s.store.Get(lineserver.LookupKey(f[1]))
+		v, ok := s.m.Get(lineserver.LookupKey(f[1]))
 		writeGet(w, v, ok)
 	case "DEL":
 		if len(f) != 2 {
 			return s.fail(id, w, "ERR usage: DEL <key>")
 		}
 		s.cDel.Inc(id)
-		prev, existed := s.store.Delete(id, string(f[1]))
+		prev, existed := s.m.Delete(id, string(f[1]))
 		writePrev(w, prev, existed)
 	case "BPUT":
 		if s.blob == nil {
@@ -450,10 +416,10 @@ func (s *Server) handle(id int, w *bufio.Writer, cmd string, f [][]byte) (quit b
 		}
 	case "LEN":
 		s.cLen.Inc(id)
-		writeUint(w, "LEN ", uint64(s.store.Len()))
+		writeUint(w, "LEN ", uint64(s.m.Len()))
 	case "STATS":
 		s.cStats.Inc(id)
-		st := s.store.Stats()
+		st := s.m.Stats()
 		fmt.Fprintf(w, "STATS ops=%d helping=%.2f cas_fail=%d served_by=%d",
 			st.Ops, st.AvgHelping, st.CASFailures, st.ServedByOther)
 		if s.blob != nil {
@@ -482,16 +448,8 @@ func (s *Server) fail(id int, w *bufio.Writer, msg string) (quit bool) {
 	return false
 }
 
-// Map exposes the underlying map for embedding scenarios and tests; nil
-// when the server was built with WithShards (use Store or Sharded then).
+// Map exposes the underlying map for embedding scenarios and tests.
 func (s *Server) Map() *simmap.Map[string, uint64] { return s.m }
-
-// Sharded exposes the underlying sharded map; nil unless the server was
-// built with WithShards.
-func (s *Server) Sharded() *simmap.Sharded[string, uint64] { return s.sh }
-
-// Store exposes whichever store the server runs on.
-func (s *Server) Store() Store { return s.store }
 
 // Tiered exposes the large-value store; nil unless the server was built
 // with WithLargeValues.

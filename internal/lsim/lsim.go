@@ -405,8 +405,11 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 		// operation became visible last round (applied ∧ ¬papplied).
 		degree, opsApplied := uint64(0), uint64(0)
 		if !l.simulate(ls, ns, m, &degree, &opsApplied) {
+			// Stale state detected mid-simulation: the round is abandoned,
+			// as doomed as a failed SC.
+			st.CASFailed(i, j, 2)
 			l.rpool.Put(t.blk, ns)
-			continue // stale state detected mid-simulation — retry round
+			continue
 		}
 
 		if l.state.Load() != ls { // line 38 (VL): the state we read is obsolete

@@ -3,6 +3,9 @@ package lsim
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs/trace"
 )
 
 // TestLSimCrashedAnnouncerDoesNotBlock: process 0 announces an operation and
@@ -43,4 +46,52 @@ func TestLSimCrashedAnnouncerDoesNotBlock(t *testing.T) {
 	if rv := l.Rvals(0); rv > uint64((n-1)*per) {
 		t.Fatalf("crashed op's recorded response %d impossible", rv)
 	}
+}
+
+// TestLSimAbandonedRoundRecorded: a round whose simulation finds that the
+// state it read is obsolete is abandoned, and must be recorded as a failed
+// publish of cause 2 ("abandoned"), in the counters and the flight
+// recorder. Process 0 is parked right after loading the state of its second
+// round, the round that simulates its own add; process 1 then completes an
+// add on the same item, committing later rounds. Resumed, process 0 reads
+// the item stamped by a round later than its own and abandons the round.
+func TestLSimAbandonedRoundRecorded(t *testing.T) {
+	l, item, add := faaLSim(2)
+	tr := trace.New(2, trace.WithSampleEvery(1))
+	l.Attach(nil, "", nil, tr)
+	parked, resume := make(chan struct{}), make(chan struct{})
+	collects := 0 // process 0's PointCollect visits; only its goroutine writes it
+	core.SetSchedHook(func(pid int, p core.SchedPoint) {
+		if pid != 0 || p != core.PointCollect {
+			return
+		}
+		if collects++; collects == 2 {
+			close(parked)
+			<-resume
+		}
+	})
+	defer core.SetSchedHook(nil)
+
+	done := make(chan uint64)
+	go func() { done <- l.ApplyOp(0, add, 1) }()
+	<-parked
+	if got := l.ApplyOp(1, add, 10); got != 1 {
+		t.Fatalf("process 1's add returned %d, want 1 (process 0's add applied first)", got)
+	}
+	close(resume)
+	if got := <-done; got != 0 {
+		t.Fatalf("process 0's add returned %d, want 0", got)
+	}
+	if item.Current() != 11 {
+		t.Fatalf("item = %d, want 11", item.Current())
+	}
+	if l.Stats().CASFailures == 0 {
+		t.Fatal("the abandoned round was not counted as a CAS failure")
+	}
+	for _, ev := range tr.SnapshotPid(0) {
+		if ev.Kind == trace.KindCASFail && ev.B == 2 {
+			return
+		}
+	}
+	t.Fatalf("no cause-2 cas_fail event for process 0 in %+v", tr.SnapshotPid(0))
 }

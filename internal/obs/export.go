@@ -97,7 +97,7 @@ func promSeries(name, suffix, extra string) string {
 }
 
 // promType writes the `# TYPE` header when base differs from *last: labeled
-// series of one family (map_ops_total{shard="0"}, {shard="1"}, …) sort
+// series of one family (ingest_ops_total{partition="0"}, {partition="1"}, …) sort
 // adjacently, and the family gets exactly one header.
 func promType(w io.Writer, name, kind string, last *string) error {
 	base, _ := SplitName(name)

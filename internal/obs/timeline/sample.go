@@ -32,9 +32,10 @@
 //
 // A "series" is one metric family prefix discovered in the registry: every
 // counter named <prefix>_ops_total (label block included) declares the
-// series <prefix>, so `map`, `map{shard="0"}` and `ingest{partition="2"}`
-// are scraped side by side and the per-shard breakdown falls out of the
-// labeled-name convention (obs.Labeled) rather than bespoke plumbing.
+// series <prefix>, so `map`, `ingest{partition="0"}` and
+// `ingest{partition="2"}` are scraped side by side and the per-partition
+// breakdown falls out of the labeled-name convention (obs.Labeled) rather
+// than bespoke plumbing.
 //
 // Memory-plane size classes are discovered the same way: every counter
 // alloc_blocks_total{class="C"} (published by alloc.Pool.Attach, wired

@@ -64,9 +64,10 @@ const (
 	// KindServed is an operation completed by another thread's combine
 	// (the recording process never published). Dur spans announce → return.
 	KindServed
-	// KindCASFail is a failed publish: the state CAS lost (B = 0) or the
+	// KindCASFail is a failed publish: the state CAS lost (B = 0), the
 	// bounded hazard acquisition was exhausted by concurrent publishes
-	// (B = 1). A = the attempt round index (0 or 1).
+	// (B = 1), or the round was abandoned because a later round overtook
+	// the state it read (B = 2). A = the attempt round index (0 or 1).
 	KindCASFail
 	// KindBackoffGrow is an adaptive-backoff window expansion (the thread's
 	// publish failed twice — the paper's contention signal). A = the new
@@ -133,7 +134,7 @@ func (k Kind) argNames() (a, b, c string) {
 	case KindRound:
 		return "degree", "act", "ops"
 	case KindCASFail:
-		return "attempt", "hazard", ""
+		return "attempt", "cause", ""
 	case KindBackoffGrow:
 		return "window", "", ""
 	case KindRecycleHit, KindRecycleMiss:

@@ -267,7 +267,7 @@ func TestMapStats(t *testing.T) {
 }
 
 // TestStatsSumAllFields: Map.Stats sums every field of its stripes' Stats
-// (SharedAccesses included) and Sharded.Stats sums its shards'.
+// (SharedAccesses included).
 func TestStatsSumAllFields(t *testing.T) {
 	m := New[int, int](2, 4)
 	for k := 0; k < 40; k++ {
@@ -275,6 +275,7 @@ func TestStatsSumAllFields(t *testing.T) {
 	}
 	m.MSet(0, []int{1, 2, 3}, []int{7, 8, 9})
 	m.Delete(1, 5)
+	m.MDelete(1, []int{1, 2, 3})
 	var want core.Stats
 	for _, s := range m.stripes {
 		want = want.Add(s.Stats())
@@ -285,19 +286,6 @@ func TestStatsSumAllFields(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("Map.Stats() = %+v, sum over stripes = %+v", got, want)
-	}
-
-	sh := NewSharded[int, int](2, 4, 2)
-	for k := 0; k < 40; k++ {
-		sh.Put(k%2, k, k)
-	}
-	sh.MDelete(1, []int{1, 2, 3})
-	want = core.Stats{}
-	for i := 0; i < sh.Shards(); i++ {
-		want = want.Add(sh.Shard(i).Stats())
-	}
-	if got := sh.Stats(); got != want || got.SharedAccesses == 0 {
-		t.Fatalf("Sharded.Stats() = %+v, sum over shards = %+v", got, want)
 	}
 }
 

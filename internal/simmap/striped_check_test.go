@@ -8,13 +8,17 @@ import (
 	"repro/internal/check/v2"
 )
 
-// TestShardedCrossShardPerKeyLinearizable hammers a 16-shard map with
-// cross-shard MSet/MGet/MDelete batches from six processes, recording every
-// batch element as its own operation spanning the call's window, and
+// The tests in this file check a map sharded across many stripes, each an
+// independent P-Sim instance: a key belongs to one stripe, and a multi-key
+// call runs one combining round per touched stripe.
+
+// TestShardedCrossShardPerKeyLinearizable hammers a 32-stripe map with
+// cross-stripe MSet/MGet/MDelete batches from six processes, recording
+// every batch element as its own operation spanning the call's window, and
 // validates the full history with the compositional per-key checker. The
-// key space is wide enough that every batch straddles several shards, so
-// the test exercises the shard fan-out path (group → per-shard combining
-// round → scatter), not just single-shard batching. The forward engine
+// key space is wide enough that every batch straddles several stripes, so
+// the test exercises the stripe fan-out path (group → per-stripe combining
+// round → scatter), not just single-stripe batching. The forward engine
 // makes the whole multi-thousand-op history checkable in one pass.
 func TestShardedCrossShardPerKeyLinearizable(t *testing.T) {
 	const (
@@ -23,9 +27,9 @@ func TestShardedCrossShardPerKeyLinearizable(t *testing.T) {
 		calls   = 40
 		batch   = 8
 	)
-	m := NewSharded[uint64, uint64](threads, 16, 2)
-	if m.Shards() < 16 {
-		t.Fatalf("Shards() = %d, want >= 16", m.Shards())
+	m := New[uint64, uint64](threads, 32)
+	if m.Stripes() != 32 {
+		t.Fatalf("Stripes() = %d, want 32", m.Stripes())
 	}
 	rec := check.NewRecorder(2 * threads * calls * batch)
 	var wg sync.WaitGroup
@@ -82,17 +86,17 @@ func TestShardedCrossShardPerKeyLinearizable(t *testing.T) {
 		t.Fatalf("recorded %d operations, want %d", len(h), threads*calls*batch)
 	}
 	if err := v2.CheckHistory(h, v2.DefaultOptions()); err != nil {
-		t.Fatalf("cross-shard history not per-key linearizable: %v", err)
+		t.Fatalf("cross-stripe history not per-key linearizable: %v", err)
 	}
 }
 
-// TestShardedSmallHistoryAllEnginesAgree records a small cross-shard
+// TestShardedSmallHistoryAllEnginesAgree records a small cross-stripe
 // history and checks it through every engine and both partition modes: the
 // forward engine, the Wing–Gong search, their cross-validating combination,
 // and the whole-map single-state spec. By Herlihy–Wing locality all of
 // them must return the same verdict.
 func TestShardedSmallHistoryAllEnginesAgree(t *testing.T) {
-	m := NewSharded[uint64, uint64](3, 16, 1)
+	m := New[uint64, uint64](3, 16)
 	rec := check.NewRecorder(2 * 3 * 4)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -134,11 +138,11 @@ func TestShardedSmallHistoryAllEnginesAgree(t *testing.T) {
 }
 
 // TestShardedDisjointOwnersReadOwnWrites pins the deterministic corner of
-// the contract: with one writer per key, a cross-shard MGet issued by the
+// the contract: with one writer per key, a cross-stripe MGet issued by the
 // writer after its own MSet must observe exactly what it wrote.
 func TestShardedDisjointOwnersReadOwnWrites(t *testing.T) {
 	const threads = 4
-	m := NewSharded[uint64, uint64](threads, 16, 2)
+	m := New[uint64, uint64](threads, 32)
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		wg.Add(1)

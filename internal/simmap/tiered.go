@@ -10,7 +10,7 @@ package simmap
 // stay lock-free: the map read is hazard-protected, and Item.Current reads
 // the item body under an anonymous hazard slot.
 //
-// Linearizability is per key (the same contract as Map/Sharded), with the
+// Linearizability is per key (the same contract as Map), with the
 // map op or the L-Sim round as the linearization point:
 //
 //   - small put / delete / large install: the stripe round that swings the

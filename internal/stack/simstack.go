@@ -45,7 +45,6 @@ type SimOption func(*simCfg)
 
 type simCfg struct {
 	boLower, boUpper int
-	paddedAct        bool
 }
 
 // WithBackoff bounds the adaptive backoff window (upper 0 disables).
@@ -53,21 +52,11 @@ func WithBackoff(lower, upper int) SimOption {
 	return func(c *simCfg) { c.boLower, c.boUpper = lower, upper }
 }
 
-// WithPaddedAct spreads the Act vector one word per cache line.
-func WithPaddedAct() SimOption {
-	return func(c *simCfg) { c.paddedAct = true }
-}
-
 // NewSimStack returns an empty wait-free stack shared by n processes.
 func NewSimStack[V any](n int, opts ...SimOption) *SimStack[V] {
 	cfg := simCfg{boLower: 1, boUpper: core.DefaultBackoffUpper}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	var popts []core.PSimOption[*node[V]]
-	popts = append(popts, core.WithBackoff[*node[V]](cfg.boLower, cfg.boUpper))
-	if cfg.paddedAct {
-		popts = append(popts, core.WithPaddedAct[*node[V]]())
 	}
 	apply := func(top **node[V], _ int, op stackOp[V]) popResult[V] {
 		if op.push {
@@ -82,7 +71,8 @@ func NewSimStack[V any](n int, opts ...SimOption) *SimStack[V] {
 		return popResult[V]{v: t.v, ok: true}
 	}
 	return &SimStack[V]{
-		u:       core.NewPSim[*node[V], stackOp[V], popResult[V]](n, nil, apply, popts...),
+		u: core.NewPSim[*node[V], stackOp[V], popResult[V]](n, nil, apply,
+			core.WithBackoff[*node[V]](cfg.boLower, cfg.boUpper)),
 		scratch: make([]stackScratch[V], n),
 	}
 }

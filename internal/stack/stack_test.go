@@ -152,7 +152,7 @@ func TestSimStackLenAndStats(t *testing.T) {
 }
 
 func TestSimStackOptions(t *testing.T) {
-	s := NewSimStack[uint64](4, WithBackoff(1, 0), WithPaddedAct())
+	s := NewSimStack[uint64](4, WithBackoff(1, 0))
 	const n, per = 4, 200
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

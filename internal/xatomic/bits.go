@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync/atomic"
-
-	"repro/internal/pad"
 )
 
 // WordBits is the number of bits per bit-vector word.
@@ -146,35 +144,24 @@ func (s Snapshot) String() string {
 	return b.String()
 }
 
-// SharedBits is an n-bit shared vector stored in ⌈n/64⌉ atomic words, each
-// on its own cache line when padded is true. It is written only with
-// Fetch&Add (via Toggler) so that, as in P-Sim, announcing activity is a
-// single F&A instruction, and read with per-word atomic loads.
+// SharedBits is an n-bit shared vector stored in ⌈n/64⌉ atomic words. It is
+// written only with Fetch&Add (via Toggler) so that, as in P-Sim, announcing
+// activity is a single F&A instruction, and read with per-word atomic loads.
 //
-// The paper stores the multi-word Act vector "to the minimum possible number
-// of cache lines" (§4) so a read costs one miss for up to 512 threads; under
-// heavy F&A traffic, however, spreading words across lines avoids false
-// sharing between togglers of different words. Both layouts are provided:
-// NewSharedBits (dense) and NewSharedBitsPadded (padded); the ablation bench
-// compares them.
+// The words are packed contiguously, as the paper stores the multi-word Act
+// vector "to the minimum possible number of cache lines" (§4), so a read
+// costs one miss for up to 512 threads. A one-word-per-cache-line layout was
+// measured against it and was never faster (EXPERIMENTS.md, "Dense vs
+// padded Act vector").
 type SharedBits struct {
-	n      int
-	padded bool
-	densew []atomic.Uint64 // dense layout: words packed contiguously
-	padw   []pad.Uint64    // padded layout: one word per cache line
+	n     int
+	words []atomic.Uint64
 }
 
-// NewSharedBits returns an n-bit vector in the paper's dense layout: words
-// packed contiguously so a full read touches the minimum number of cache
-// lines (one line per 512 bits).
+// NewSharedBits returns an n-bit vector: words packed contiguously so a full
+// read touches the minimum number of cache lines (one line per 512 bits).
 func NewSharedBits(n int) *SharedBits {
-	return &SharedBits{n: n, densew: make([]atomic.Uint64, WordsFor(n))}
-}
-
-// NewSharedBitsPadded returns an n-bit vector with one word per cache line,
-// trading read cost for toggle-side false-sharing avoidance.
-func NewSharedBitsPadded(n int) *SharedBits {
-	return &SharedBits{n: n, padded: true, padw: make([]pad.Uint64, WordsFor(n))}
+	return &SharedBits{n: n, words: make([]atomic.Uint64, WordsFor(n))}
 }
 
 // Len returns the number of bits.
@@ -185,18 +172,12 @@ func (b *SharedBits) Words() int { return WordsFor(b.n) }
 
 // AddWord atomically adds delta to word w and returns the previous value.
 func (b *SharedBits) AddWord(w int, delta uint64) uint64 {
-	if b.padded {
-		return FetchAdd64(&b.padw[w].V, delta)
-	}
-	return FetchAdd64(&b.densew[w], delta)
+	return FetchAdd64(&b.words[w], delta)
 }
 
 // LoadWord atomically reads word w.
 func (b *SharedBits) LoadWord(w int) uint64 {
-	if b.padded {
-		return b.padw[w].V.Load()
-	}
-	return b.densew[w].Load()
+	return b.words[w].Load()
 }
 
 // LoadInto reads every word into dst (len must equal Words()). The read is

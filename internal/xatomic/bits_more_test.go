@@ -1,35 +1,6 @@
 package xatomic
 
-import (
-	"sync"
-	"testing"
-)
-
-// TestTogglersConcurrentPaddedLayout mirrors TestTogglersConcurrent on the
-// padded layout, covering its AddWord/LoadWord paths under contention.
-func TestTogglersConcurrentPaddedLayout(t *testing.T) {
-	const n = 130 // three words
-	b := NewSharedBitsPadded(n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tg := NewToggler(b, id)
-			for k := 0; k <= id%3; k++ { // 1..3 toggles
-				tg.Toggle()
-			}
-		}(i)
-	}
-	wg.Wait()
-	s := b.Load()
-	for i := 0; i < n; i++ {
-		want := (i%3+1)%2 == 1
-		if s.Bit(i) != want {
-			t.Fatalf("bit %d = %v, want %v", i, s.Bit(i), want)
-		}
-	}
-}
+import "testing"
 
 // TestTogglerReturnsPreviousWord: the F&A's previous-word return value is
 // what P-Sim uses nowhere, but the primitive must still report it exactly.

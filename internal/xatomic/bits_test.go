@@ -164,27 +164,20 @@ func TestSnapshotXorQuickSelfInverse(t *testing.T) {
 }
 
 func TestSharedBitsLayouts(t *testing.T) {
-	for _, padded := range []bool{false, true} {
-		var b *SharedBits
-		if padded {
-			b = NewSharedBitsPadded(130)
-		} else {
-			b = NewSharedBits(130)
-		}
-		if b.Len() != 130 || b.Words() != 3 {
-			t.Fatalf("padded=%v: Len=%d Words=%d", padded, b.Len(), b.Words())
-		}
-		prev := b.AddWord(2, 0b101)
-		if prev != 0 {
-			t.Fatalf("AddWord previous = %d, want 0", prev)
-		}
-		if b.LoadWord(2) != 0b101 {
-			t.Fatalf("LoadWord = %b", b.LoadWord(2))
-		}
-		s := b.Load()
-		if !s.Bit(128) || s.Bit(129) || !s.Bit(130) {
-			t.Fatalf("snapshot bits wrong: %v", s)
-		}
+	b := NewSharedBits(130)
+	if b.Len() != 130 || b.Words() != 3 {
+		t.Fatalf("Len=%d Words=%d", b.Len(), b.Words())
+	}
+	prev := b.AddWord(2, 0b101)
+	if prev != 0 {
+		t.Fatalf("AddWord previous = %d, want 0", prev)
+	}
+	if b.LoadWord(2) != 0b101 {
+		t.Fatalf("LoadWord = %b", b.LoadWord(2))
+	}
+	s := b.Load()
+	if !s.Bit(128) || s.Bit(129) || !s.Bit(130) {
+		t.Fatalf("snapshot bits wrong: %v", s)
 	}
 }
 

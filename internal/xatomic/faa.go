@@ -18,14 +18,3 @@ import "sync/atomic"
 func FetchAdd64(addr *atomic.Uint64, delta uint64) uint64 {
 	return addr.Add(delta) - delta
 }
-
-// FetchAdd32 is FetchAdd64 for 32-bit words.
-func FetchAdd32(addr *atomic.Uint32, delta uint32) uint32 {
-	return addr.Add(delta) - delta
-}
-
-// FetchAddInt64 atomically adds delta to *addr and returns the previous
-// value, for signed counters.
-func FetchAddInt64(addr *atomic.Int64, delta int64) int64 {
-	return addr.Add(delta) - delta
-}

@@ -31,26 +31,6 @@ func TestFetchAdd64NegativeDelta(t *testing.T) {
 	}
 }
 
-func TestFetchAdd32ReturnsPrevious(t *testing.T) {
-	var a atomic.Uint32
-	if got := FetchAdd32(&a, 7); got != 0 {
-		t.Fatalf("FetchAdd32 returned %d, want 0", got)
-	}
-	if got := FetchAdd32(&a, 1); got != 7 {
-		t.Fatalf("FetchAdd32 returned %d, want 7", got)
-	}
-}
-
-func TestFetchAddInt64ReturnsPrevious(t *testing.T) {
-	var a atomic.Int64
-	if got := FetchAddInt64(&a, -4); got != 0 {
-		t.Fatalf("FetchAddInt64 returned %d, want 0", got)
-	}
-	if got := FetchAddInt64(&a, 10); got != -4 {
-		t.Fatalf("FetchAddInt64 returned %d, want -4", got)
-	}
-}
-
 // TestFetchAdd64ConcurrentDistinct: with delta 1 from many goroutines, the
 // returned previous values must form a permutation of 0..N-1 — the
 // fetch-and-add atomicity property everything in the paper builds on.

@@ -27,12 +27,13 @@ func metricNames(reg *obs.Registry) []string {
 	return out
 }
 
-// TestMetricNamesStable pins the exact series a sharded large-value kv
-// server and an ingest partition publish. The timeline's series discovery
+// TestMetricNamesStable pins the exact series a large-value kv server (the
+// striped map simkvd and the end-to-end benchmark run) and an ingest
+// partition publish. The timeline's series discovery
 // and the end-to-end benchmark's per-layer metrics read these names, so a
 // change here is a breaking change for both.
 func TestMetricNamesStable(t *testing.T) {
-	srv := kvserver.New(4, 2, kvserver.WithShards(2), kvserver.WithLargeValues(1024))
+	srv := kvserver.New(4, 2, kvserver.WithLargeValues(1024))
 	if got := metricNames(srv.Registry()); !slices.Equal(got, wantKVNames) {
 		t.Errorf("kvserver metric names changed:\n got %q\nwant %q", got, wantKVNames)
 	}
@@ -95,25 +96,17 @@ var wantKVNames = []string{
 	"counter kv_refused_total{reason=\"line_too_long\"}",
 	"counter kv_reply_writes_total",
 	"counter kv_stats_total",
-	"counter map_backoff_grow_total{shard=\"0\"}",
-	"counter map_backoff_grow_total{shard=\"1\"}",
-	"counter map_cas_fail_total{shard=\"0\"}",
-	"counter map_cas_fail_total{shard=\"1\"}",
-	"counter map_cas_success_total{shard=\"0\"}",
-	"counter map_cas_success_total{shard=\"1\"}",
-	"counter map_combined_total{shard=\"0\"}",
-	"counter map_combined_total{shard=\"1\"}",
-	"counter map_ops_total{shard=\"0\"}",
-	"counter map_ops_total{shard=\"1\"}",
-	"counter map_served_by_total{shard=\"0\"}",
-	"counter map_served_by_total{shard=\"1\"}",
+	"counter map_backoff_grow_total",
+	"counter map_cas_fail_total",
+	"counter map_cas_success_total",
+	"counter map_combined_total",
+	"counter map_ops_total",
+	"counter map_served_by_total",
 	"gauge kv_connections",
 	"histogram blob_combine_degree",
 	"histogram blob_op_latency_ns",
-	"histogram map_combine_degree{shard=\"0\"}",
-	"histogram map_combine_degree{shard=\"1\"}",
-	"histogram map_op_latency_ns{shard=\"0\"}",
-	"histogram map_op_latency_ns{shard=\"1\"}",
+	"histogram map_combine_degree",
+	"histogram map_op_latency_ns",
 }
 
 var wantIngestNames = []string{

@@ -48,9 +48,6 @@ type Config struct {
 	// delay-loop iterations (Algorithm 3 line 4). BackoffHigh = -1 disables
 	// backoff; 0 selects the default.
 	BackoffLow, BackoffHigh int
-	// PaddedAct lays the Act bit vector out one word per cache line instead
-	// of the paper's dense minimal-line layout.
-	PaddedAct bool
 }
 
 func (c Config) bounds() (lo, hi int) {
@@ -65,15 +62,6 @@ func (c Config) bounds() (lo, hi int) {
 		hi = core.DefaultBackoffUpper
 	}
 	return lo, hi
-}
-
-func psimOpts[S any](c Config) []core.PSimOption[S] {
-	lo, hi := c.bounds()
-	opts := []core.PSimOption[S]{core.WithBackoff[S](lo, hi)}
-	if c.PaddedAct {
-		opts = append(opts, core.WithPaddedAct[S]())
-	}
-	return opts
 }
 
 // Universal is a wait-free universal object: a sequential object of state S
@@ -92,7 +80,8 @@ type Universal[S, A, R any] struct {
 // copy via clone; pass nil when shallow copies are safe (plain values, or
 // pointers into immutable structures).
 func NewUniversal[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, clone func(S) S, cfg Config) *Universal[S, A, R] {
-	opts := psimOpts[S](cfg)
+	lo, hi := cfg.bounds()
+	opts := []core.PSimOption[S]{core.WithBackoff[S](lo, hi)}
 	if clone != nil {
 		opts = append(opts, core.WithClone(clone))
 	}
@@ -130,11 +119,7 @@ type Stack[V any] struct {
 // NewStack returns an empty wait-free stack for n processes.
 func NewStack[V any](n int, cfg Config) *Stack[V] {
 	lo, hi := cfg.bounds()
-	opts := []stack.SimOption{stack.WithBackoff(lo, hi)}
-	if cfg.PaddedAct {
-		opts = append(opts, stack.WithPaddedAct())
-	}
-	return &Stack[V]{s: stack.NewSimStack[V](n, opts...)}
+	return &Stack[V]{s: stack.NewSimStack[V](n, stack.WithBackoff(lo, hi))}
 }
 
 // Push pushes v on behalf of process id.
@@ -247,30 +232,18 @@ func NewLargeObject[V, A, R any](n int) *LargeObject[V, A, R] {
 // Map is a wait-free striped hash map built from multiple independent Sim
 // instances — the paper's sketched route to data structures with internal
 // parallelism (§1), generalizing SimQueue's two-instance design. Put and
-// Delete combine within a stripe; Get is a single atomic load of the
-// stripe's immutable entry list (linearizable without announcing).
+// Delete combine within a stripe and copy only the trie nodes on the key's
+// path; Get reads the stripe's persistent hash trie through one
+// hazard-protected load of its root (linearizable without announcing).
 type Map[K comparable, V any] = simmap.Map[K, V]
 
 // NewMap returns a wait-free map for n processes with the given stripe
-// count (more stripes, more inter-key parallelism). Multi-key batches
-// (MSet, MGet, MDelete) group keys by stripe and combine each group as one
-// operation vector.
+// count (more stripes, more inter-key parallelism; stripes never serialize
+// against each other). Multi-key batches (MSet, MGet, MDelete) group keys
+// by stripe and combine each group as one operation vector: single keys are
+// linearizable, multi-key calls per key, not atomically across stripes.
 func NewMap[K comparable, V any](n, stripes int) *Map[K, V] {
 	return simmap.New[K, V](n, stripes)
-}
-
-// ShardedMap distributes keys over independent Map shards, multiplying the
-// combining throughput: different shards never serialize against each
-// other, and multi-key batches fan out per shard. Single keys are
-// linearizable; multi-key calls guarantee per-key linearizability (each
-// element linearizes during the call), not cross-key atomicity.
-type ShardedMap[K comparable, V any] = simmap.Sharded[K, V]
-
-// NewShardedMap returns a sharded wait-free map for n processes. shards is
-// rounded up to a power of two; each shard gets stripesPerShard internal
-// stripes.
-func NewShardedMap[K comparable, V any](n, shards, stripesPerShard int) *ShardedMap[K, V] {
-	return simmap.NewSharded[K, V](n, shards, stripesPerShard)
 }
 
 // Item is one shared data item of a LargeObject.

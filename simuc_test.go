@@ -59,7 +59,6 @@ func TestFacadeConfigVariants(t *testing.T) {
 		{},
 		{BackoffHigh: -1},                   // disabled backoff
 		{BackoffLow: 64, BackoffHigh: 1024}, // custom window
-		{PaddedAct: true},                   // padded Act layout
 		{BackoffLow: 8, BackoffHigh: 8},     // fixed window
 		{BackoffLow: -5, BackoffHigh: 0},    // clamped defaults
 	} {
