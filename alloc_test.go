@@ -82,7 +82,20 @@ func TestApplyAllocsSteadyState(t *testing.T) {
 		u.Apply(1, 3)
 		got := steadyAllocs(256, func() { u.Read() })
 		if got != 0 {
-			t.Errorf("PSimPooled Read allocs/op = %v, want 0 (bounded scratch front)", got)
+			t.Errorf("PSimPooled Read allocs/op = %v, want 0 (state copied straight into dst)", got)
+		}
+	})
+
+	t.Run("PSimWords/ReadInto", func(t *testing.T) {
+		u := core.NewPSimWords(4, 0, make([]uint64, 8), func(st []uint64, _ int, arg uint64) uint64 {
+			st[0] += arg
+			return st[0]
+		})
+		u.Apply(2, 5)
+		dst := make([]uint64, u.StateWords())
+		got := steadyAllocs(256, func() { u.ReadInto(dst) })
+		if got != 0 || dst[0] != 5 {
+			t.Errorf("PSimWords ReadInto allocs/op = %v (state %v), want 0 and state 5", got, dst[0])
 		}
 	})
 

@@ -118,19 +118,21 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkTraceOverhead: the acceptance gate for the flight recorder —
 // the same P-Sim Fetch&Multiply benchmark with tracing disabled (nil
-// tracer: one predictable branch per event site), enabled at the default
-// 1-in-64 sampling (CI comparison target: within noise of "off"), and
-// enabled at sample=1 (the worst case, every op writes ring events).
+// tracer: one predictable branch per event site), enabled behind a recorder
+// at the default 1-in-64 sampling, whose draw the tracer follows (CI
+// comparison target: within noise of "off"), and enabled with no recorder
+// (the worst case, every op writes ring events).
 func BenchmarkTraceOverhead(b *testing.B) {
-	for _, mode := range []struct {
-		label  string
-		sample int // 0 = tracing off
-	}{{"off", 0}, {"sampled", obs.DefaultSampleEvery}, {"every-op", 1}} {
+	for _, mode := range []string{"off", "sampled", "every-op"} {
 		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", mode.label, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/threads=%d", mode, n), func(b *testing.B) {
 				o := fmul.NewPSim(n)
-				if mode.sample > 0 {
-					o.Attach(nil, "", nil, trace.New(n, trace.WithSampleEvery(mode.sample)))
+				switch mode {
+				case "sampled":
+					reg := obs.NewRegistry()
+					o.Attach(reg, "bench", obs.NewSimRecorder(reg, "bench", n), trace.New(n))
+				case "every-op":
+					o.Attach(nil, "", nil, trace.New(n))
 				}
 				runConcurrent(b, n, func(id int, rng *workload.RNG) {
 					o.Apply(id, uint64(rng.Intn(1000))*2+3)

@@ -38,7 +38,8 @@
 // instance and writes a Chrome trace_event JSON of the newest
 // combining-round events (one track per process id, round duration and
 // degree of combining as args) — open it in chrome://tracing or Perfetto.
-// -flight-sample N thins recording to one in N operations per thread.
+// The experiments attach no distribution recorder, so every operation is
+// recorded.
 package main
 
 import (
@@ -178,8 +179,6 @@ func main() {
 			"write machine-readable results (ns/op and its spread, allocs/op, helping) for the experiments run to this file")
 		flightOut = flag.String("flight", "",
 			"attach the flight recorder to Sim-family instances and write a Chrome trace_event JSON of the newest round events to this file")
-		flightSample = flag.Int("flight-sample", 1,
-			"with -flight, record one in N operations per thread (1 = every op)")
 		batches = flag.String("batch", "1,16",
 			"comma-separated batch sizes for fig2-batch (ops per ApplyBatch call; 1 = plain Apply); map runs the largest")
 		ingestBatches = flag.String("ingest-batch", "1,8,32",
@@ -225,7 +224,7 @@ func main() {
 	maxN := slices.Max(tc)
 	var flight *trace.Tracer
 	if *flightOut != "" {
-		flight = trace.New(maxN, trace.WithSampleEvery(*flightSample))
+		flight = trace.New(maxN)
 		cfg.Tracer = flight
 	}
 	var tl *timeline.Timeline

@@ -154,7 +154,7 @@ func main() {
 	// Linearize mode always runs 3-process histories; size the rings for
 	// whichever mode needs more. Every operation is recorded (no sampling):
 	// a post-mortem with holes is not a post-mortem.
-	flight = trace.New(max(c.threads, 3), trace.WithSampleEvery(1))
+	flight = trace.New(max(c.threads, 3))
 	if !c.run() {
 		dumpFlight()
 		fmt.Println("FAIL")

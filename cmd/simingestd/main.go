@@ -98,9 +98,7 @@ func main() {
 		retainEvery = flag.Duration("retain-every", 50*time.Millisecond, "retention pass interval")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug on this address (empty disables)")
 		flight      = flag.Int("flight", 0,
-			"flight-recorder events per process id on partition 0 (rounded up to a power of two; 0 disables)")
-		flightSample = flag.Int("flight-sample", 1,
-			"with -flight, record one in N operations per process id (1 = every op)")
+			"flight-recorder events per process id on partition 0 (rounded up to a power of two; 0 disables); it traces the one operation in 64 the recorders sample")
 		watchdog = flag.Int("watchdog", 0,
 			"report process ids whose announced op hasn't committed within N system-wide rounds (0 disables; implies -flight)")
 		smoke = flag.Int("smoke", 0,
@@ -128,7 +126,6 @@ func main() {
 		},
 		retainTick: *retainEvery,
 		flight:     *flight,
-		flightSamp: *flightSample,
 		timeline:   *timelineEvery,
 		slo:        *slo,
 	}

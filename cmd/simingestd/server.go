@@ -78,8 +78,7 @@ type serverConfig struct {
 	spool      spool.Config
 	policy     retention.Policy
 	retainTick time.Duration
-	flight     int // flight-recorder capacity; 0 disables
-	flightSamp int
+	flight     int           // flight-recorder capacity; 0 disables
 	timeline   time.Duration // telemetry-timeline scrape interval; 0 disables
 	slo        string        // SLO rule spec evaluated over the timeline
 }
@@ -123,11 +122,7 @@ func newServer(cfg serverConfig) *server {
 			obs.Labeled("ingest_poll_skipped_total", "partition", strconv.Itoa(i)), cfg.clients)
 	}
 	if cfg.flight > 0 {
-		opts := []trace.Option{trace.WithCapacity(cfg.flight)}
-		if cfg.flightSamp > 1 {
-			opts = append(opts, trace.WithSampleEvery(cfg.flightSamp))
-		}
-		s.tracer = trace.New(perPart+2, opts...)
+		s.tracer = trace.New(perPart+2, trace.WithCapacity(cfg.flight))
 	}
 	for i := range s.parts {
 		p := ingest.New(perPart+2, ingest.Config{Batch: cfg.batch, Spool: cfg.spool})

@@ -65,13 +65,12 @@ type daemon struct {
 
 // options carries the observability knobs from flags to start.
 type options struct {
-	flight       int           // flight-recorder ring capacity; 0 disables
-	flightSample int           // record 1 in N operations
-	watchdog     int           // stall budget in committed rounds; 0 disables
-	pipeline     int           // pipelined protocol batch depth; <=1 disables
-	largeThresh  int           // BPUT/BGET/BDEL tier threshold in bytes; 0 disables the blob store
-	timeline     time.Duration // telemetry-timeline scrape interval; 0 disables
-	slo          string        // SLO rule spec evaluated over the timeline
+	flight      int           // flight-recorder ring capacity; 0 disables
+	watchdog    int           // stall budget in committed rounds; 0 disables
+	pipeline    int           // pipelined protocol batch depth; <=1 disables
+	largeThresh int           // BPUT/BGET/BDEL tier threshold in bytes; 0 disables the blob store
+	timeline    time.Duration // telemetry-timeline scrape interval; 0 disables
+	slo         string        // SLO rule spec evaluated over the timeline
 }
 
 // start boots the KV server on addr and, when metricsAddr is non-empty, the
@@ -84,7 +83,7 @@ func start(addr, metricsAddr string, clients, stripes int, opt options) (*daemon
 	if opt.watchdog > 0 && opt.flight == 0 {
 		opt.flight = obstrace.DefaultCapacity // watchdog needs the tracer's progress counters
 	}
-	kvOpts = append(kvOpts, kvserver.WithFlightRecorder(opt.flight, opt.flightSample))
+	kvOpts = append(kvOpts, kvserver.WithFlightRecorder(opt.flight))
 	srv := kvserver.New(clients, stripes, kvOpts...)
 	ops, err := lineserver.Start(srv, addr, lineserver.Ops{Name: "simkvd", MetricsAddr: metricsAddr,
 		Timeline: opt.timeline, SLO: opt.slo, Watchdog: opt.watchdog})
@@ -107,9 +106,7 @@ func main() {
 		stripes     = flag.Int("stripes", 16, "map stripes: independent Sim instances the keys are hashed over")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug on this address (empty disables)")
 		flight      = flag.Int("flight", 0,
-			"flight-recorder events per client slot (rounded up to a power of two; 0 disables)")
-		flightSample = flag.Int("flight-sample", 1,
-			"with -flight, record one in N operations per slot (1 = every op)")
+			"flight-recorder events per client slot (rounded up to a power of two; 0 disables); every operation is traced")
 		watchdog = flag.Int("watchdog", 0,
 			"report client slots whose announced op hasn't committed within N system-wide rounds (0 disables; implies -flight)")
 		pipeline = flag.Int("pipeline", 1,
@@ -124,7 +121,7 @@ func main() {
 	flag.Parse()
 
 	d, err := start(*addr, *metricsAddr, *clients, *stripes,
-		options{flight: *flight, flightSample: *flightSample, watchdog: *watchdog,
+		options{flight: *flight, watchdog: *watchdog,
 			pipeline: *pipeline, largeThresh: *largeThresh,
 			timeline: *timelineEvery, slo: *slo})
 	if err != nil {

@@ -139,7 +139,7 @@ func TestStartRejectsBadMetricsAddr(t *testing.T) {
 // formats, last=N trimming, and the pprof index.
 func TestDebugSurface(t *testing.T) {
 	d, err := start("127.0.0.1:0", "127.0.0.1:0", 2, 2,
-		options{flight: 64, flightSample: 1})
+		options{flight: 64})
 	if err != nil {
 		t.Fatalf("start: %v", err)
 	}

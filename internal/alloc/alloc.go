@@ -1,9 +1,9 @@
 // Package alloc is the repository's wait-free memory plane: a fixed-size
 // block allocator in the style of "Concurrent Fixed-Size Allocation and Free
-// in Constant Time" (Blelloch & Wei, arXiv 2008.04296), unifying the four
+// in Constant Time" (Blelloch & Wei, arXiv 2008.04296), unifying the
 // ad-hoc recycling schemes the hot paths grew independently (P-Sim state
-// rings, SimQueue node free-lists, L-Sim item bodies, pooled P-Sim read scratch)
-// behind one space-bounded discipline.
+// rings, SimQueue node free-lists, L-Sim item bodies) behind one
+// space-bounded discipline.
 //
 // # Construction
 //
@@ -51,8 +51,6 @@
 // Constructions whose readers protect blocks with hazard pointers
 // (core.Hazards) wrap the pool in a Typed front (typed.go), whose Get probes
 // candidates against the guard and never reissues a protected block.
-// Callers with no stable thread id (anonymous readers) use the Shared front
-// (shared.go) instead of a Handle.
 package alloc
 
 import (

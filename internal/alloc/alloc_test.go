@@ -299,48 +299,6 @@ func TestPoolConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestSharedFront covers the anonymous front: recycling hits, bounded
-// retention with drops, and concurrent churn under -race.
-func TestSharedFront(t *testing.T) {
-	s := NewShared(2, func() *tblk { return new(tblk) })
-
-	a := s.Get()
-	s.Put(a)
-	if b := s.Get(); b != a {
-		t.Fatalf("expected the parked block back")
-	}
-	s.Put(a)
-
-	// Overfill: retention must stay within the slot bound.
-	extra := make([]*tblk, 6)
-	for i := range extra {
-		extra[i] = s.Get()
-	}
-	for _, b := range extra {
-		s.Put(b)
-	}
-	if got := s.Retained(); got > 2 {
-		t.Fatalf("Shared retained %d blocks, bound is 2", got)
-	}
-	if s.drops.Total() == 0 {
-		t.Fatalf("expected drops after overfilling the anonymous front")
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				x := s.Get()
-				x.val = i
-				s.Put(x)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestPoolCounters checks the counter identities the timeline mapping
 // relies on: blocks = fresh + recycled, frees ≥ handoff×chain outflow.
 func TestPoolCounters(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/alloc"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/pad"
@@ -81,11 +80,6 @@ type PSimWords struct {
 	stats   *StatsPlane
 
 	boLower, boUpper int
-
-	// readScratch is the memory plane's anonymous front: bounded scratch
-	// recycling for ReadInto callers with no process id (same zero-alloc
-	// steady state as sync.Pool, but retention is strictly bounded).
-	readScratch *alloc.Shared[wordsThread]
 }
 
 // WordBatchBudget is the announce-vector capacity of the pooled P-Sim:
@@ -125,7 +119,7 @@ type wordsState struct {
 }
 
 // wordsThread is process i's private handle internals and its Round (see
-// round.go); a bare one, with only the copy scratch set, serves ReadInto.
+// round.go).
 type wordsThread struct {
 	p         Proc
 	u         *PSimWords
@@ -158,11 +152,6 @@ const DefaultPoolPerThread = 8
 // horizon reaches xatomic.TimedStampMax get the wrap-safe atomic-copy
 // variant via NewPSimWordsHorizon.
 const DefaultUpdateHorizon = 1 << 40
-
-// readScratchSlots bounds the parked ReadInto scratch records of the
-// anonymous front (more simultaneous anonymous readers than this pay a
-// fresh allocation; fewer keep the zero-alloc steady state).
-const readScratchSlots = 4
 
 // NewPSimWords builds a pooled P-Sim for n threads over a state of
 // len(init) words. c is the per-thread pool size (C ≥ 2; pass 0 for
@@ -225,16 +214,6 @@ func NewPSimWordsHorizon(n, c int, init []uint64, apply func(st []uint64, pid in
 	}
 	u.p = xatomic.NewTimedVar(horizon)
 	u.p.Store(uint16(n*c), 0)
-	u.readScratch = alloc.NewShared(readScratchSlots, func() *wordsThread {
-		return &wordsThread{
-			u:       u,
-			applied: xatomic.NewSnapshot(n),
-			st:      make([]uint64, len(init)),
-			bn:      make([]uint64, n),
-			brv:     make([]uint64, n*WordBatchBudget),
-		}
-	})
-	u.stats.AttachAllocPool("scratch", u.readScratch)
 	return u
 }
 
@@ -435,18 +414,20 @@ func (t *wordsThread) appendRow() {
 }
 
 // ReadInto copies the current state into dst (len ≥ StateWords). Unlike
-// Apply it may be called from any goroutine; it is lock-free (it retries if
-// it observes a record mid-rewrite, which requires concurrent successful
-// publishes). Scratch buffers for the seqlock copy come from the memory
-// plane's anonymous front, so steady-state reads allocate nothing and parked
-// scratch is bounded by readScratchSlots.
+// Apply it may be called from any goroutine, and it allocates nothing: it
+// copies only the state words, straight into dst, under the record's
+// seq2/seq1 stamps and the P re-check (the copyState protocol). It is
+// lock-free: it retries a torn or stale copy, which requires concurrent
+// successful publishes.
 func (u *PSimWords) ReadInto(dst []uint64) {
-	scratch := u.readScratch.Get()
 	for {
 		lpIdx, lpStamp := u.p.Load()
-		if u.copyState(&u.pool[lpIdx], scratch) && u.unchanged(lpIdx, lpStamp) {
-			copy(dst, scratch.st)
-			u.readScratch.Put(scratch)
+		src := &u.pool[lpIdx]
+		s2 := src.seq2.Load()
+		for w := 0; w < u.sWords; w++ {
+			dst[w] = src.st[w].Load()
+		}
+		if s2 == src.seq1.Load() && u.unchanged(lpIdx, lpStamp) {
 			return
 		}
 	}

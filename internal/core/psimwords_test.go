@@ -374,7 +374,13 @@ func TestPSimWordsUnpublishedSuccessorRejected(t *testing.T) {
 	u.Apply(0, 1) // record 0 published, state 1
 	idx, stamp := u.p.Load()
 	u.Apply(0, 1) // record 1 published, state 2; record 0 is rewritten next
-	scratch := u.readScratch.Get()
+	scratch := &wordsThread{
+		u:       u,
+		applied: xatomic.NewSnapshot(1),
+		st:      make([]uint64, 1),
+		bn:      make([]uint64, 1),
+		brv:     make([]uint64, WordBatchBudget),
+	}
 	var consistent, current bool
 	SetSchedHook(func(_ int, p SchedPoint) {
 		if p == PointCAS { // record 0 now holds state 3, unpublished

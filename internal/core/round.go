@@ -165,7 +165,7 @@ func (p *Proc) Combine(h Round, op Op, m int) {
 			acc++
 			if h.Publish() { // lines 22–26
 				st.Accesses.Add(i, acc)
-				st.Committed(i, op, um, slots, op.Act(p.active), ops)
+				st.Committed(i, op, um, slots, st.act(op, p.active), ops)
 				if j == 0 || solo {
 					p.bo.Shrink() // low contention: waiting was wasted
 				}

@@ -187,10 +187,10 @@ func (p *StatsPlane) simPublished(i int, degree uint64) {
 // rounds published (combined > 0), a served event if a helper applied it.
 func (p *StatsPlane) simDone(i int, op Op, combined uint64) {
 	p.Ops.Inc(i)
-	p.Rec.OpDone(i, op.rec)
+	p.Rec.OpDone(i, op.t0)
 	if combined > 0 {
-		p.Trace.OpCommit(i, op.tr, combined, 0, combined)
+		p.Trace.OpCommit(i, op.t0, combined, 0, combined)
 	} else {
-		p.Trace.OpServed(i, op.tr)
+		p.Trace.OpServed(i, op.t0)
 	}
 }

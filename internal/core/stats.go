@@ -19,6 +19,10 @@ import (
 //   - Rec, the sampled latency / combining-degree histograms (nil = off);
 //   - Trace, the flight recorder (nil = off).
 //
+// Start draws one sampling decision per operation and both sampled channels
+// follow it: Rec's 1-in-k draw when a recorder is attached, every operation
+// when none is. The clock is read once, into the operation's Op.
+//
 // Hot paths report what happened — Start, Committed, Served, Round,
 // CASFailed, Recycled, BackoffGrew, Spliced, HazardOverflowed — and each
 // event method updates every channel it concerns, so a site makes one call
@@ -39,7 +43,7 @@ type StatsPlane struct {
 }
 
 // AllocAttacher is the slice of a memory-plane pool the stats plane needs in
-// order to publish it: both alloc.Pool and alloc.Shared satisfy it.
+// order to publish it; alloc.Pool satisfies it.
 type AllocAttacher interface {
 	Attach(reg *obs.Registry, class string, tr *trace.Tracer)
 }
@@ -102,36 +106,52 @@ func (p *StatsPlane) Attach(reg *obs.Registry, prefix string, rec *obs.SimRecord
 	}
 }
 
-// Op is an operation's pair of sampling stamps, one per sampled channel:
-// the recorder's and the flight recorder's, each 0 when that channel is off
-// or did not sample the operation (no clock was read for it).
-type Op struct{ rec, tr obs.Stamp }
+// Op is an operation's sampling stamp, shared by both sampled channels: its
+// start time, or 0 when the plane did not sample it or neither channel is
+// on (no clock was read for it).
+type Op struct{ t0 obs.Stamp }
 
-// Act returns the popcount of the Act vector active for a round-event
-// payload — computed only when the flight recorder sampled the operation.
-func (o Op) Act(active xatomic.Snapshot) uint64 {
-	if o.tr == 0 {
+// Start opens process i's operation and draws its one sampling decision:
+// the recorder's, or every operation when only the flight recorder is on.
+// The flight recorder also counts the announce for the watchdog.
+func (p *StatsPlane) Start(i int) Op {
+	p.Trace.OpStart(i)
+	if p.Rec != nil {
+		return Op{p.Rec.Start(i)}
+	}
+	if p.Trace != nil {
+		return Op{obs.Now()}
+	}
+	return Op{}
+}
+
+// instant records a per-round event of process i's current operation in the
+// flight recorder if Start sampled the operation: the recorder's draw, or
+// every operation without a recorder.
+func (p *StatsPlane) instant(i int, k trace.Kind, a, b uint64) {
+	if p.Trace != nil && (p.Rec == nil || p.Rec.Sampled(i)) {
+		p.Trace.Instant(i, k, a, b)
+	}
+}
+
+// act returns the popcount of the Act vector active for op's round-event
+// payload — computed only when the flight recorder will record the event.
+func (p *StatsPlane) act(op Op, active xatomic.Snapshot) uint64 {
+	if op.t0 == 0 || p.Trace == nil {
 		return 0
 	}
 	return uint64(active.PopCount())
 }
 
-// Start opens process i's operation: both channels draw their 1-in-k
-// sampling decision, and the flight recorder counts the announce for the
-// watchdog.
-func (p *StatsPlane) Start(i int) Op {
-	return Op{p.Rec.Start(i), p.Trace.OpStart(i)}
-}
-
 // Committed closes an operation of own logical ops whose round process i
 // published itself: the round applied degree announce slots carrying ops
-// operations, out of an Act vector with act bits set (see Op.Act).
+// operations, out of an Act vector with act bits set (see act).
 func (p *StatsPlane) Committed(i int, op Op, own, degree, act, ops uint64) {
 	p.Ops.Add(i, own)
 	p.CASSuccess.Inc(i)
 	p.Combined.Add(i, ops)
-	p.Rec.OpPublished(i, op.rec, degree)
-	p.Trace.OpCommit(i, op.tr, degree, act, ops)
+	p.Rec.OpPublished(i, op.t0, degree)
+	p.Trace.OpCommit(i, op.t0, degree, act, ops)
 }
 
 // Served closes an operation of own logical ops that another thread's
@@ -139,8 +159,8 @@ func (p *StatsPlane) Committed(i int, op Op, own, degree, act, ops uint64) {
 func (p *StatsPlane) Served(i int, op Op, own uint64) {
 	p.Ops.Add(i, own)
 	p.ServedBy.Add(i, own)
-	p.Rec.OpDone(i, op.rec)
-	p.Trace.OpServed(i, op.tr)
+	p.Rec.OpDone(i, op.t0)
+	p.Trace.OpServed(i, op.t0)
 }
 
 // Round records a further round published by an operation whose close was
@@ -148,7 +168,7 @@ func (p *StatsPlane) Served(i int, op Op, own uint64) {
 func (p *StatsPlane) Round(i int, degree, ops uint64) {
 	p.CASSuccess.Inc(i)
 	p.Combined.Add(i, ops)
-	p.Trace.Instant(i, trace.KindRound, degree, ops)
+	p.instant(i, trace.KindRound, degree, ops)
 }
 
 // CASFailed records a failed publish in round attempt: the state CAS lost
@@ -156,7 +176,7 @@ func (p *StatsPlane) Round(i int, degree, ops uint64) {
 // was abandoned because an announcer moved on (2).
 func (p *StatsPlane) CASFailed(i, attempt int, cause uint64) {
 	p.CASFail.Inc(i)
-	p.Trace.Instant(i, trace.KindCASFail, uint64(attempt), cause)
+	p.instant(i, trace.KindCASFail, uint64(attempt), cause)
 }
 
 // Recycled records where a round's record came from: the memory plane
@@ -166,10 +186,10 @@ func (p *StatsPlane) Recycled(i int, fresh bool, resident int, pool uint64) {
 	if fresh {
 		// A miss pays an allocation, so the unsampled event is free by
 		// comparison — and warmup misses make cache fill visible.
-		p.Trace.Rare(i, trace.KindRecycleMiss, uint64(resident), pool)
+		p.Trace.Instant(i, trace.KindRecycleMiss, uint64(resident), pool)
 		return
 	}
-	p.Trace.Instant(i, trace.KindRecycleHit, uint64(resident), pool)
+	p.instant(i, trace.KindRecycleHit, uint64(resident), pool)
 }
 
 // BackoffGrew widens process i's backoff window after a failed publish and
@@ -182,13 +202,13 @@ func (p *StatsPlane) BackoffGrew(i int, bo *backoff.Adaptive) {
 	if p.Rec != nil {
 		p.Rec.Retries.Inc(i)
 	}
-	p.Trace.Rare(i, trace.KindBackoffGrow, uint64(bo.Window()), 0)
+	p.Trace.Instant(i, trace.KindBackoffGrow, uint64(bo.Window()), 0)
 }
 
 // Spliced records a queue batch hand-off: a dequeuer helped link an enqueue
 // batch (helper = 1) or an enqueuer linked its own (0).
 func (p *StatsPlane) Spliced(i int, helper uint64) {
-	p.Trace.Instant(i, trace.KindSplice, helper, 0)
+	p.instant(i, trace.KindSplice, helper, 0)
 }
 
 // HazardOverflowed records an anonymous reader growing hazard table tab's

@@ -243,6 +243,68 @@ func TestRecorderDefaultSampling(t *testing.T) {
 	}
 }
 
+// TestPlaneSamplingDrivesTracer: the stats plane draws one sampling decision
+// per operation and the flight recorder follows it. With a recorder at
+// 1-in-4, 100 operations at n = 1 leave round/served and per-round instant
+// events for exactly the 25 the recorder sampled (ops 0, 4, 8, …); with no
+// recorder, the tracer records all 100. Slow-path events (a recycling miss)
+// are recorded on every operation either way, and the watchdog's progress
+// counters count every operation.
+func TestPlaneSamplingDrivesTracer(t *testing.T) {
+	const ops = 100
+	for _, tc := range []struct {
+		name   string
+		every  int // recorder sampling period; 0 = no recorder
+		events int
+	}{{"recorder-1-in-4", 4, 25}, {"no-recorder", 0, ops}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			var rec *obs.SimRecorder
+			if tc.every > 0 {
+				rec = obs.NewSimRecorder(reg, "p", 1)
+				rec.SetSampleEvery(tc.every)
+			}
+			tr := trace.New(1)
+			p := core.NewStatsPlane(1)
+			p.Attach(reg, "p", rec, tr)
+			for k := 0; k < ops; k++ {
+				op := p.Start(0)
+				p.CASFailed(0, 0, 0)
+				p.Recycled(0, true, 0, uint64(k))
+				if k%8 == 0 {
+					p.Committed(0, op, 1, uint64(k)+1, 1, 1)
+				} else {
+					p.Served(0, op, 1)
+				}
+			}
+			kinds := map[trace.Kind]int{}
+			for _, ev := range tr.Snapshot() {
+				kinds[ev.Kind]++
+				if ev.Kind == trace.KindRound && tc.every > 0 && (ev.A-1)%uint64(tc.every) != 0 {
+					t.Fatalf("round event of op %d, which the recorder did not sample", ev.A-1)
+				}
+			}
+			if got := kinds[trace.KindRound] + kinds[trace.KindServed]; got != tc.events {
+				t.Fatalf("round+served events = %d (kinds %v), want %d", got, kinds, tc.events)
+			}
+			if got := kinds[trace.KindCASFail]; got != tc.events {
+				t.Fatalf("cas_fail events = %d, want %d", got, tc.events)
+			}
+			if got := kinds[trace.KindRecycleMiss]; got != ops {
+				t.Fatalf("recycle_miss events = %d, want %d (never sampled)", got, ops)
+			}
+			if tc.every > 0 {
+				if lat := reg.Snapshot().Histograms["p_op_latency_ns"]; lat.Count != uint64(tc.events) {
+					t.Fatalf("recorder sampled %d ops, tracer %d; want the same draw", lat.Count, tc.events)
+				}
+			}
+			if s, c := tr.Progress(0); s != ops || c != ops {
+				t.Fatalf("progress = %d,%d, want %d,%d", s, c, ops, ops)
+			}
+		})
+	}
+}
+
 // attachCase is one construction under TestAttach: attach wires reg, a
 // recorder and tr through the construction's one Attach method (the
 // recorder sampling every op), and op runs process id's k-th operation.
@@ -384,7 +446,7 @@ func TestAttach(t *testing.T) {
 	for _, tc := range attachCases(n) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			tr := trace.New(n, trace.WithSampleEvery(1), trace.WithCapacity(8*perThread))
+			tr := trace.New(n, trace.WithCapacity(8*perThread))
 			prefix := strings.ToLower(tc.name)
 			op := tc.attach(reg, prefix, tr)
 			var wg sync.WaitGroup

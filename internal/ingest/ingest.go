@@ -201,8 +201,10 @@ func (p *Pipeline) Spool() *spool.Spool[Event] { return p.sp }
 // Attach connects both stages' instruments: in reg under prefix, the
 // queue's and the spool's combining counters and recorders (<prefix>_queue_*,
 // <prefix>_spool_*) plus the pipeline's own stage counters; both stages'
-// events (queue splices, spool rounds) interleave in tr. reg and tr may be
-// nil. Call once, before any operation.
+// events (queue splices, spool rounds) interleave in tr, which traces the
+// operations the stages' recorders sample (one in 64; every operation when
+// reg is nil, since then there are no recorders). reg and tr may be nil.
+// Call once, before any operation.
 func (p *Pipeline) Attach(reg *obs.Registry, prefix string, tr *trace.Tracer) {
 	qp, sp := obs.Join(prefix, "_queue"), obs.Join(prefix, "_spool")
 	p.q.Attach(reg, qp, obs.NewSimRecorder(reg, qp, p.n), tr)

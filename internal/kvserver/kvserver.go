@@ -98,11 +98,10 @@ type Server struct {
 type Option func(*serverCfg)
 
 type serverCfg struct {
-	pipeline     int
-	largeVals    bool
-	threshold    int
-	flight       int // flight-recorder ring capacity; <= 0 disables
-	flightSample int
+	pipeline  int
+	largeVals bool
+	threshold int
+	flight    int // flight-recorder ring capacity; <= 0 disables
 }
 
 // WithPipeline enables pipelined request handling with the given batch
@@ -120,10 +119,11 @@ func WithLargeValues(threshold int) Option {
 
 // WithFlightRecorder attaches a wait-free flight recorder to the store: one
 // event ring per client slot, capacity events each (<= 0 keeps the recorder
-// off), recording one in sampleEvery operations (min 1). Tracer returns it
-// for snapshotting (cmd/simkvd's /debug/flight endpoint).
-func WithFlightRecorder(capacity, sampleEvery int) Option {
-	return func(c *serverCfg) { c.flight, c.flightSample = capacity, sampleEvery }
+// off). It records the operations the store's recorders sample, which here
+// is every operation. Tracer returns it for snapshotting (cmd/simkvd's
+// /debug/flight endpoint).
+func WithFlightRecorder(capacity int) Option {
+	return func(c *serverCfg) { c.flight = capacity }
 }
 
 // New returns a server allowing maxClients concurrent connections, with the
@@ -154,18 +154,15 @@ func New(maxClients, stripes int, opts ...Option) *Server {
 	}
 	s.Server = lineserver.New(reg, "kv", maxClients, s.ServeConn)
 	if cfg.flight > 0 {
-		opts := []trace.Option{trace.WithCapacity(cfg.flight)}
-		if cfg.flightSample > 1 {
-			opts = append(opts, trace.WithSampleEvery(cfg.flightSample))
-		}
-		s.tracer = trace.New(maxClients, opts...)
+		s.tracer = trace.New(maxClients, trace.WithCapacity(cfg.flight))
 	}
-	// Record every operation's latency: map mutations sit behind network
-	// round-trips here, so the default distribution sampling would only thin
-	// out an already low-rate signal. Stripes and the blob store all share
-	// the tracer: a multi-key call touches stripes one after another, so
-	// per-pid rings keep a single writer, and one interleaved stream is the
-	// right shape for /debug/flight.
+	// Record every operation's latency (and so trace every operation): map
+	// mutations sit behind network round-trips here, so the default
+	// distribution sampling would only thin out an already low-rate signal.
+	// Stripes and the blob store all share the tracer: a multi-key call
+	// touches stripes one after another, so per-pid rings keep a single
+	// writer, and one interleaved stream is the right shape for
+	// /debug/flight.
 	s.m = simmap.New[string, uint64](maxClients, stripes)
 	rec := obs.NewSimRecorder(reg, "map", maxClients)
 	rec.SetSampleEvery(1)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/lineserver"
+	"repro/internal/obs/trace"
 )
 
 // dialPipe wires a client to ServeConn over an in-memory pipe.
@@ -140,6 +141,30 @@ func TestCommandMetrics(t *testing.T) {
 	}
 	if lat.Quantile(0.99) == 0 || lat.Max == 0 {
 		t.Fatalf("latency histogram recorded no time: %+v", lat)
+	}
+}
+
+// TestFlightRecorderTracesEveryOp: the store's recorders sample every
+// operation, and the flight recorder follows their draw, so 200 PUTs on one
+// connection leave 200 round/served events on that connection's pid.
+func TestFlightRecorderTracesEveryOp(t *testing.T) {
+	const puts = 200
+	s := New(2, 2, WithFlightRecorder(1024))
+	send, done := dialPipe(t, s, 0)
+	for i := 0; i < puts; i++ {
+		if got := send(fmt.Sprintf("PUT k%d %d", i, i)); !strings.HasPrefix(got, "OK") {
+			t.Fatalf("PUT -> %q", got)
+		}
+	}
+	done()
+	n := 0
+	for _, ev := range s.Tracer().SnapshotPid(0) {
+		if ev.Kind == trace.KindRound || ev.Kind == trace.KindServed {
+			n++
+		}
+	}
+	if n != puts {
+		t.Fatalf("pid 0 holds %d round/served events, want %d (one per PUT)", n, puts)
 	}
 }
 

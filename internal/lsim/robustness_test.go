@@ -57,7 +57,7 @@ func TestLSimCrashedAnnouncerDoesNotBlock(t *testing.T) {
 // the item stamped by a round later than its own and abandons the round.
 func TestLSimAbandonedRoundRecorded(t *testing.T) {
 	l, item, add := faaLSim(2)
-	tr := trace.New(2, trace.WithSampleEvery(1))
+	tr := trace.New(2)
 	l.Attach(nil, "", nil, tr)
 	parked, resume := make(chan struct{}), make(chan struct{})
 	collects := 0 // process 0's PointCollect visits; only its goroutine writes it

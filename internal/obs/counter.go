@@ -52,8 +52,8 @@ func (c *Counter) Add(id int, d uint64) {
 }
 
 // AddAtomic adds d to slot id with a real atomic RMW, for writers that have
-// no stable process id (e.g. the memory plane's anonymous front, where any
-// goroutine may touch any slot). Costs a LOCK-prefixed add; do not mix with
+// no stable process id (e.g. the line server's refusal count, bumped by
+// whichever goroutine accepted the connection). Costs a LOCK-prefixed add; do not mix with
 // Add on the same slot — the single-writer load+store would lose concurrent
 // RMW updates. No-op on a nil counter.
 func (c *Counter) AddAtomic(id int, d uint64) {

@@ -14,7 +14,9 @@ import (
 // dominate a sub-microsecond wait-free operation (BenchmarkObsOverhead
 // quantifies this). Uniform 1-in-k sampling leaves quantile estimates
 // unbiased; use SetSampleEvery(1) when exact per-op distributions matter more
-// than hot-path cost (tests, network-bound servers).
+// than hot-path cost (tests, network-bound servers). The recorder's draw is
+// the operation's only one: core.StatsPlane hands the same decision and
+// stamp to the flight recorder (obs/trace).
 const DefaultSampleEvery = 64
 
 // sampleSlot is one thread's private sampling state: written and read only by
@@ -137,12 +139,17 @@ func (r *SimRecorder) OpDone(id int, t0 Stamp) {
 	r.OpLatency.Record(id, uint64(now()-t0))
 }
 
+// Sampled reports whether process id's current operation (the one its last
+// Start opened) was sampled. Not nil-safe: a caller without a recorder
+// decides for itself.
+func (r *SimRecorder) Sampled(id int) bool { return r.samples[id].sampled }
+
 // CombineObserved records a combining degree observed mid-operation (core.Sim
 // publishes up to four times per ApplyOp, so its degree observations are
 // decoupled from operation completion). Honours the current operation's
 // sampling decision.
 func (r *SimRecorder) CombineObserved(id int, combined uint64) {
-	if r == nil || !r.samples[id].sampled {
+	if r == nil || !r.Sampled(id) {
 		return
 	}
 	r.Combine.Record(id, combined)

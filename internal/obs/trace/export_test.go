@@ -10,12 +10,12 @@ import (
 // buildTrace records a small deterministic event mix on two pids.
 func buildTrace(t *testing.T) *Tracer {
 	t.Helper()
-	tr := New(2, WithSampleEvery(1))
-	t0 := tr.OpStart(0)
+	tr := New(2)
+	t0 := start(tr, 0)
 	tr.Instant(0, KindCASFail, 0, 0)
 	tr.OpCommit(0, t0, 3, 2, 7)
-	t1 := tr.OpStart(1)
-	tr.Rare(1, KindBackoffGrow, 128, 0)
+	t1 := start(tr, 1)
+	tr.Instant(1, KindBackoffGrow, 128, 0)
 	tr.OpServed(1, t1)
 	tr.AnonInstant(KindHazardOverflow, 1, 0)
 	return tr

@@ -24,12 +24,14 @@
 //     changed between the two reads) — the seqlock argument of the paper's
 //     pooled records (Algorithm 3 line 11), applied per event slot.
 //
-// Round events are sampled with the same 1-in-k per-thread knob as
-// obs.SimRecorder (SetSampleEvery; default obs.DefaultSampleEvery), since
-// stamping a round needs the same clock reads the recorder rations. Rare
-// events that already sit on a slow path — a recycling miss (which
+// The tracer draws no sampling decision of its own. core.StatsPlane makes
+// one per operation — its obs.SimRecorder's 1-in-k draw, or every operation
+// when no recorder is attached — and hands it over: OpCommit and OpServed
+// get a zero start stamp for an unsampled operation and record nothing, and
+// the plane calls Instant for per-round events of sampled operations only.
+// Rare events that already sit on a slow path — a recycling miss (which
 // allocates), backoff growth (two failed CASes), hazard-table overflow
-// (which allocates) — are recorded unconditionally. All methods are
+// (which allocates) — the plane records unconditionally. All methods are
 // nil-receiver safe no-ops, so a nil *Tracer IS tracing disabled and
 // instrumented hot paths pay one predictable branch.
 //
@@ -211,16 +213,14 @@ func (s *slot) read(pid int) (Event, bool) {
 	return ev, true
 }
 
-// ring is one process id's event ring plus its private sampling state and
-// always-on progress counters. pos and the sampling fields are owner-only
-// (plain words); started/committed are read by the watchdog and snapshots,
-// so they are atomic (single-writer load+store, like obs.Counter slots).
-// The trailing pad keeps neighbouring rings' counters off one line.
+// ring is one process id's event ring plus its always-on progress
+// counters. pos is owner-only (a plain word); started/committed are read by
+// the watchdog and snapshots, so they are atomic (single-writer load+store,
+// like obs.Counter slots). The trailing pad keeps neighbouring rings'
+// counters off one line.
 type ring struct {
 	slots     []slot
 	pos       uint64 // next event sequence number (owner-only)
-	sampleSeq uint64 // operations seen, for the 1-in-k gate (owner-only)
-	sampled   bool   // current operation's sampling decision (owner-only)
 	started   atomic.Uint64
 	committed atomic.Uint64
 	_         pad.CacheLinePad
@@ -243,7 +243,6 @@ const anonCapacity = 64
 // usable; a nil *Tracer is the disabled recorder (every method no-ops).
 type Tracer struct {
 	rings []ring
-	mask  uint64
 
 	// anon is the shared ring for events with no process id. Writers claim
 	// a sequence number with one Fetch&Add, then a slot with one CAS on its
@@ -268,13 +267,6 @@ func WithCapacity(c int) Option {
 	}
 }
 
-// WithSampleEvery records round events on every k-th operation per thread
-// (k rounds up to a power of two; k <= 1 records every operation) — the
-// same knob as obs.SimRecorder.SetSampleEvery.
-func WithSampleEvery(k int) Option {
-	return func(t *Tracer) { t.SetSampleEvery(k) }
-}
-
 // New returns a flight recorder for n process ids (n rounds up to 1).
 func New(n int, opts ...Option) *Tracer {
 	if n < 1 {
@@ -282,7 +274,6 @@ func New(n int, opts ...Option) *Tracer {
 	}
 	t := &Tracer{
 		rings:     make([]ring, n),
-		mask:      obs.DefaultSampleEvery - 1,
 		anonSlots: make([]slot, anonCapacity),
 	}
 	t.rings[0].slots = make([]slot, DefaultCapacity)
@@ -312,37 +303,14 @@ func (t *Tracer) Capacity() int {
 	return len(t.rings[0].slots)
 }
 
-// SetSampleEvery records round events on every k-th operation per thread.
-// Call before the first operation; not safe concurrently with recording.
-func (t *Tracer) SetSampleEvery(k int) {
+// OpStart opens an operation for process id: the started progress counter
+// advances, for every operation — the watchdog needs every announce.
+func (t *Tracer) OpStart(id int) {
 	if t == nil {
 		return
 	}
-	p := uint64(1)
-	for p < uint64(k) {
-		p <<= 1
-	}
-	t.mask = p - 1
-}
-
-// OpStart opens an operation for process id: the started progress counter
-// advances (always — the watchdog needs every announce) and the operation's
-// sampling decision is drawn. Returns the operation's start stamp, or 0
-// when the operation is unsampled (no clock was read) or the tracer is nil.
-func (t *Tracer) OpStart(id int) obs.Stamp {
-	if t == nil {
-		return 0
-	}
-	r := &t.rings[id]
-	v := &r.started
+	v := &t.rings[id].started
 	v.Store(v.Load() + 1)
-	hit := r.sampleSeq&t.mask == 0
-	r.sampleSeq++
-	r.sampled = hit
-	if !hit {
-		return 0
-	}
-	return obs.Now()
 }
 
 // OpCommit closes an operation that won its publish CAS, having combined
@@ -363,7 +331,8 @@ func (t *Tracer) OpCommit(id int, t0 obs.Stamp, degree, act, ops uint64) {
 	r.write(KindRound, t0, int64(obs.Now()-t0), degree, act, ops)
 }
 
-// OpServed closes an operation completed by another thread's combine.
+// OpServed closes an operation completed by another thread's combine; like
+// OpCommit it records an event only for a sampled operation (t0 != 0).
 func (t *Tracer) OpServed(id int, t0 obs.Stamp) {
 	if t == nil {
 		return
@@ -377,26 +346,11 @@ func (t *Tracer) OpServed(id int, t0 obs.Stamp) {
 	r.write(KindServed, t0, int64(obs.Now()-t0), 0, 0, 0)
 }
 
-// Instant records a mid-operation event — honouring the current operation's
-// sampling decision, like SimRecorder.CombineObserved. Use for per-round
-// events (CAS failures, recycling hits, splices) whose rate tracks the
-// operation rate.
+// Instant records a point event into process id's ring. It applies no
+// gate: the caller records per-round events (CAS failures, recycling hits,
+// splices) only for sampled operations, and slow-path events (a recycling
+// miss, backoff growth) always.
 func (t *Tracer) Instant(id int, k Kind, a, b uint64) {
-	if t == nil {
-		return
-	}
-	r := &t.rings[id]
-	if !r.sampled {
-		return
-	}
-	r.write(k, obs.Now(), 0, a, b, 0)
-}
-
-// Rare records an event unconditionally (no sampling gate). Use for events
-// that already sit on a slow path — a recycling miss pays an allocation,
-// backoff growth two failed CASes — so the clock read is never the cost
-// that matters.
-func (t *Tracer) Rare(id int, k Kind, a, b uint64) {
 	if t == nil {
 		return
 	}

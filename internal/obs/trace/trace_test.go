@@ -12,15 +12,19 @@ import (
 // payload is detectable: every writer maintains B = A ^ payloadMagic.
 const payloadMagic = 0x9E3779B97F4A7C15
 
+// start opens process id's operation the way core.StatsPlane does for a
+// sampled one: the tracer counts the announce and the caller reads the clock.
+func start(tr *Tracer, id int) obs.Stamp {
+	tr.OpStart(id)
+	return obs.Now()
+}
+
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tt := tr.OpStart(0); tt != 0 {
-		t.Fatalf("nil OpStart = %d, want 0", tt)
-	}
+	tr.OpStart(0)
 	tr.OpCommit(0, 1, 2, 3, 4)
 	tr.OpServed(0, 1)
 	tr.Instant(0, KindCASFail, 1, 2)
-	tr.Rare(0, KindBackoffGrow, 1, 2)
 	tr.AnonInstant(KindHazardOverflow, 1, 2)
 	if evs := tr.Snapshot(); evs != nil {
 		t.Fatalf("nil Snapshot = %v, want nil", evs)
@@ -34,11 +38,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 }
 
 func TestRoundEventRecorded(t *testing.T) {
-	tr := New(2, WithSampleEvery(1))
-	t0 := tr.OpStart(1)
-	if t0 == 0 {
-		t.Fatal("sampled OpStart returned 0")
-	}
+	tr := New(2)
+	t0 := start(tr, 1)
 	tr.OpCommit(1, t0, 5, 3, 5)
 	evs := tr.Snapshot()
 	if len(evs) != 1 {
@@ -56,58 +57,28 @@ func TestRoundEventRecorded(t *testing.T) {
 	}
 }
 
-func TestSamplingGatesRoundEvents(t *testing.T) {
-	tr := New(1, WithSampleEvery(4))
-	for i := 0; i < 16; i++ {
-		t0 := tr.OpStart(0)
-		wantSampled := i%4 == 0
-		if (t0 != 0) != wantSampled {
-			t.Fatalf("op %d: sampled=%v, want %v", i, t0 != 0, wantSampled)
-		}
-		tr.Instant(0, KindCASFail, uint64(i), 0)
-		tr.OpCommit(0, t0, 1, 1, 1)
-	}
-	var rounds, instants int
-	for _, ev := range tr.Snapshot() {
-		switch ev.Kind {
-		case KindRound:
-			rounds++
-		case KindCASFail:
-			instants++
-		}
-	}
-	if rounds != 4 || instants != 4 {
-		t.Fatalf("rounds=%d instants=%d, want 4,4", rounds, instants)
-	}
-	// Progress counters are never sampled.
-	if s, c := tr.Progress(0); s != 16 || c != 16 {
-		t.Fatalf("progress = %d,%d, want 16,16", s, c)
-	}
-}
-
-func TestRareBypassesSampling(t *testing.T) {
-	tr := New(1, WithSampleEvery(1024))
-	tr.OpStart(0) // op 0 sampled; subsequent ops are not
+// TestUnsampledOpRecordsNothing: a zero start stamp (an operation the
+// stats plane did not sample) closes the operation without an event, while
+// the progress counters still count it.
+func TestUnsampledOpRecordsNothing(t *testing.T) {
+	tr := New(1)
+	tr.OpStart(0)
 	tr.OpCommit(0, 0, 1, 1, 1)
 	tr.OpStart(0)
-	tr.Rare(0, KindBackoffGrow, 512, 0)
-	tr.OpCommit(0, 0, 1, 1, 1)
-	var grows int
-	for _, ev := range tr.Snapshot() {
-		if ev.Kind == KindBackoffGrow && ev.A == 512 {
-			grows++
-		}
+	tr.OpServed(0, 0)
+	if evs := tr.Snapshot(); len(evs) != 0 {
+		t.Fatalf("unsampled ops recorded %v", evs)
 	}
-	if grows != 1 {
-		t.Fatalf("grow events = %d, want 1", grows)
+	if s, c := tr.Progress(0); s != 2 || c != 2 {
+		t.Fatalf("progress = %d,%d, want 2,2", s, c)
 	}
 }
 
 func TestOverwriteOldest(t *testing.T) {
-	tr := New(1, WithCapacity(16), WithSampleEvery(1))
+	tr := New(1, WithCapacity(16))
 	const total = 100
 	for i := 0; i < total; i++ {
-		tr.Rare(0, KindRecycleMiss, uint64(i), 0)
+		tr.Instant(0, KindRecycleMiss, uint64(i), 0)
 	}
 	evs := tr.SnapshotPid(0)
 	if len(evs) != 16 {
@@ -140,14 +111,14 @@ func TestConcurrentWritersSnapshotRace(t *testing.T) {
 		ops   = 20000
 		snaps = 200
 	)
-	tr := New(pids, WithCapacity(16), WithSampleEvery(1))
+	tr := New(pids, WithCapacity(16))
 	var wg sync.WaitGroup
 	for pid := 0; pid < pids; pid++ {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
-				t0 := tr.OpStart(pid)
+				t0 := start(tr, pid)
 				a := uint64(pid)<<32 | uint64(i)
 				tr.Instant(pid, KindCASFail, a, a^payloadMagic)
 				tr.OpCommit(pid, t0, a, a^payloadMagic, a)
@@ -197,10 +168,10 @@ func TestConcurrentWritersSnapshotRace(t *testing.T) {
 }
 
 func TestSnapshotOrderedByStart(t *testing.T) {
-	tr := New(3, WithSampleEvery(1))
+	tr := New(3)
 	for i := 0; i < 30; i++ {
 		pid := i % 3
-		t0 := tr.OpStart(pid)
+		t0 := start(tr, pid)
 		tr.OpCommit(pid, t0, 1, 1, 1)
 	}
 	evs := tr.Snapshot()

@@ -11,7 +11,7 @@ import (
 // the rest of the system has committed more than the budget, Scan must
 // report pid 1 — and only pid 1.
 func TestWatchdogDetectsStalledPid(t *testing.T) {
-	tr := New(2, WithSampleEvery(1))
+	tr := New(2)
 	var reported []Stall
 	wd := NewWatchdog(tr, 10, func(s Stall) { reported = append(reported, s) })
 
@@ -23,7 +23,7 @@ func TestWatchdogDetectsStalledPid(t *testing.T) {
 
 	// The rest of the system commits well past the budget.
 	for i := 0; i < 25; i++ {
-		t0 := tr.OpStart(0)
+		t0 := start(tr, 0)
 		tr.OpCommit(0, t0, 1, 1, 1)
 	}
 
@@ -58,12 +58,12 @@ func TestWatchdogDetectsStalledPid(t *testing.T) {
 }
 
 func TestWatchdogIdleThreadsNotReported(t *testing.T) {
-	tr := New(3, WithSampleEvery(1))
+	tr := New(3)
 	wd := NewWatchdog(tr, 5, nil)
 	// Pids 1 and 2 never announce anything; pid 0 runs alone.
 	wd.Scan()
 	for i := 0; i < 50; i++ {
-		t0 := tr.OpStart(0)
+		t0 := start(tr, 0)
 		tr.OpCommit(0, t0, 1, 1, 1)
 	}
 	if stalls := wd.Scan(); len(stalls) != 0 {
@@ -72,13 +72,13 @@ func TestWatchdogIdleThreadsNotReported(t *testing.T) {
 }
 
 func TestWatchdogProgressResetsTracking(t *testing.T) {
-	tr := New(2, WithSampleEvery(1))
+	tr := New(2)
 	wd := NewWatchdog(tr, 8, nil)
 	// pid 1 always has an op in flight but keeps committing — never a stall.
 	tr.OpStart(1)
 	wd.Scan()
 	for i := 0; i < 30; i++ {
-		t0 := tr.OpStart(0)
+		t0 := start(tr, 0)
 		tr.OpCommit(0, t0, 1, 1, 1)
 		tr.OpCommit(1, 0, 1, 1, 1) // commit the in-flight op...
 		tr.OpStart(1)              // ...and immediately announce the next
@@ -95,7 +95,7 @@ func TestWatchdogProgressResetsTracking(t *testing.T) {
 // baseline — restarts fresh each time rather than accumulating across
 // recoveries.
 func TestWatchdogEpisodeCycles(t *testing.T) {
-	tr := New(2, WithSampleEvery(1))
+	tr := New(2)
 	var reported []Stall
 	wd := NewWatchdog(tr, 10, func(s Stall) { reported = append(reported, s) })
 
@@ -108,7 +108,7 @@ func TestWatchdogEpisodeCycles(t *testing.T) {
 		// while the stall persists must report it but fire no extra
 		// callbacks.
 		for i := 0; i < 15; i++ {
-			t0 := tr.OpStart(0)
+			t0 := start(tr, 0)
 			tr.OpCommit(0, t0, 1, 1, 1)
 		}
 		for scan := 0; scan < 3; scan++ {
@@ -146,7 +146,7 @@ func TestWatchdogBudgetFloorsAtN(t *testing.T) {
 }
 
 func TestWatchdogStartStop(t *testing.T) {
-	tr := New(2, WithSampleEvery(1))
+	tr := New(2)
 	fired := make(chan Stall, 1)
 	wd := NewWatchdog(tr, 2, func(s Stall) {
 		select {
@@ -158,7 +158,7 @@ func TestWatchdogStartStop(t *testing.T) {
 	wd.Start(time.Millisecond)
 	deadline := time.After(2 * time.Second)
 	for {
-		t0 := tr.OpStart(0)
+		t0 := start(tr, 0)
 		tr.OpCommit(0, t0, 1, 1, 1)
 		select {
 		case s := <-fired:
