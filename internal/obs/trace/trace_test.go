@@ -74,6 +74,61 @@ func TestUnsampledOpRecordsNothing(t *testing.T) {
 	}
 }
 
+// TestSamplingGatesRoundEvents: the caller's sampling decision gates the
+// round events. A caller sampling 1 in 4 of 16 operations (a nonzero start
+// stamp, with per-round instants only on sampled ones) leaves 4 round and 4
+// instant events, while the progress counters count all 16.
+func TestSamplingGatesRoundEvents(t *testing.T) {
+	tr := New(1)
+	for i := 0; i < 16; i++ {
+		var t0 obs.Stamp
+		if i%4 == 0 {
+			t0 = start(tr, 0)
+			tr.Instant(0, KindCASFail, uint64(i), 0)
+		} else {
+			tr.OpStart(0)
+		}
+		tr.OpCommit(0, t0, 1, 1, 1)
+	}
+	var rounds, instants int
+	for _, ev := range tr.Snapshot() {
+		switch ev.Kind {
+		case KindRound:
+			rounds++
+		case KindCASFail:
+			instants++
+		}
+	}
+	if rounds != 4 || instants != 4 {
+		t.Fatalf("rounds=%d instants=%d, want 4,4", rounds, instants)
+	}
+	// Progress counters are never sampled.
+	if s, c := tr.Progress(0); s != 16 || c != 16 {
+		t.Fatalf("progress = %d,%d, want 16,16", s, c)
+	}
+}
+
+// TestRareBypassesSampling: a slow-path event recorded during an unsampled
+// operation (zero start stamp) is kept; Instant applies no sampling gate.
+func TestRareBypassesSampling(t *testing.T) {
+	tr := New(1)
+	tr.OpStart(0)
+	tr.Instant(0, KindBackoffGrow, 512, 0)
+	tr.OpCommit(0, 0, 1, 1, 1)
+	var grows, rounds int
+	for _, ev := range tr.Snapshot() {
+		switch {
+		case ev.Kind == KindBackoffGrow && ev.A == 512:
+			grows++
+		case ev.Kind == KindRound:
+			rounds++
+		}
+	}
+	if grows != 1 || rounds != 0 {
+		t.Fatalf("grow events = %d, round events = %d, want 1, 0", grows, rounds)
+	}
+}
+
 func TestOverwriteOldest(t *testing.T) {
 	tr := New(1, WithCapacity(16))
 	const total = 100
