@@ -397,22 +397,58 @@ func map16k() (*simmap.Map[string, uint64], []string) {
 	return m, ks
 }
 
-// TestMapPutAllocsBounded: an overwriting Put copies one trie node per
-// level on its key's path, so its allocations stay a handful however many
-// keys the stripe holds. A copy of every entry in front of the key would
-// cost hundreds at this size (~1024 keys per stripe).
+// TestMapPutAllocsBounded: an overwriting Put edits its stripe's root in
+// place, inside the recycled state record, and copies one trie node per
+// level below it, so its allocations and bytes stay a handful however many
+// keys the stripe holds (~1024 here): the level-1 node and its written
+// entry array, sometimes a level-2 pair, and the new leaf. A fresh root
+// array per put added one allocation and about 256 bytes; a copy of every
+// entry in front of the key would cost hundreds of allocations.
 func TestMapPutAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on its own; bounds only hold without it")
 	}
 	m, ks := map16k()
 	i := 0
-	got := steadyAllocs(256, func() {
+	put := func() {
 		m.Put(0, ks[(i*7919)%len(ks)], uint64(i))
 		i++
-	})
-	if got > 8 {
-		t.Errorf("overwriting Put allocs/op = %v, want <= 8 (path copy, not prefix copy)", got)
 	}
-	t.Logf("overwriting Put at 16384 keys / 16 stripes: %v allocs/op", got)
+	got := steadyAllocs(256, put)
+	if got > 4 {
+		t.Errorf("overwriting Put allocs/op = %v, want <= 4 (root edited in place, path copied once)", got)
+	}
+	const puts = 4096
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b0 := ms.TotalAlloc
+	for j := 0; j < puts; j++ {
+		put()
+	}
+	runtime.ReadMemStats(&ms)
+	bytes := float64(ms.TotalAlloc-b0) / puts
+	if bytes > 320 {
+		t.Errorf("overwriting Put bytes/op = %.0f, want <= 320 (no per-put root array)", bytes)
+	}
+	t.Logf("overwriting Put at 16384 keys / 16 stripes: %v allocs/op, %.0f B/op", got, bytes)
+}
+
+// TestMapReadAllocsZero: Get and MGet read their root entries under hazard
+// protection and walk the nodes below without copying anything.
+func TestMapReadAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates on its own; bounds only hold without it")
+	}
+	m, ks := map16k()
+	i := 0
+	if got := steadyAllocs(256, func() {
+		m.Get(ks[(i*7919)%len(ks)])
+		i++
+	}); got != 0 {
+		t.Errorf("Get allocs/op = %v, want 0", got)
+	}
+	batch := ks[:32]
+	if got := steadyAllocs(16, func() { m.MGet(0, batch) }); got != 0 {
+		t.Errorf("MGet of %d keys allocs/op = %v, want 0", len(batch), got)
+	}
 }

@@ -170,7 +170,8 @@ func BenchmarkObsPrimitives(b *testing.B) {
 		r := obs.NewSimRecorder(reg, "bench", 1)
 		r.SetSampleEvery(1)
 		for i := 0; i < b.N; i++ {
-			r.OpPublished(0, r.Start(0), 1)
+			t0 := r.Start(0)
+			r.OpPublished(0, t0, obs.End(t0), 1)
 		}
 	})
 	b.Run("recorder-default", func(b *testing.B) {
@@ -178,13 +179,15 @@ func BenchmarkObsPrimitives(b *testing.B) {
 		reg := obs.NewRegistry()
 		r := obs.NewSimRecorder(reg, "bench", 1)
 		for i := 0; i < b.N; i++ {
-			r.OpPublished(0, r.Start(0), 1)
+			t0 := r.Start(0)
+			r.OpPublished(0, t0, obs.End(t0), 1)
 		}
 	})
 	b.Run("recorder-nil", func(b *testing.B) {
 		var r *obs.SimRecorder
 		for i := 0; i < b.N; i++ {
-			r.OpPublished(0, r.Start(0), 1)
+			t0 := r.Start(0)
+			r.OpPublished(0, t0, obs.End(t0), 1)
 		}
 	})
 }

@@ -56,7 +56,9 @@
 // Exit status 0 means every check passed, 1 a failed check, 2 a refused
 // input: an unknown object, impl or mode, -threads, -ops, -rounds or
 // -batch below 1, -batch > 1 on an impl without batched entry points, or a
-// linearize -batch above the engine's cap.
+// linearize -batch above the engine's cap. A linearize run closes with how
+// many of its histories were decided ("OK: 66 of 100 histories decided");
+// one that decided none checked nothing and exits 1.
 //
 // Sim-family implementations run with the wait-free flight recorder
 // attached: when a check FAILs, the newest combining-round events (round
@@ -155,12 +157,28 @@ func main() {
 	// whichever mode needs more. Every operation is recorded (no sampling):
 	// a post-mortem with holes is not a post-mortem.
 	flight = trace.New(max(c.threads, 3))
-	if !c.run() {
+	ok, decided := c.run()
+	if !ok {
 		dumpFlight()
-		fmt.Println("FAIL")
-		os.Exit(1)
 	}
-	fmt.Println("OK")
+	line, code := c.verdict(ok, decided)
+	fmt.Println(line)
+	os.Exit(code)
+}
+
+// verdict returns the closing line and exit status of a run that passed
+// (ok) or failed, having decided `decided` of its histories in linearize
+// mode. A linearize run that decided none checked nothing, so it fails.
+func (c config) verdict(ok bool, decided int) (string, int) {
+	switch {
+	case !ok:
+		return "FAIL", 1
+	case c.mode == "stress":
+		return "OK", 0
+	case decided == 0:
+		return fmt.Sprintf("FAIL: none of %d histories decided", c.rounds), 1
+	}
+	return fmt.Sprintf("OK: %d of %d histories decided", decided, c.rounds), 0
 }
 
 // object is one -object entry: the -impl values it accepts and its two mode
@@ -255,25 +273,30 @@ func (c config) validate() error {
 }
 
 // run runs a validated configuration and reports whether every check
-// passed. Linearize mode is one loop for every object: per round, roundCfg
-// → record → report, with sched.Minimize on a seeded failure.
-func (c config) run() bool {
+// passed and, in linearize mode, how many histories an engine decided.
+// Linearize mode is one loop for every object: per round, roundCfg →
+// record → report, with sched.Minimize on a seeded failure.
+func (c config) run() (ok bool, decided int) {
 	o := objects[c.object]
 	if c.mode == "stress" {
-		return o.stress(c)
+		return o.stress(c), 0
 	}
 	for r := 0; r < c.rounds; r++ {
 		cfg := c.roundCfg(r)
 		h, err := c.record(o, r, cfg)
 		if err != nil {
 			fmt.Printf("round %d: %v\n", r, err)
-			return false
+			return false, decided
 		}
-		if !c.report(r, o, h, cfg) {
-			return false
+		pass, dec := c.report(r, o, h, cfg)
+		if !pass {
+			return false, decided
+		}
+		if dec {
+			decided++
 		}
 	}
-	return true
+	return true, decided
 }
 
 // record runs one 3-process history of round r under cfg. Every body
@@ -324,17 +347,18 @@ func runWorkers(cfg sched.Config, body func(id int)) {
 	wg.Wait()
 }
 
-// report validates one linearize-mode history. A rejection prints the
-// history in the replayable text format plus, for seeded runs, a minimized
-// schedule that still reproduces it. An undecided history only warns.
-func (c config) report(r int, o object, h []check.Operation, cfg sched.Config) bool {
+// report validates one linearize-mode history and reports whether it
+// passed and whether it was decided. A rejection prints the history in the
+// replayable text format plus, for seeded runs, a minimized schedule that
+// still reproduces it. An undecided history only warns.
+func (c config) report(r int, o object, h []check.Operation, cfg sched.Config) (pass, decided bool) {
 	err := v2.CheckHistory(h, c.lin)
 	if err == nil {
-		return true
+		return true, true
 	}
 	if !v2.Rejected(err) {
 		fmt.Fprintf(os.Stderr, "simcheck: round %d: %s history not decided: %v\n", r, o.what, err)
-		return true
+		return true, false
 	}
 	fmt.Printf("round %d: non-linearizable %s history: %v\n", r, o.what, err)
 	os.Stdout.Write(v2.FormatHistory(h))
@@ -346,7 +370,7 @@ func (c config) report(r int, o object, h []check.Operation, cfg sched.Config) b
 		fmt.Printf("replay: -mode linearize -rounds 1 -sched-seed=%d -sched-preempt=%d (minimized from %s)\n",
 			min.Seed, min.Preemptions, cfg)
 	}
-	return false
+	return false, true
 }
 
 // batched is the produce/consume surface shared by the stack

@@ -17,13 +17,43 @@ func conf(object, impl, mode string, n, batch int) config {
 		lin: v2.DefaultOptions(), preempt: -1}
 }
 
-// pass validates c and reports whether every check passed.
+// pass validates c and reports whether it would exit 0: every check
+// passed, on at least one decided history in linearize mode.
 func pass(t *testing.T, c config) bool {
 	t.Helper()
 	if err := c.validate(); err != nil {
 		t.Fatalf("%s/%s %s -batch %d refused: %v", c.object, c.impl, c.mode, c.batch, err)
 	}
-	return c.run()
+	_, code := c.verdict(c.run())
+	return code == 0
+}
+
+// TestVerdictCountsDecided: a linearize run says how many histories it
+// decided, and one that decided none exits 1 however clean it ran.
+func TestVerdictCountsDecided(t *testing.T) {
+	c := conf("stack", "sim", "linearize", 100, 4)
+	for _, tc := range []struct {
+		ok      bool
+		decided int
+		line    string
+		code    int
+	}{
+		{true, 66, "OK: 66 of 100 histories decided", 0},
+		{true, 0, "FAIL: none of 100 histories decided", 1},
+		{false, 66, "FAIL", 1},
+	} {
+		if line, code := c.verdict(tc.ok, tc.decided); line != tc.line || code != tc.code {
+			t.Errorf("verdict(%v, %d) = %q, %d; want %q, %d", tc.ok, tc.decided, line, code, tc.line, tc.code)
+		}
+	}
+	if line, code := conf("stack", "sim", "stress", 100, 1).verdict(true, 0); line != "OK" || code != 0 {
+		t.Errorf("stress verdict = %q, %d; want OK, 0", line, code)
+	}
+	c.rounds = 5
+	ok, decided := c.run()
+	if !ok || decided < 1 || decided > c.rounds {
+		t.Fatalf("run = %v, %d decided of %d", ok, decided, c.rounds)
+	}
 }
 
 func TestCheckStackStress(t *testing.T) {

@@ -419,7 +419,12 @@ func (u *PSim[S, A, R]) Read() S {
 // claimable hazard slot Read takes until f returns, so no recycler rewrites
 // it meanwhile. f must treat the state as immutable and must not retain the
 // pointer or anything reachable only through a buffer the record owns.
-// Lock-free, like Read.
+// What it takes out of such a buffer may outlive f only if the state never
+// rewrites it: simmap's Get copies its key's entry out of the stripe root's
+// recycled array here and walks the trie nodes below, immutable once
+// published, after f returns. It is the read path for a state that keeps
+// buffers in its record (WithCloneInto) when Read's full copy would cost
+// more than the read. Lock-free, like Read.
 func (u *PSim[S, A, R]) ReadFunc(f func(*S)) {
 	ls, slot := u.haz.AcquireAnon(&u.state)
 	f(&ls.st)

@@ -187,10 +187,11 @@ func (p *StatsPlane) simPublished(i int, degree uint64) {
 // rounds published (combined > 0), a served event if a helper applied it.
 func (p *StatsPlane) simDone(i int, op Op, combined uint64) {
 	p.Ops.Inc(i)
-	p.Rec.OpDone(i, op.t0)
+	t1 := obs.End(op.t0)
+	p.Rec.OpDone(i, op.t0, t1)
 	if combined > 0 {
-		p.Trace.OpCommit(i, op.t0, combined, 0, combined)
+		p.Trace.OpCommit(i, op.t0, t1, combined, 0, combined)
 	} else {
-		p.Trace.OpServed(i, op.t0)
+		p.Trace.OpServed(i, op.t0, t1)
 	}
 }

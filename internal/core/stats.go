@@ -21,7 +21,8 @@ import (
 //
 // Start draws one sampling decision per operation and both sampled channels
 // follow it: Rec's 1-in-k draw when a recorder is attached, every operation
-// when none is. The clock is read once, into the operation's Op.
+// when none is. The clock is read once at the start, into the operation's
+// Op, and once at the close (obs.End), for both channels.
 //
 // Hot paths report what happened — Start, Committed, Served, Round,
 // CASFailed, Recycled, BackoffGrew, Spliced, HazardOverflowed — and each
@@ -150,8 +151,9 @@ func (p *StatsPlane) Committed(i int, op Op, own, degree, act, ops uint64) {
 	p.Ops.Add(i, own)
 	p.CASSuccess.Inc(i)
 	p.Combined.Add(i, ops)
-	p.Rec.OpPublished(i, op.t0, degree)
-	p.Trace.OpCommit(i, op.t0, degree, act, ops)
+	t1 := obs.End(op.t0)
+	p.Rec.OpPublished(i, op.t0, t1, degree)
+	p.Trace.OpCommit(i, op.t0, t1, degree, act, ops)
 }
 
 // Served closes an operation of own logical ops that another thread's
@@ -159,8 +161,9 @@ func (p *StatsPlane) Committed(i int, op Op, own, degree, act, ops uint64) {
 func (p *StatsPlane) Served(i int, op Op, own uint64) {
 	p.Ops.Add(i, own)
 	p.ServedBy.Add(i, own)
-	p.Rec.OpDone(i, op.t0)
-	p.Trace.OpServed(i, op.t0)
+	t1 := obs.End(op.t0)
+	p.Rec.OpDone(i, op.t0, t1)
+	p.Trace.OpServed(i, op.t0, t1)
 }
 
 // Round records a further round published by an operation whose close was

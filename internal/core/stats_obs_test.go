@@ -435,6 +435,35 @@ func histFamily(snap obs.Snapshot, base string) (count uint64, found bool) {
 	return count, found
 }
 
+// TestOneEndStampPerOp: with both sampled channels attached, an operation's
+// close reads the clock once for both, so the latency the recorder's
+// histogram holds for it equals its flight-recorder event's duration, for
+// a committed and a served operation alike.
+func TestOneEndStampPerOp(t *testing.T) {
+	for _, committed := range []bool{true, false} {
+		reg := obs.NewRegistry()
+		rec := obs.NewSimRecorder(reg, "p", 1)
+		rec.SetSampleEvery(1)
+		tr := trace.New(1)
+		p := core.NewStatsPlane(1)
+		p.Attach(reg, "p", rec, tr)
+		op := p.Start(0)
+		if committed {
+			p.Committed(0, op, 1, 1, 1, 1)
+		} else {
+			p.Served(0, op, 1)
+		}
+		evs := tr.Snapshot()
+		lat := reg.Snapshot().Histograms["p_op_latency_ns"]
+		if len(evs) != 1 || lat.Count != 1 {
+			t.Fatalf("committed=%v: %d events, %d latency samples, want 1 and 1", committed, len(evs), lat.Count)
+		}
+		if lat.Sum != uint64(evs[0].Dur) {
+			t.Fatalf("committed=%v: histogram latency %d ns, ring event duration %d ns: two end stamps", committed, lat.Sum, evs[0].Dur)
+		}
+	}
+}
+
 // TestAttach drives every construction through its one Attach method — a
 // registry, a recorder and a flight recorder together — under a few
 // contended operations, and checks all three channels report: the exact

@@ -50,8 +50,8 @@ func TestNilSafety(t *testing.T) {
 	if t0 != 0 {
 		t.Fatal("nil recorder touched the clock")
 	}
-	r.OpPublished(0, t0, 1)
-	r.OpDone(0, t0)
+	r.OpPublished(0, t0, End(t0), 1)
+	r.OpDone(0, t0, End(t0))
 	r.CombineObserved(0, 1)
 	r.SetSampleEvery(8)
 	if reg.Counter("x", 1) != nil || reg.Gauge("x") != nil || reg.Histogram("x", 1) != nil {
@@ -165,7 +165,7 @@ func TestSimRecorderSampling(t *testing.T) {
 		if sampled := t0 != 0; sampled != (k%4 == 0) {
 			t.Fatalf("op %d sampled=%v", k, sampled)
 		}
-		r.OpPublished(0, t0, 2)
+		r.OpPublished(0, t0, End(t0), 2)
 	}
 	s := reg.Snapshot()
 	if s.Histograms["x_op_latency_ns"].Count != 4 || s.Histograms["x_combine_degree"].Count != 4 {
@@ -176,7 +176,8 @@ func TestSimRecorderSampling(t *testing.T) {
 	r2 := NewSimRecorder(reg, "y", 1)
 	r2.SetSampleEvery(1)
 	for k := 0; k < 5; k++ {
-		r2.OpDone(0, r2.Start(0))
+		t0 := r2.Start(0)
+		r2.OpDone(0, t0, End(t0))
 	}
 	if got := reg.Snapshot().Histograms["y_op_latency_ns"].Count; got != 5 {
 		t.Fatalf("unsampled latency count = %d, want 5", got)

@@ -102,6 +102,17 @@ func now() Stamp {
 // and recorder latencies are directly comparable.
 func Now() Stamp { return now() }
 
+// End returns the closing stamp of an operation that started at t0: the
+// current time when t0 is a sampled stamp, 0 (no clock read) when it is not.
+// An operation's close reads it once and hands it to both sampled channels,
+// so a recorded latency and the flight recorder's event duration agree.
+func End(t0 Stamp) Stamp {
+	if t0 == 0 {
+		return 0
+	}
+	return now()
+}
+
 // Start opens an operation for process id and returns its start stamp — 0
 // when this operation is not sampled (or the recorder is nil), in which case
 // no clock was read and the matching OpDone/OpPublished is a no-op.
@@ -119,24 +130,25 @@ func (r *SimRecorder) Start(id int) Stamp {
 	return now()
 }
 
-// OpPublished closes a sampled operation that completed by winning the
-// publish CAS, having combined `combined` announced operations.
-func (r *SimRecorder) OpPublished(id int, t0 Stamp, combined uint64) {
+// OpPublished closes a sampled operation, started at t0 and ended at t1
+// (End(t0)), that completed by winning the publish CAS, having combined
+// `combined` announced operations.
+func (r *SimRecorder) OpPublished(id int, t0, t1 Stamp, combined uint64) {
 	if r == nil || t0 == 0 {
 		return
 	}
 	r.Combine.Record(id, combined)
-	r.OpLatency.Record(id, uint64(now()-t0))
+	r.OpLatency.Record(id, uint64(t1-t0))
 }
 
-// OpDone closes a sampled operation that completed without publishing —
-// served by a helper's combine, or any path where no combining degree was
-// observed.
-func (r *SimRecorder) OpDone(id int, t0 Stamp) {
+// OpDone closes a sampled operation, started at t0 and ended at t1, that
+// completed without publishing — served by a helper's combine, or any path
+// where no combining degree was observed.
+func (r *SimRecorder) OpDone(id int, t0, t1 Stamp) {
 	if r == nil || t0 == 0 {
 		return
 	}
-	r.OpLatency.Record(id, uint64(now()-t0))
+	r.OpLatency.Record(id, uint64(t1-t0))
 }
 
 // Sampled reports whether process id's current operation (the one its last

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // buildTrace records a small deterministic event mix on two pids.
@@ -13,10 +15,10 @@ func buildTrace(t *testing.T) *Tracer {
 	tr := New(2)
 	t0 := start(tr, 0)
 	tr.Instant(0, KindCASFail, 0, 0)
-	tr.OpCommit(0, t0, 3, 2, 7)
+	tr.OpCommit(0, t0, obs.End(t0), 3, 2, 7)
 	t1 := start(tr, 1)
 	tr.Instant(1, KindBackoffGrow, 128, 0)
-	tr.OpServed(1, t1)
+	tr.OpServed(1, t1, obs.End(t1))
 	tr.AnonInstant(KindHazardOverflow, 1, 0)
 	return tr
 }

@@ -313,12 +313,13 @@ func (t *Tracer) OpStart(id int) {
 	v.Store(v.Load() + 1)
 }
 
-// OpCommit closes an operation that won its publish CAS, having combined
-// `degree` announce slots — `ops` logical operations, counting each slot's
-// whole announced vector — out of an Act vector with `act` bits set. The
-// committed progress counter advances always; the round event is recorded
-// only for sampled operations (t0 != 0).
-func (t *Tracer) OpCommit(id int, t0 obs.Stamp, degree, act, ops uint64) {
+// OpCommit closes an operation, started at t0 and ended at t1 (obs.End),
+// that won its publish CAS, having combined `degree` announce slots — `ops`
+// logical operations, counting each slot's whole announced vector — out of
+// an Act vector with `act` bits set. The committed progress counter
+// advances always; the round event is recorded only for sampled operations
+// (t0 != 0).
+func (t *Tracer) OpCommit(id int, t0, t1 obs.Stamp, degree, act, ops uint64) {
 	if t == nil {
 		return
 	}
@@ -328,12 +329,13 @@ func (t *Tracer) OpCommit(id int, t0 obs.Stamp, degree, act, ops uint64) {
 	if t0 == 0 {
 		return
 	}
-	r.write(KindRound, t0, int64(obs.Now()-t0), degree, act, ops)
+	r.write(KindRound, t0, int64(t1-t0), degree, act, ops)
 }
 
-// OpServed closes an operation completed by another thread's combine; like
-// OpCommit it records an event only for a sampled operation (t0 != 0).
-func (t *Tracer) OpServed(id int, t0 obs.Stamp) {
+// OpServed closes an operation, started at t0 and ended at t1, that another
+// thread's combine completed; like OpCommit it records an event only for a
+// sampled operation (t0 != 0).
+func (t *Tracer) OpServed(id int, t0, t1 obs.Stamp) {
 	if t == nil {
 		return
 	}
@@ -343,7 +345,7 @@ func (t *Tracer) OpServed(id int, t0 obs.Stamp) {
 	if t0 == 0 {
 		return
 	}
-	r.write(KindServed, t0, int64(obs.Now()-t0), 0, 0, 0)
+	r.write(KindServed, t0, int64(t1-t0), 0, 0, 0)
 }
 
 // Instant records a point event into process id's ring. It applies no

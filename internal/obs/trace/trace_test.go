@@ -22,8 +22,8 @@ func start(tr *Tracer, id int) obs.Stamp {
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.OpStart(0)
-	tr.OpCommit(0, 1, 2, 3, 4)
-	tr.OpServed(0, 1)
+	tr.OpCommit(0, 1, 1, 2, 3, 4)
+	tr.OpServed(0, 1, 1)
 	tr.Instant(0, KindCASFail, 1, 2)
 	tr.AnonInstant(KindHazardOverflow, 1, 2)
 	if evs := tr.Snapshot(); evs != nil {
@@ -40,7 +40,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 func TestRoundEventRecorded(t *testing.T) {
 	tr := New(2)
 	t0 := start(tr, 1)
-	tr.OpCommit(1, t0, 5, 3, 5)
+	tr.OpCommit(1, t0, obs.End(t0), 5, 3, 5)
 	evs := tr.Snapshot()
 	if len(evs) != 1 {
 		t.Fatalf("got %d events, want 1", len(evs))
@@ -63,9 +63,9 @@ func TestRoundEventRecorded(t *testing.T) {
 func TestUnsampledOpRecordsNothing(t *testing.T) {
 	tr := New(1)
 	tr.OpStart(0)
-	tr.OpCommit(0, 0, 1, 1, 1)
+	tr.OpCommit(0, 0, 0, 1, 1, 1)
 	tr.OpStart(0)
-	tr.OpServed(0, 0)
+	tr.OpServed(0, 0, 0)
 	if evs := tr.Snapshot(); len(evs) != 0 {
 		t.Fatalf("unsampled ops recorded %v", evs)
 	}
@@ -88,7 +88,7 @@ func TestSamplingGatesRoundEvents(t *testing.T) {
 		} else {
 			tr.OpStart(0)
 		}
-		tr.OpCommit(0, t0, 1, 1, 1)
+		tr.OpCommit(0, t0, obs.End(t0), 1, 1, 1)
 	}
 	var rounds, instants int
 	for _, ev := range tr.Snapshot() {
@@ -114,7 +114,7 @@ func TestRareBypassesSampling(t *testing.T) {
 	tr := New(1)
 	tr.OpStart(0)
 	tr.Instant(0, KindBackoffGrow, 512, 0)
-	tr.OpCommit(0, 0, 1, 1, 1)
+	tr.OpCommit(0, 0, 0, 1, 1, 1)
 	var grows, rounds int
 	for _, ev := range tr.Snapshot() {
 		switch {
@@ -176,7 +176,7 @@ func TestConcurrentWritersSnapshotRace(t *testing.T) {
 				t0 := start(tr, pid)
 				a := uint64(pid)<<32 | uint64(i)
 				tr.Instant(pid, KindCASFail, a, a^payloadMagic)
-				tr.OpCommit(pid, t0, a, a^payloadMagic, a)
+				tr.OpCommit(pid, t0, obs.End(t0), a, a^payloadMagic, a)
 				tr.AnonInstant(KindHazardOverflow, a, a^payloadMagic)
 			}
 		}(pid)
@@ -227,7 +227,7 @@ func TestSnapshotOrderedByStart(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		pid := i % 3
 		t0 := start(tr, pid)
-		tr.OpCommit(pid, t0, 1, 1, 1)
+		tr.OpCommit(pid, t0, obs.End(t0), 1, 1, 1)
 	}
 	evs := tr.Snapshot()
 	if len(evs) != 30 {

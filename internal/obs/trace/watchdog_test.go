@@ -3,6 +3,8 @@ package trace
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestWatchdogDetectsStalledPid is the acceptance test for the progress
@@ -24,7 +26,7 @@ func TestWatchdogDetectsStalledPid(t *testing.T) {
 	// The rest of the system commits well past the budget.
 	for i := 0; i < 25; i++ {
 		t0 := start(tr, 0)
-		tr.OpCommit(0, t0, 1, 1, 1)
+		tr.OpCommit(0, t0, obs.End(t0), 1, 1, 1)
 	}
 
 	stalls := wd.Scan()
@@ -51,7 +53,7 @@ func TestWatchdogDetectsStalledPid(t *testing.T) {
 	}
 
 	// The stalled operation finally commits: the stall clears.
-	tr.OpCommit(1, 0, 1, 1, 1)
+	tr.OpCommit(1, 0, 0, 1, 1, 1)
 	if stalls := wd.Scan(); len(stalls) != 0 {
 		t.Fatalf("after commit got %v, want none", stalls)
 	}
@@ -64,7 +66,7 @@ func TestWatchdogIdleThreadsNotReported(t *testing.T) {
 	wd.Scan()
 	for i := 0; i < 50; i++ {
 		t0 := start(tr, 0)
-		tr.OpCommit(0, t0, 1, 1, 1)
+		tr.OpCommit(0, t0, obs.End(t0), 1, 1, 1)
 	}
 	if stalls := wd.Scan(); len(stalls) != 0 {
 		t.Fatalf("idle pids reported as stalled: %v", stalls)
@@ -79,9 +81,9 @@ func TestWatchdogProgressResetsTracking(t *testing.T) {
 	wd.Scan()
 	for i := 0; i < 30; i++ {
 		t0 := start(tr, 0)
-		tr.OpCommit(0, t0, 1, 1, 1)
-		tr.OpCommit(1, 0, 1, 1, 1) // commit the in-flight op...
-		tr.OpStart(1)              // ...and immediately announce the next
+		tr.OpCommit(0, t0, obs.End(t0), 1, 1, 1)
+		tr.OpCommit(1, 0, 0, 1, 1, 1) // commit the in-flight op...
+		tr.OpStart(1)                 // ...and immediately announce the next
 		if stalls := wd.Scan(); len(stalls) != 0 {
 			t.Fatalf("progressing pid reported stalled: %v", stalls)
 		}
@@ -109,7 +111,7 @@ func TestWatchdogEpisodeCycles(t *testing.T) {
 		// callbacks.
 		for i := 0; i < 15; i++ {
 			t0 := start(tr, 0)
-			tr.OpCommit(0, t0, 1, 1, 1)
+			tr.OpCommit(0, t0, obs.End(t0), 1, 1, 1)
 		}
 		for scan := 0; scan < 3; scan++ {
 			stalls := wd.Scan()
@@ -127,7 +129,7 @@ func TestWatchdogEpisodeCycles(t *testing.T) {
 		}
 
 		// The stalled op commits: the episode ends.
-		tr.OpCommit(1, 0, 1, 1, 1)
+		tr.OpCommit(1, 0, 0, 1, 1, 1)
 		if stalls := wd.Scan(); len(stalls) != 0 {
 			t.Fatalf("cycle %d: stall survived recovery: %v", c, stalls)
 		}
@@ -159,7 +161,7 @@ func TestWatchdogStartStop(t *testing.T) {
 	deadline := time.After(2 * time.Second)
 	for {
 		t0 := start(tr, 0)
-		tr.OpCommit(0, t0, 1, 1, 1)
+		tr.OpCommit(0, t0, obs.End(t0), 1, 1, 1)
 		select {
 		case s := <-fired:
 			if s.Pid != 1 {

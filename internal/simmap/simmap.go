@@ -4,20 +4,23 @@
 // possibly be overcome by using multiple instances of Sim (as done in our
 // queue implementation)"). SimQueue uses two instances (one per end); simmap
 // generalizes to S stripes, each an independent P-Sim simulating one
-// stripe's persistent hash trie (trie.go). Operations on different stripes
-// proceed in parallel; operations within a stripe combine. A write copies
-// only the trie nodes on its key's path — one per level, about three at a
-// thousand keys per stripe — and shares the rest with the previous state,
-// the paper's remedy for large states (L-Sim, §6) applied to the map.
+// stripe's hash trie (trie.go). Operations on different stripes proceed in
+// parallel; operations within a stripe combine. A combining round edits the
+// trie's root in place inside its recycled state record and copies each
+// node below it on its operations' paths once — one or two at a thousand
+// keys per stripe — sharing the rest with the previous state, the paper's
+// remedy for large states (L-Sim, §6) applied to the map.
 //
-// Gets do not announce at all: a stripe's state is an immutable trie behind
-// one atomic pointer, so reading that pointer is the linearization point —
+// Gets do not announce at all: a stripe's state is one atomic pointer to
+// its current record, so reading that pointer is the linearization point —
 // the structural analogue of the paper's observation that reads of the
 // simulated state need no helping. Since core.PSim recycles its state
-// records, the read costs a handful of atomic operations (claim an
-// anonymous hazard slot, validate, release — see internal/core/recycle.go)
-// rather than a bare load, but the trie NODES are immutable and never
-// recycled, so a fetched root stays valid for as long as the caller holds
+// records, and a record's root node keeps its entry arrays across reissue
+// (trie.go), a Get reads the root's entry for its key under a claimable
+// hazard slot (claim, validate, release — see internal/core/recycle.go) and
+// then walks the nodes below it, which are immutable once published and
+// never recycled. So a fetched root is valid only while it is protected,
+// but anything reached from it stays valid for as long as the caller holds
 // it. Under recycling a Get is lock-free rather than wait-free: the hazard
 // validation retries only when a concurrent mutation publishes, so it never
 // waits on a lock holder, but its step count is not bounded.
@@ -60,12 +63,20 @@ type Map[K comparable, V any] struct {
 	scratch []mapScratch[K, V]
 }
 
+// rootSlot is what a stripe root holds at one key's position: a subtree or
+// a leaf bucket (or neither), both immutable once published.
+type rootSlot[K comparable, V any] struct {
+	sub *node[K, V]
+	l   *leaf[K, V]
+}
+
 type mapScratch[K comparable, V any] struct {
-	buckets [][]mapOp[K, V] // ops grouped by stripe, one bucket per stripe
-	pos     [][]int         // pos[s][j] = caller index of buckets[s][j]
-	res     []mapRes[V]     // ApplyBatch result scratch
-	prevs   []V             // returned previous-value slice
-	oks     []bool          // returned existed/found slice
+	buckets [][]mapOp[K, V]  // ops grouped by stripe, one bucket per stripe
+	pos     [][]int          // pos[s][j] = caller index of buckets[s][j]
+	res     []mapRes[V]      // ApplyBatch result scratch
+	slots   []rootSlot[K, V] // MGet: each key's root entry, read under protection
+	prevs   []V              // returned previous-value slice
+	oks     []bool           // returned existed/found slice
 	_       pad.CacheLinePad
 }
 
@@ -129,16 +140,9 @@ func New[K comparable, V any](n, stripes int) *Map[K, V] {
 		stripes: make([]*core.PSim[node[K, V], mapOp[K, V], mapRes[V]], stripes),
 		seed:    maphash.MakeSeed(),
 	}
-	apply := func(root *node[K, V], _ int, op mapOp[K, V]) (r mapRes[V]) {
-		if op.del {
-			*root, r.prev, r.existed = root.delete(op.h, 0, op.k)
-		} else {
-			*root, r.prev, r.existed = root.put(op.h, 0, op.k, op.v)
-		}
-		return r
-	}
+	apply := func(root *node[K, V], _ int, op mapOp[K, V]) mapRes[V] { return root.apply(op) }
 	for i := range m.stripes {
-		m.stripes[i] = core.NewPSim[node[K, V], mapOp[K, V], mapRes[V]](n, node[K, V]{}, apply)
+		m.stripes[i] = core.NewPSim(n, node[K, V]{}, apply, core.WithCloneInto(cloneRoot[K, V]))
 	}
 	m.scratch = make([]mapScratch[K, V], n)
 	return m
@@ -163,15 +167,16 @@ func (m *Map[K, V]) Delete(id int, k K) (prev V, existed bool) {
 }
 
 // Get returns k's binding. It is linearizable WITHOUT announcing: the
-// stripe state is immutable behind one atomic pointer, and the
-// hazard-protected load of that pointer is the linearization point. It is
-// lock-free under record recycling — a Get retries only when a concurrent
-// Put/Delete on the same stripe publishes, never waiting on any thread
-// (see the package comment).
+// hazard-protected load of the stripe's state pointer is the linearization
+// point. The root's entry for k is read under that protection, the rest of
+// the walk after its release. It is lock-free under record recycling — a
+// Get retries only when a concurrent Put/Delete on the same stripe
+// publishes, never waiting on any thread (see the package comment).
 func (m *Map[K, V]) Get(k K) (V, bool) {
 	h := m.hash(k)
-	root := m.stripes[m.stripeIdx(h)].Read()
-	return root.get(h, k)
+	var e rootSlot[K, V]
+	m.stripes[m.stripeIdx(h)].ReadFunc(func(root *node[K, V]) { e.sub, e.l = root.slot(h, 0) })
+	return lookup(e.sub, e.l, h, k)
 }
 
 // MSet binds keys[i] to vals[i] for every i on behalf of process id,
@@ -194,29 +199,37 @@ func (m *Map[K, V]) MDelete(id int, keys []K) (prevs []V, existed []bool) {
 }
 
 // MGet returns the bindings of all keys, aligned with keys. Each stripe's
-// snapshot is fetched ONCE and answers all of that stripe's keys — keys
-// sharing a stripe are read at a single linearization point; different
-// stripes are read at different instants (same contract as MSet). The
-// returned slices are process-id-owned scratch, valid until id's next
-// multi-key call.
+// root is protected ONCE and its entries for all of that stripe's keys are
+// read under that protection — keys sharing a stripe are read at a single
+// linearization point; different stripes are read at different instants
+// (same contract as MSet). The returned slices are process-id-owned
+// scratch, valid until id's next multi-key call.
 func (m *Map[K, V]) MGet(id int, keys []K) (vals []V, ok []bool) {
 	sc := m.grouped(id, keys, nil, false)
 	for s, ops := range sc.buckets {
 		if len(ops) == 0 {
 			continue
 		}
-		root := m.stripes[s].Read()
+		sc.slots = sc.slots[:0]
+		m.stripes[s].ReadFunc(func(root *node[K, V]) {
+			for _, op := range ops {
+				sub, l := root.slot(op.h, 0)
+				sc.slots = append(sc.slots, rootSlot[K, V]{sub, l})
+			}
+		})
 		for j, op := range ops {
 			i := sc.pos[s][j]
-			sc.prevs[i], sc.oks[i] = root.get(op.h, op.k)
+			e := sc.slots[j]
+			sc.prevs[i], sc.oks[i] = lookup(e.sub, e.l, op.h, op.k)
 		}
 	}
 	return sc.prevs, sc.oks
 }
 
-// Len counts all entries. Each stripe is read atomically but stripes are
-// read one after another, so the total is NOT a linearizable snapshot (like
-// the size of any striped map under concurrent updates).
+// Len counts all entries. Each stripe is read atomically (Read copies its
+// root) but stripes are read one after another, so the total is NOT a
+// linearizable snapshot (like the size of any striped map under concurrent
+// updates).
 func (m *Map[K, V]) Len() int {
 	total := 0
 	for _, s := range m.stripes {

@@ -10,13 +10,17 @@ import (
 // satisfies the structural invariants: popcount(leafmap) == len(leaves),
 // popcount(submap) == len(subs), no position is both, no entry is nil, no
 // node below the root is empty or holds a lone leaf, every leaf's hash
-// chunks match its path, and every bucket holds distinct keys of one hash.
+// chunks match its path, every bucket holds distinct keys of one hash, and
+// no node below the root carries a later token than the root's attempt.
 // It returns the number of bindings.
 func checkTrie[K comparable, V any](t *testing.T, root *node[K, V]) int {
 	t.Helper()
 	var walk func(n *node[K, V], path []uint32) int
 	walk = func(n *node[K, V], path []uint32) int {
 		depth := len(path)
+		if depth > 0 && n.tok&^ownBoth > root.tok&^ownBoth {
+			t.Fatalf("depth %d: token %#x above the root's %#x", depth, n.tok, root.tok)
+		}
 		if got := bits.OnesCount32(n.leafmap); got != len(n.leaves) {
 			t.Fatalf("depth %d: popcount(leafmap) = %d, len(leaves) = %d", depth, got, len(n.leaves))
 		}
@@ -73,14 +77,28 @@ func checkTrie[K comparable, V any](t *testing.T, root *node[K, V]) int {
 	return walk(root, nil)
 }
 
-// tmodel drives the node functions with chosen hashes, mirrors every step
-// in a Go map, and checks the invariants and every binding after each one.
+// tmodel drives the trie with chosen hashes one round per step, as a
+// stripe's records do: two roots take turns, each step refilling the other
+// one from the current one with cloneRoot and applying one operation there.
+// It mirrors every step in a Go map and checks the invariants and every
+// binding after each one.
 type tmodel struct {
 	t     *testing.T
-	root  node[string, int]
+	roots [2]node[string, int]
+	cur   int
 	hash  map[string]uint64
 	ref   map[string]int
 	steps int
+}
+
+func (m *tmodel) root() *node[string, int] { return &m.roots[m.cur] }
+
+func (m *tmodel) step(op mapOp[string, int]) mapRes[int] {
+	next := &m.roots[1-m.cur]
+	cloneRoot(next, m.root())
+	r := next.apply(op)
+	m.cur = 1 - m.cur
+	return r
 }
 
 func newTModel(t *testing.T, hash map[string]uint64) *tmodel {
@@ -89,11 +107,9 @@ func newTModel(t *testing.T, hash map[string]uint64) *tmodel {
 
 func (m *tmodel) put(k string, v int) {
 	m.t.Helper()
-	var prev int
-	var existed bool
-	m.root, prev, existed = m.root.put(m.hash[k], 0, k, v)
+	r := m.step(mapOp[string, int]{h: m.hash[k], k: k, v: v})
 	rp, re := m.ref[k]
-	if prev != rp || existed != re {
+	if prev, existed := r.prev, r.existed; prev != rp || existed != re {
 		m.t.Fatalf("step %d put(%s): (%d,%v), want (%d,%v)", m.steps, k, prev, existed, rp, re)
 	}
 	m.ref[k] = v
@@ -102,11 +118,9 @@ func (m *tmodel) put(k string, v int) {
 
 func (m *tmodel) del(k string) {
 	m.t.Helper()
-	var prev int
-	var existed bool
-	m.root, prev, existed = m.root.delete(m.hash[k], 0, k)
+	r := m.step(mapOp[string, int]{del: true, h: m.hash[k], k: k})
 	rp, re := m.ref[k]
-	if prev != rp || existed != re {
+	if prev, existed := r.prev, r.existed; prev != rp || existed != re {
 		m.t.Fatalf("step %d delete(%s): (%d,%v), want (%d,%v)", m.steps, k, prev, existed, rp, re)
 	}
 	delete(m.ref, k)
@@ -116,11 +130,11 @@ func (m *tmodel) del(k string) {
 func (m *tmodel) verify() {
 	m.t.Helper()
 	m.steps++
-	if n := checkTrie(m.t, &m.root); n != len(m.ref) {
+	if n := checkTrie(m.t, m.root()); n != len(m.ref) {
 		m.t.Fatalf("step %d: trie holds %d bindings, model %d", m.steps, n, len(m.ref))
 	}
 	for k, h := range m.hash {
-		v, ok := m.root.get(h, k)
+		v, ok := m.root().get(h, k)
 		rv, rok := m.ref[k]
 		if v != rv || ok != rok {
 			m.t.Fatalf("step %d get(%s) = (%d,%v), want (%d,%v)", m.steps, k, v, ok, rv, rok)
@@ -131,7 +145,7 @@ func (m *tmodel) verify() {
 // depthOf returns the depth of the slot holding k's leaf, or -1.
 func (m *tmodel) depthOf(k string) int {
 	h := m.hash[k]
-	n := &m.root
+	n := m.root()
 	for depth := 0; ; depth++ {
 		bit := uint32(1) << chunk(h, uint(depth))
 		switch {
@@ -146,7 +160,8 @@ func (m *tmodel) depthOf(k string) int {
 }
 
 func (m *tmodel) empty() bool {
-	return m.root.leafmap|m.root.submap == 0 && len(m.root.leaves)+len(m.root.subs) == 0
+	r := m.root()
+	return r.leafmap|r.submap == 0 && len(r.leaves)+len(r.subs) == 0
 }
 
 func TestTrieFullHashCollisions(t *testing.T) {
@@ -210,7 +225,7 @@ func TestTrieSplitDepthZero(t *testing.T) {
 	m := newTModel(t, hash)
 	m.put("x", 1)
 	m.put("y", 2)
-	if len(m.root.leaves) != 2 || m.depthOf("x") != 0 || m.depthOf("y") != 0 {
+	if len(m.root().leaves) != 2 || m.depthOf("x") != 0 || m.depthOf("y") != 0 {
 		t.Fatalf("split at depth 0 did not give two root leaves")
 	}
 	m.del("x")
