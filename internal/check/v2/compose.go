@@ -75,15 +75,13 @@ type Options struct {
 	// matches the contract of the sharded map, which promises per-key
 	// linearizability only.)
 	Partition bool
-	// Initial values for the value-object specs.
-	CounterInit, FMulInit, RegisterInit uint64
 	// MaxFrontier caps the forward engine's frontier (0 = DefaultMaxFrontier).
 	MaxFrontier int
 }
 
 // DefaultOptions: forward engine with per-key partitioning.
 func DefaultOptions() Options {
-	return Options{Engine: EngineForward, Partition: true, FMulInit: 1}
+	return Options{Engine: EngineForward, Partition: true}
 }
 
 // Check verifies a mixed history with the default options.
@@ -106,7 +104,8 @@ const (
 // counter, fmul, register, set, map, log — the classes never share state, so
 // their sub-histories are checked independently), partitions map and set
 // classes per key when opts.Partition is set, and routes every partition to
-// the engine chosen by opts.Engine. nil means linearizable; ErrRejected
+// the engine chosen by opts.Engine. Counter and register histories start at
+// 0 and fmul histories at 1. nil means linearizable; ErrRejected
 // (test with Rejected) means proven non-linearizable; other errors are
 // engine limitations or malformed input.
 func CheckHistory(ops []check.Operation, opts Options) error {
@@ -241,15 +240,11 @@ func checkClass(class string, ops []check.Operation, opts Options) error {
 	case classStack:
 		return run(ops, check.StackSpec())
 	case classCounter:
-		return run(ops, check.CounterSpec(opts.CounterInit))
+		return run(ops, check.CounterSpec(0))
 	case classFMul:
-		init := opts.FMulInit
-		if init == 0 {
-			init = 1
-		}
-		return run(ops, check.FMulSpec(init))
+		return run(ops, check.FMulSpec(1))
 	case classRegister:
-		return run(ops, check.RegisterSpec(opts.RegisterInit))
+		return run(ops, check.RegisterSpec(0))
 	case classSet:
 		if !opts.Partition {
 			return run(ops, check.SetSpec())

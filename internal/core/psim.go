@@ -16,7 +16,7 @@ import (
 //
 // Type parameters:
 //   - S: the simulated object's state. Attempt works on a private copy of S
-//     obtained with the Clone option (shallow copy by default, which is
+//     made by the WithCloneInto option (a shallow copy by default, which is
 //     correct when S is a value or an immutable pointer-to-structure).
 //   - A: the argument type announced with each operation.
 //   - R: the operation return type.
@@ -58,9 +58,9 @@ import (
 type PSim[S, A, R any] struct {
 	n     int
 	apply func(st *S, pid int, arg A) R
-	clone func(S) S
-	// cloneInto, when set, rebuilds dst from src reusing dst's buffers (the
-	// recycled record's previous state) instead of allocating via clone.
+	// cloneInto, when set, rebuilds dst from src, reusing dst's buffers
+	// (the recycled record's previous state) where it can; nil means a
+	// shallow copy.
 	cloneInto func(dst, src *S)
 
 	announce *collect.BatchAnnounce[A]
@@ -111,27 +111,22 @@ type psimThread[S, A, R any] struct {
 type PSimOption[S any] func(*psimOptions[S])
 
 type psimOptions[S any] struct {
-	clone            func(S) S
 	cloneInto        func(dst, src *S)
 	boLower, boUpper int
 }
 
-// WithClone supplies a deep-copy function for the state, required when S
-// contains shared mutable references (slices, maps) that combining rounds
-// mutate in place.
-func WithClone[S any](clone func(S) S) PSimOption[S] {
-	return func(o *psimOptions[S]) { o.clone = clone }
-}
-
-// WithCloneInto supplies an in-place deep-copy: rebuild *dst from *src,
-// reusing dst's existing buffers where possible. dst is either the state
-// left in a recycled record (same shape as src) or the zero S (a fresh
-// record), so the function must handle both, e.g. for a slice state:
+// WithCloneInto supplies the state copy, required when S contains shared
+// mutable references (slices, maps) that combining rounds mutate in place:
+// rebuild *dst from *src, reusing dst's existing buffers where possible.
+// dst is either the state left in a recycled record (same shape as src) or
+// the zero S (a fresh record), so the function must handle both, e.g. for a
+// slice state:
 //
 //	func(dst, src *[]uint64) { *dst = append((*dst)[:0], *src...) }
 //
-// When set it replaces WithClone on the hot path, making combining rounds
-// allocation-free for states whose buffers can be reused.
+// which makes combining rounds allocation-free. A value-returning deep copy
+// fits as func(dst, src *S) { *dst = clone(*src) }, at one fresh copy per
+// round.
 func WithCloneInto[S any](cloneInto func(dst, src *S)) PSimOption[S] {
 	return func(o *psimOptions[S]) { o.cloneInto = cloneInto }
 }
@@ -172,14 +167,9 @@ func NewPSim[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) R, op
 	for _, f := range opts {
 		f(o)
 	}
-	clone := o.clone
-	if clone == nil {
-		clone = func(s S) S { return s }
-	}
 	u := &PSim[S, A, R]{
 		n:         n,
 		apply:     apply,
-		clone:     clone,
 		cloneInto: o.cloneInto,
 		announce:  collect.NewBatchAnnounce[A](n),
 		act:       xatomic.NewSharedBits(n),
@@ -306,7 +296,7 @@ func (t *psimThread[S, A, R]) Done() bool {
 // Build is Round.Build: the successor is rebuilt into a record from the
 // memory plane — an unprotected recycled one, or a fresh one when every
 // cached record is still protected — reusing its applied vector and
-// response rows, and its state buffers too under CloneInto.
+// response rows, and its state buffers too under WithCloneInto.
 func (t *psimThread[S, A, R]) Build(active xatomic.Snapshot) {
 	u := t.u
 	ns, fresh := u.pool.Get(t.blk)
@@ -318,7 +308,7 @@ func (t *psimThread[S, A, R]) Build(active xatomic.Snapshot) {
 	if u.cloneInto != nil {
 		u.cloneInto(&ns.st, &t.ls.st)
 	} else {
-		ns.st = u.clone(t.ls.st)
+		ns.st = t.ls.st
 	}
 	t.ns, t.base = ns, len(t.res)
 }
@@ -393,23 +383,23 @@ func (t *psimThread[S, A, R]) Fallback() {
 // Read returns a snapshot of the current simulated state without announcing
 // an operation. It may be called from any goroutine. The record is protected
 // by a claimable hazard slot while the snapshot is taken, and the snapshot
-// is produced with the instance's clone function — under WithCloneInto the
-// in-place copy runs into a zero S — so it shares no buffers that record
-// recycling would later rewrite. Under the default shallow clone the
-// returned value may alias the live state and must be treated as immutable
-// (the same condition under which the shallow clone is correct at all).
+// is produced with the instance's WithCloneInto copy, run into a zero S, so
+// it shares no buffers that record recycling would later rewrite. Under the
+// default shallow copy the returned value may alias the live state and must
+// be treated as immutable (the same condition under which the shallow copy
+// is correct at all).
 // Lock-free: a Read retries only when a concurrent Apply publishes.
 func (u *PSim[S, A, R]) Read() S {
 	ls, slot := u.haz.AcquireAnon(&u.state)
 	if u.cloneInto != nil {
 		// Only this branch's s escapes (its address goes to cloneInto), so
-		// the default-clone path below returns without a heap allocation.
+		// the shallow-copy path below returns without a heap allocation.
 		var s S
 		u.cloneInto(&s, &ls.st)
 		u.haz.ReleaseAnon(slot)
 		return s
 	}
-	s := u.clone(ls.st)
+	s := ls.st
 	u.haz.ReleaseAnon(slot)
 	return s
 }

@@ -44,8 +44,8 @@ func TestPSimCloneOptionDeepCopies(t *testing.T) {
 		(*st)[0] += arg
 		(*st)[1]++
 		return (*st)[0]
-	}, WithClone[[]uint64](func(s []uint64) []uint64 {
-		return append([]uint64(nil), s...)
+	}, WithCloneInto(func(dst, src *[]uint64) {
+		*dst = append([]uint64(nil), *src...)
 	}))
 	const n, per = 4, 200
 	var wg sync.WaitGroup

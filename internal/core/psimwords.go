@@ -71,10 +71,9 @@ type PSimWords struct {
 	announce []wordAnnounce // Announce[i]: single-writer argument vectors
 	act      *xatomic.SharedBits
 	pool     []wordsState
-	// p is the LL/SC-shaped shared variable: the paper-exact packed
-	// ⟨index, stamp⟩ word below the 2^48 wrap horizon, the atomic-copy
-	// cell variant at or above it (xatomic.NewTimedVar).
-	p xatomic.TimedVar
+	// p is P, the packed ⟨index, stamp⟩ word: LL is a read, SC a CAS on
+	// the word read (§4), sound up to the 2^48 stamp wrap (xatomic.TimedWord).
+	p xatomic.TimedWord
 
 	threads []wordsThread
 	stats   *StatsPlane
@@ -125,10 +124,10 @@ type wordsThread struct {
 	u         *PSimWords
 	i         int
 	poolIndex int // rotates over [0, C)
-	// the loaded ⟨index, stamp⟩ and its SC tag, and the record built into
+	// the loaded P, packed and unpacked, and the record built into
+	lpRaw   uint64
 	lpIdx   uint16
 	lpStamp uint64
-	lpTag   xatomic.TimedTag
 	dst     *wordsState
 	// scratch buffers for the copied state
 	applied xatomic.Snapshot
@@ -145,35 +144,12 @@ type wordsThread struct {
 // distance that protects the fallback read.
 const DefaultPoolPerThread = 8
 
-// DefaultUpdateHorizon is the successful-update count NewPSimWords assumes
-// over an instance's lifetime: generous (at 10^7 publishes/sec it is over a
-// day of non-stop updates) yet far below the 2^48 stamp-wrap bound, so the
-// default instance keeps the paper-exact packed-word CAS. Deployments whose
-// horizon reaches xatomic.TimedStampMax get the wrap-safe atomic-copy
-// variant via NewPSimWordsHorizon.
-const DefaultUpdateHorizon = 1 << 40
-
 // NewPSimWords builds a pooled P-Sim for n threads over a state of
 // len(init) words. c is the per-thread pool size (C ≥ 2; pass 0 for
 // DefaultPoolPerThread). apply receives a PRIVATE copy of the state words it
 // may mutate in place, the id of the process whose operation is applied, and
-// that process's announced argument; it returns the response word. The
-// shared ⟨index, stamp⟩ variable assumes DefaultUpdateHorizon successful
-// updates; use NewPSimWordsHorizon for longer-lived instances.
+// that process's announced argument; it returns the response word.
 func NewPSimWords(n, c int, init []uint64, apply func(st []uint64, pid int, arg uint64) uint64) *PSimWords {
-	return NewPSimWordsHorizon(n, c, init, apply, DefaultUpdateHorizon)
-}
-
-// NewPSimWordsHorizon is NewPSimWords with an explicit successful-update
-// horizon. While horizon stays below xatomic.TimedStampMax the shared
-// variable is the paper's packed ⟨pool index, 48-bit stamp⟩ CAS word, whose
-// ABA argument holds for up to 2^48 updates; at or beyond the bound the
-// instance selects the wrap-safe LL/SC built from atomic-copy cells
-// (xatomic.TimedSafe, per arXiv 1911.09671), trading one small allocation
-// per successful publish for unconditional soundness. The choice is made
-// once, here — the hot path pays no per-operation dispatch beyond the
-// interface call either way.
-func NewPSimWordsHorizon(n, c int, init []uint64, apply func(st []uint64, pid int, arg uint64) uint64, horizon uint64) *PSimWords {
 	if n < 1 {
 		panic("core: PSimWords needs n >= 1")
 	}
@@ -212,7 +188,6 @@ func NewPSimWordsHorizon(n, c int, init []uint64, apply func(st []uint64, pid in
 	for i, v := range init {
 		initRec.st[i].Store(v)
 	}
-	u.p = xatomic.NewTimedVar(horizon)
 	u.p.Store(uint16(n*c), 0)
 	return u
 }
@@ -318,7 +293,8 @@ func (u *PSimWords) ApplyBatch(i int, args []uint64, res []uint64) []uint64 {
 // names into local scratch (line 8) and check the seq stamps (line 11).
 func (t *wordsThread) Load() (xatomic.Snapshot, bool) {
 	u := t.u
-	t.lpIdx, t.lpStamp, t.lpTag = u.p.LL()
+	t.lpRaw = u.p.LoadRaw()
+	t.lpIdx, t.lpStamp = xatomic.UnpackTimed(t.lpRaw)
 	return t.applied, u.copyState(&u.pool[t.lpIdx], t)
 }
 
@@ -373,12 +349,11 @@ func (t *wordsThread) Seal() {
 	dst.seq2.Add(1)
 }
 
-// Publish is Round.Publish: SC P to ⟨our record, stamp+1⟩ (lines 22–25; a
-// CAS on the packed word below the wrap horizon, a cell swap above it),
-// then rotate to our next record (line 26).
+// Publish is Round.Publish: CAS P from the word Load read to ⟨our record,
+// stamp+1⟩ (lines 22–25), then rotate to our next record (line 26).
 func (t *wordsThread) Publish() bool {
 	u := t.u
-	if !u.p.SC(t.lpTag, uint16(t.i*u.c+t.poolIndex), t.lpStamp+1) {
+	if !u.p.CompareAndSwap(t.lpRaw, uint16(t.i*u.c+t.poolIndex), t.lpStamp+1) {
 		return false
 	}
 	t.poolIndex = (t.poolIndex + 1) % u.c

@@ -21,12 +21,12 @@ func wideCounter(n, c, words int) *PSimWords {
 }
 
 // faaWord builds a pooled fetch-and-add object over a one-word state.
-func faaWord(n, c int, horizon uint64) *PSimWords {
-	return NewPSimWordsHorizon(n, c, []uint64{0}, func(st []uint64, _ int, arg uint64) uint64 {
+func faaWord(n, c int) *PSimWords {
+	return NewPSimWords(n, c, []uint64{0}, func(st []uint64, _ int, arg uint64) uint64 {
 		prev := st[0]
 		st[0] += arg
 		return prev
-	}, horizon)
+	})
 }
 
 // readWord returns the state of a one-word PSimWords.
@@ -34,15 +34,6 @@ func readWord(u *PSimWords) uint64 {
 	var st [1]uint64
 	u.ReadInto(st[:])
 	return st[0]
-}
-
-// assertTimedVar checks that u selected the LL/SC its horizon calls for.
-func assertTimedVar(t *testing.T, u *PSimWords, horizon uint64) {
-	t.Helper()
-	_, safe := u.p.(*xatomic.TimedSafe)
-	if safe != (horizon >= xatomic.TimedStampMax) {
-		t.Fatalf("horizon %d selected %T", horizon, u.p)
-	}
 }
 
 func TestPSimWordsSequential(t *testing.T) {
@@ -61,7 +52,7 @@ func TestPSimWordsSequential(t *testing.T) {
 		}
 	})
 	t.Run("one-word", func(t *testing.T) {
-		u := faaWord(1, 2, DefaultUpdateHorizon)
+		u := faaWord(1, 2)
 		if got := u.Apply(0, 7); got != 0 {
 			t.Fatalf("first = %d", got)
 		}
@@ -182,26 +173,18 @@ func TestPSimWordsConcurrentSums(t *testing.T) {
 
 // TestPSimWordsResponsesPermutationPerCell: per cell, the previous values
 // returned must form a permutation of 0..hits-1 (exactly-once), on a
-// two-cell state and on a one-word state under both LL/SC variants.
+// two-cell state and on a one-word state.
 func TestPSimWordsResponsesPermutationPerCell(t *testing.T) {
 	const n, per = 8, 240
 	for _, tc := range []struct {
 		name     string
 		c, cells int
-		horizon  uint64
 	}{
-		{"two-word", 2, 2, DefaultUpdateHorizon},
-		{"one-word/packed", 4, 1, DefaultUpdateHorizon},
-		{"one-word/wrap-safe", 4, 1, xatomic.TimedStampMax},
+		{"two-word", 2, 2},
+		{"one-word/packed", 4, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			u := NewPSimWordsHorizon(n, tc.c, make([]uint64, tc.cells), func(st []uint64, _ int, arg uint64) uint64 {
-				cell := arg % uint64(len(st))
-				prev := st[cell]
-				st[cell]++
-				return prev
-			}, tc.horizon)
-			assertTimedVar(t, u, tc.horizon)
+			u := wideCounter(n, tc.c, tc.cells)
 			hits := uint64(n * per / tc.cells)
 			var mu sync.Mutex
 			seen := make([]map[uint64]bool, tc.cells)
@@ -295,13 +278,13 @@ func TestPSimWordsStatsAndAccessors(t *testing.T) {
 		}
 	})
 	t.Run("one-word/accessors", func(t *testing.T) {
-		if u := faaWord(5, 2, DefaultUpdateHorizon); u.N() != 5 || u.StateWords() != 1 {
+		if u := faaWord(5, 2); u.N() != 5 || u.StateWords() != 1 {
 			t.Fatalf("N=%d StateWords=%d", u.N(), u.StateWords())
 		}
 	})
 	t.Run("one-word/concurrent", func(t *testing.T) {
 		const n, per = 4, 100
-		u := faaWord(n, 4, DefaultUpdateHorizon)
+		u := faaWord(n, 4)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
@@ -325,26 +308,23 @@ func TestPSimWordsStatsAndAccessors(t *testing.T) {
 
 // TestPSimWordsSmallPoolStress: C=2 is the tightest legal pool; heavy churn
 // maximizes record recycling and exercises the seq1/seq2 consistency path,
-// on a 16-word state and on a one-word state under both LL/SC variants.
+// on a 16-word state and on a one-word state.
 func TestPSimWordsSmallPoolStress(t *testing.T) {
 	const n, per = 8, 400
 	for _, tc := range []struct {
-		name    string
-		words   int
-		horizon uint64
+		name  string
+		words int
 	}{
-		{"sixteen-word", 16, DefaultUpdateHorizon},
-		{"one-word/packed", 1, DefaultUpdateHorizon},
-		{"one-word/wrap-safe", 1, xatomic.TimedStampMax},
+		{"sixteen-word", 16},
+		{"one-word/packed", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			u := NewPSimWordsHorizon(n, 2, make([]uint64, tc.words), func(st []uint64, _ int, arg uint64) uint64 {
+			u := NewPSimWords(n, 2, make([]uint64, tc.words), func(st []uint64, _ int, arg uint64) uint64 {
 				prev := st[0]
 				st[0] += arg
 				st[len(st)-1] = st[0] // keep the far word in play
 				return prev
-			}, tc.horizon)
-			assertTimedVar(t, u, tc.horizon)
+			})
 			var wg sync.WaitGroup
 			for i := 0; i < n; i++ {
 				wg.Add(1)
@@ -370,7 +350,7 @@ func TestPSimWordsSmallPoolStress(t *testing.T) {
 // has built there but not yet published; only the P re-check can tell, and
 // the round's early return (Done) must refuse the copy.
 func TestPSimWordsUnpublishedSuccessorRejected(t *testing.T) {
-	u := faaWord(1, 2, DefaultUpdateHorizon)
+	u := faaWord(1, 2)
 	u.Apply(0, 1) // record 0 published, state 1
 	idx, stamp := u.p.Load()
 	u.Apply(0, 1) // record 1 published, state 2; record 0 is rewritten next
@@ -396,12 +376,48 @@ func TestPSimWordsUnpublishedSuccessorRejected(t *testing.T) {
 	}
 }
 
+// TestPSimWordsIndexRecurrenceRejected: P's pool index alone is not a
+// version. At n = 2 and C = 2 process 1 rotates through two records, so two
+// of its publishes bring a loaded index back with its stamp two higher. A
+// round of process 0 that loaded P before them must lose its publish, or
+// it installs a successor built from a state that misses both.
+func TestPSimWordsIndexRecurrenceRejected(t *testing.T) {
+	u := faaWord(2, 2)
+	u.Apply(1, 1) // P names process 1's record 2 at stamp 1
+	r := u.thread(0)
+	u.announce[0].args[0].Store(8)
+	u.announce[0].cnt.Store(1)
+	applied, ok := r.Load()
+	if !ok || r.lpIdx != 2 || r.lpStamp != 1 {
+		t.Fatalf("loaded P = ⟨%d, %d⟩ (consistent %v), want ⟨2, 1⟩", r.lpIdx, r.lpStamp, ok)
+	}
+	u.Apply(1, 2) // record 3, stamp 2
+	u.Apply(1, 4) // record 2 again, stamp 3
+	if idx, stamp := u.p.Load(); idx != r.lpIdx || stamp != r.lpStamp+2 {
+		t.Fatalf("P = ⟨%d, %d⟩, want index %d back at stamp %d", idx, stamp, r.lpIdx, r.lpStamp+2)
+	}
+	active := applied.Clone()
+	active.FlipBit(0)
+	r.Build(active)
+	r.Serve(0)
+	r.Seal()
+	if r.Publish() {
+		t.Fatalf("a round that loaded ⟨2, 1⟩ published over ⟨2, 3⟩")
+	}
+	if got := readWord(u); got != 1+2+4 {
+		t.Fatalf("state = %d, want %d (process 1's three adds)", got, 1+2+4)
+	}
+	if got := u.Apply(0, 8); got != 7 || readWord(u) != 15 {
+		t.Fatalf("after the lost round: Apply = %d, state = %d; want 7, 15", got, readWord(u))
+	}
+}
+
 // TestPSimWordsAccessCountSequential: the pooled P-Sim has no solo round, so
 // at n=1 each operation pays the announced round's exact bill: 2 for the
 // announce and toggle, 2 for the LL and record copy, 1 Act word, 1 served
 // process and 1 SC.
 func TestPSimWordsAccessCountSequential(t *testing.T) {
-	u := faaWord(1, 0, DefaultUpdateHorizon)
+	u := faaWord(1, 0)
 	const per = 100
 	for k := 0; k < per; k++ {
 		u.Apply(0, 1)
@@ -416,7 +432,7 @@ func TestPSimWordsAccessCountSequential(t *testing.T) {
 // announce reads of the publishing operations.
 func TestPSimWordsAccessCountGrowsWithHelping(t *testing.T) {
 	const n, per = 8, 200
-	u := faaWord(n, 0, DefaultUpdateHorizon)
+	u := faaWord(n, 0)
 	u.SetBackoff(512, 4096)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

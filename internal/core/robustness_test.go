@@ -59,7 +59,7 @@ func TestPSimCrashedAnnouncerDoesNotBlock(t *testing.T) {
 // P-Sim.
 func TestPSimWordsCrashedAnnouncerDoesNotBlock(t *testing.T) {
 	const n, per = 4, 200
-	u := faaWord(n, 4, DefaultUpdateHorizon)
+	u := faaWord(n, 4)
 
 	u.announce[0].args[0].Store(777)
 	u.announce[0].cnt.Store(1)

@@ -26,7 +26,8 @@ const OpBottom uint64 = 0
 // headline result (Theorem 3.1) beating Jayanti's Ω(log n) LL/SC lower
 // bound. With nd > 64 the collect costs ⌈nd/64⌉ reads and the bound becomes
 // O(nd/b), also per Theorem 3.1. The stats plane's Accesses counter bills
-// every access (Stats().SharedAccesses).
+// every access (Stats().SharedAccesses), tallied during the operation and
+// added once when it closes.
 //
 // Sim is wait-free: ApplyOp runs Attempt exactly twice after announcing and
 // twice after withdrawing, never waiting on other processes.
@@ -109,32 +110,33 @@ func (u *Sim[S, R]) ApplyOp(i int, op uint64) R {
 
 	upd.Update(op) // line 1: announce op
 	SchedYield(i, PointAnnounce)
-	st.Accesses.Inc(i)
-	combined := u.attempt(i) // line 2
+	// acc tallies the operation's shared accesses, billed once at close.
+	acc := uint64(1)
+	combined := u.attempt(i, &acc) // line 2
 
 	upd.Update(OpBottom) // line 3: withdraw the announcement
-	st.Accesses.Inc(i)
-	combined += u.attempt(i) // line 4: eliminate the evidence of op
+	acc++
+	combined += u.attempt(i, &acc) // line 4: eliminate the evidence of op
 
 	rv := u.s.Read().rvals[i] // line 5
-	st.Accesses.Inc(i)
+	st.Accesses.Add(i, acc+1)
 	st.simDone(i, op0, combined)
 	return rv
 }
 
 // attempt is Algorithm 1's Attempt: run the LL/collect/apply/SC round
 // exactly twice (Observation 3.2 rests on both rounds executing). It
-// returns the total combining degree of its successful SC rounds.
-func (u *Sim[S, R]) attempt(i int) uint64 {
+// returns the total combining degree of its successful SC rounds and adds
+// its shared accesses to *acc.
+func (u *Sim[S, R]) attempt(i int, acc *uint64) uint64 {
 	st := u.stats
 	total := uint64(0)
 	ops := make([]uint64, u.n)
 	for j := 0; j < 2; j++ {
 		ls, tag := u.s.LL() // line 7
 		SchedYield(i, PointCollect)
-		st.Accesses.Inc(i)
 		u.col.CollectInto(ops) // line 8
-		st.Accesses.Add(i, uint64(u.col.Words()))
+		*acc += 1 + uint64(u.col.Words())
 
 		// lines 9–13: local loop — apply every announced-but-unapplied
 		// operation to a local copy of the state.
@@ -159,7 +161,7 @@ func (u *Sim[S, R]) attempt(i int) uint64 {
 		} else {
 			st.CASFailed(i, j, 0)
 		}
-		st.Accesses.Inc(i)
+		*acc++
 	}
 	return total
 }

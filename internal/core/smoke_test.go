@@ -80,7 +80,7 @@ func TestSimSmokeConcurrent(t *testing.T) {
 
 func TestPSimWordsSmokeConcurrent(t *testing.T) {
 	const n, opsPer = 8, 200
-	u := faaWord(n, 0, DefaultUpdateHorizon)
+	u := faaWord(n, 0)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)

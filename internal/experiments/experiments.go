@@ -229,7 +229,7 @@ func newPSimQueue(n int) *psimQueue {
 		*st = (*st)[1:]
 		return [2]uint64{1, v}
 	}
-	return &psimQueue{core.NewPSim(n, []uint64(nil), apply, core.WithClone[[]uint64](cloneWords))}
+	return &psimQueue{core.NewPSim(n, []uint64(nil), apply, core.WithCloneInto(cloneWords))}
 }
 
 func (q *psimQueue) Enqueue(id int, v uint64) { q.u.Apply(id, [2]uint64{1, v}) }
@@ -241,8 +241,10 @@ func (q *psimQueue) Dequeue(id int) (uint64, bool) {
 
 func (q *psimQueue) Name() string { return "P-Sim queue(1 instance)" }
 
-// cloneWords is the clone of a P-Sim state that is a word slice.
-func cloneWords(s []uint64) []uint64 { return append([]uint64(nil), s...) }
+// cloneWords copies a P-Sim state that is a word slice into a fresh slice,
+// never into dst's buffer: this per-round clone is what ablation-queue and
+// the P-Sim(GC) row of ablation-publication measure.
+func cloneWords(dst, src *[]uint64) { *dst = append([]uint64(nil), *src...) }
 
 // AblationBackoffMakers compares P-Sim with adaptive backoff against P-Sim
 // with backoff disabled (§4: "P-Sim achieves very good performance even if
@@ -270,7 +272,7 @@ func AblationPublicationMakers() []harness.Maker {
 	gcWords := func(n int) harness.Instance {
 		u := core.NewPSim(n, make([]uint64, words),
 			func(st *[]uint64, _ int, arg uint64) uint64 { return add(*st, arg) },
-			core.WithClone[[]uint64](cloneWords))
+			core.WithCloneInto(cloneWords))
 		return instance("P-Sim(GC) s=8", u, func(id int, rng *workload.RNG) { u.Apply(id, rng.Uint64()%64) })
 	}
 	pooledWords := func(n int) harness.Instance {

@@ -329,14 +329,13 @@ func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R)
 	}
 	l.announce.Publish(i, t.batch) // line 1
 	core.SchedYield(i, core.PointAnnounce)
-	l.stats.Accesses.Inc(i)
 	l.members[i].Join() // line 2
-	l.stats.Accesses.Inc(i)
+	t.mem.acc = 2
 	won := false
 	l.attempt(i, t, op0, &won) // lines 3–4
 	l.attempt(i, t, op0, &won)
 	l.members[i].Leave() // line 5
-	l.stats.Accesses.Inc(i)
+	t.mem.acc++
 	l.attempt(i, t, op0, &won) // line 6: eliminate the evidence of op
 
 	// line 7: read the committed responses from the current record while it
@@ -344,7 +343,7 @@ func (l *LSim[V, A, R]) ApplyBatch(i int, op OpFunc[V, A, R], args []A, res []R)
 	// rewritten row).
 	ls, _ := l.haz.Acquire(i, &l.state, 0)
 	res = append(res[:0], ls.res.Row(i)...)
-	l.stats.Accesses.Inc(i)
+	l.stats.Accesses.Add(i, t.mem.acc+1)
 
 	l.opDone(i, op0, won)
 	l.release(i)
@@ -380,7 +379,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 	st := l.stats
 	for j := 0; j < 2; j++ { // line 9
 		ls, ok := l.haz.Acquire(i, &l.state, core.HazardAttempts) // line 11 (LL)
-		l.stats.Accesses.Inc(i)
+		t.mem.acc++
 		if !ok {
 			// HazardAttempts publishes raced the protected load; the round
 			// is as doomed as a failed SC.
@@ -389,7 +388,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 		}
 		core.SchedYield(i, core.PointCollect)
 		l.act.GetSetInto(t.lact) // line 12
-		l.stats.Accesses.Add(i, uint64(l.act.Words()))
+		t.mem.acc += uint64(l.act.Words())
 
 		ns := l.record(i, t) // lines 14–18, into a recycled record
 		ns.seq = ls.seq + 1
@@ -412,13 +411,12 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 			continue
 		}
 
+		t.mem.acc++
 		if l.state.Load() != ls { // line 38 (VL): the state we read is obsolete
-			l.stats.Accesses.Inc(i)
 			st.CASFailed(i, j, 0)
 			l.rpool.Put(t.blk, ns)
 			continue
 		}
-		l.stats.Accesses.Inc(i)
 
 		// lines 39–43: write the dirty directory entries back per-item.
 		wrote, later := l.writeBack(i, t, m, ns.seq)
@@ -441,7 +439,7 @@ func (l *LSim[V, A, R]) attempt(i int, t *lthread[V, A, R], op core.Op, won *boo
 			l.rpool.Put(t.blk, ns)
 			st.CASFailed(i, j, 0)
 		}
-		l.stats.Accesses.Inc(i)
+		t.mem.acc++
 	}
 }
 
@@ -488,7 +486,7 @@ func (l *LSim[V, A, R]) simulate(ls, ns *lsimState[R], m *Mem[V, A, R], degree, 
 		for pending := ls.applied[w] &^ ls.papplied[w]; pending != 0; pending &= pending - 1 {
 			q := w*xatomic.WordBits + bits.TrailingZeros64(pending)
 			box, okp := l.announce.Protect(m.id, q) // the vector announced by q
-			l.stats.Accesses.Inc(m.id)
+			m.acc++
 			if !okp {
 				return false
 			}
@@ -522,7 +520,7 @@ func (l *LSim[V, A, R]) writeBack(i int, t *lthread[V, A, R], m *Mem[V, A, R], s
 		// the SC below, which gives the CAS true LL/SC semantics (a protected
 		// body is never recycled, so it cannot reappear under the pointer).
 		body, _ := l.ihaz.Acquire(i, &it.p, 0)
-		l.stats.Accesses.Inc(i)
+		m.acc++
 		if body.seq > seq {
 			return wrote, true // line 40
 		}
@@ -549,7 +547,7 @@ func (l *LSim[V, A, R]) writeBack(i int, t *lthread[V, A, R], m *Mem[V, A, R], s
 			// unpublished build.
 			l.ipool.Put(t.iblk, nb)
 		}
-		l.stats.Accesses.Inc(i)
+		m.acc++
 	}
 	return wrote, false
 }

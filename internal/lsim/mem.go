@@ -20,6 +20,10 @@ type Mem[V, A, R any] struct {
 	midx map[*Item[V]]int // the retained map, cleared and re-armed on demand
 	ltop *newVar          // cursor into the round's new-variable list
 	pvar *newVar          // preallocated node for the next Alloc attempt
+	// acc tallies the helper's shared accesses over its whole operation,
+	// rounds abandoned through obsoleteError included; ApplyBatch bills it
+	// to the stats plane once, when the operation closes.
+	acc uint64
 }
 
 // dirEnt is one directory record (struct DirectoryNode): the item's locally
@@ -96,7 +100,7 @@ func (m *Mem[V, A, R]) Read(it *Item[V]) V {
 	// protection moves on because bodies recycle by overwriting their slots,
 	// never the memory a stored V refers to.
 	body, _ := m.l.ihaz.Acquire(m.id, &it.p, 0)
-	m.l.stats.Accesses.Inc(m.id)
+	m.acc++
 	var v V
 	switch {
 	case body.seq == m.seq:
@@ -135,11 +139,11 @@ func (m *Mem[V, A, R]) Alloc() *Item[V] {
 		m.pvar = &newVar{item: newItem(m.l.ihaz, *new(V))}
 	}
 	if m.ltop.next.CompareAndSwap(nil, m.pvar) { // line 23
-		m.l.stats.Accesses.Inc(m.id)
+		m.acc++
 		m.pvar = nil // consumed; lines 24–25 preallocate lazily next time
 	}
 	m.ltop = m.ltop.next.Load() // line 26
-	m.l.stats.Accesses.Inc(m.id)
+	m.acc++
 	it := m.ltop.item.(*Item[V])
 	if m.lookup(it) < 0 {
 		// line 27: enter it into the directory with its initial value,

@@ -5,13 +5,15 @@
 // The design transplants the paper's single-writer discipline — the same one
 // that makes the Fetch&Add collect object of §3 cost one shared access — to
 // metrics: every primitive (Counter, Histogram) gives each thread its own
-// cache-line padded slot, and only thread i ever writes slot i. Updates are
-// therefore a plain load + store of an uncontended line (no LOCK-prefixed
-// RMW, no coherence traffic between writers), which is as cheap as shared
-// instrumentation gets. Readers aggregate all slots with atomic loads; a
-// snapshot is not a linearizable cut across threads (exactly like the Stats
-// of any per-thread counter scheme), but every per-slot value read is exact
-// and monotone.
+// cache-line padded slot, and only thread i ever writes slot i. An update is
+// therefore an atomic load and an atomic store of an uncontended line: no
+// read-modify-write and no coherence traffic between writers. It is not
+// free: on amd64 an atomic store is a locked XCHG, a full fence costing
+// about what a LOCK-prefixed add does, so hot paths tally locally and add
+// once per operation where they can. Readers aggregate all slots with
+// atomic loads; a snapshot is not a linearizable cut across threads
+// (exactly like the Stats of any per-thread counter scheme), but every
+// per-slot value read is exact and monotone.
 //
 // All write-side methods are nil-receiver safe and become no-ops on a nil
 // primitive, so instrumented code can keep unconditional calls on its hot
@@ -39,10 +41,11 @@ func NewCounter(n int) *Counter {
 // Inc adds 1 to slot id. No-op on a nil counter.
 func (c *Counter) Inc(id int) { c.Add(id, 1) }
 
-// Add adds d to slot id. Single-writer: the load+store pair is not an atomic
-// RMW, which is exactly why it is cheap — only thread id writes this slot, so
-// nothing can interleave. Atomics are still used so concurrent readers see
-// no torn values (Go memory model: no data race).
+// Add adds d to slot id. Single-writer: the load+store pair need not be an
+// atomic RMW — only thread id writes this slot, so nothing can interleave.
+// Atomics are still used so concurrent readers see no torn values (Go memory
+// model: no data race); the store is a locked XCHG on amd64 (see the
+// package comment).
 func (c *Counter) Add(id int, d uint64) {
 	if c == nil {
 		return

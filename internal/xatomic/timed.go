@@ -24,8 +24,8 @@ import "sync/atomic"
 // stamping it. internal/core's hazard-guarded recycling (and internal/lsim's
 // per-item variant) is that construction: a protected record is never
 // recycled, so its pointer can never recur while observed, and no stamp is
-// needed. TimedWord remains the paper-exact pool/seqlock variant used by
-// the publication ablation.
+// needed. TimedWord remains the paper-exact word, P of the pooled P-Sim
+// (core.PSimWords), and its bound stays the paper's assumption.
 
 const (
 	timedIndexBits = 16

@@ -83,7 +83,7 @@ func NewUniversal[S, A, R any](n int, init S, apply func(st *S, pid int, arg A) 
 	lo, hi := cfg.bounds()
 	opts := []core.PSimOption[S]{core.WithBackoff[S](lo, hi)}
 	if clone != nil {
-		opts = append(opts, core.WithClone(clone))
+		opts = append(opts, core.WithCloneInto(func(dst, src *S) { *dst = clone(*src) }))
 	}
 	return &Universal[S, A, R]{p: core.NewPSim(n, init, apply, opts...)}
 }
