@@ -351,7 +351,7 @@ func (ex *executor) handle(cmd string, f [][]byte) (quit bool) {
 			}
 			passes += partPasses
 			fmt.Fprintf(ex.w, "PART %d low=%d end=%d sealed=%d expired=%d skipped=%d passes=%d\n",
-				i, v.LowWater(), v.End(), v.SealedTotal(), v.ExpiredTotal(),
+				i, v.LowWater(), v.End(), v.SealedTotal(), v.LowWater(),
 				s.pollSkip[i].Total(), partPasses)
 		}
 		fmt.Fprintf(ex.w, "STATS appended=%d drained=%d low=%d end=%d passes=%d\n",

@@ -201,8 +201,8 @@ func runSmoke(n int, cfg serverConfig) error {
 	}
 
 	// Per-partition STATS lines must agree with the aggregate terminator
-	// and with the consumers' own skip accounting: low == expired (offsets
-	// are contiguous), and POLL-skip counters sum to what consumers saw.
+	// and with the consumers' own skip accounting: POLL-skip counters sum to
+	// what consumers saw.
 	agg, parts, err := ctl.stats()
 	if err != nil {
 		return fmt.Errorf("control: %w", err)
@@ -212,9 +212,6 @@ func runSmoke(n int, cfg serverConfig) error {
 	}
 	var sumEnd, sumLow, sumSkipped uint64
 	for i, p := range parts {
-		if p["low"] != p["expired"] {
-			return fmt.Errorf("partition %d: low=%d != expired=%d (offsets must be contiguous)", i, p["low"], p["expired"])
-		}
 		if p["passes"] == 0 {
 			return fmt.Errorf("partition %d: no retention passes recorded", i)
 		}

@@ -157,14 +157,14 @@ func TestIngestSoakHistory10k(t *testing.T) {
 	}()
 	stopPoll := make(chan struct{})
 	go func() {
-		c := p.NewCursor()
+		var pos uint64
 		buf := make([]ingest.Event, 0, 64)
 		for {
 			select {
 			case <-stopPoll:
 				return
 			default:
-				c.Poll(64, buf[:0])
+				_, pos, _ = p.View().Read(pos, 64, buf[:0])
 				time.Sleep(50 * time.Microsecond)
 			}
 		}

@@ -146,57 +146,6 @@ func RegisterSpec(init uint64) Spec {
 	}
 }
 
-// Set operation names.
-const (
-	OpInsert   = "ins" // set: Arg = key; RetOK = newly inserted
-	OpRemove   = "rem" // set: Arg = key; RetOK = was present
-	OpContains = "has" // set: Arg = key; RetOK = present
-)
-
-// SetSpec is a sequential set of uint64 keys.
-func SetSpec() Spec {
-	return Spec{
-		Init: func() any { return &seqState{} }, // sorted keys
-		Step: func(state any, op Operation) (any, bool) {
-			st := state.(*seqState)
-			idx := -1
-			for i, k := range st.items {
-				if k == op.Arg {
-					idx = i
-					break
-				}
-			}
-			present := idx >= 0
-			switch op.Op {
-			case OpContains:
-				return st, op.RetOK == present
-			case OpInsert:
-				if present {
-					return st, !op.RetOK
-				}
-				if !op.RetOK {
-					return st, false
-				}
-				ns := append(append([]uint64(nil), st.items...), op.Arg)
-				sortKeys(ns)
-				return &seqState{items: ns}, true
-			case OpRemove:
-				if !present {
-					return st, !op.RetOK
-				}
-				if !op.RetOK {
-					return st, false
-				}
-				ns := append([]uint64(nil), st.items[:idx]...)
-				ns = append(ns, st.items[idx+1:]...)
-				return &seqState{items: ns}, true
-			}
-			return st, false
-		},
-		Key: seqKey,
-	}
-}
-
 // Map operation names. All three pack the key into the high half of Arg so
 // one partition function covers them (values are the low half; get/del
 // leave it zero).
@@ -366,14 +315,5 @@ func LogSpec() Spec {
 			}
 			return string(b)
 		},
-	}
-}
-
-// sortKeys is a tiny insertion sort (sets in checked histories are small).
-func sortKeys(ks []uint64) {
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
 	}
 }

@@ -63,7 +63,7 @@ var ErrAmbiguous = errors.New("compose: ambiguous history")
 // Options configures CheckHistory.
 type Options struct {
 	Engine Engine
-	// Partition splits map and set histories per key before checking.
+	// Partition splits map and blob-map histories per key before checking.
 	// Sound and complete by the locality property of linearizability
 	// (Herlihy & Wing): with every operation touching one key, the history
 	// is linearizable iff each per-key projection is. Disabling it checks
@@ -94,20 +94,19 @@ const (
 	classCounter  = "counter"
 	classFMul     = "fmul"
 	classRegister = "register"
-	classSet      = "set"
 	classMap      = "map"
 	classBlob     = "blobmap"
 	classLog      = "log"
 )
 
 // CheckHistory splits ops into independent object classes (queue, stack,
-// counter, fmul, register, set, map, log — the classes never share state, so
-// their sub-histories are checked independently), partitions map and set
-// classes per key when opts.Partition is set, and routes every partition to
-// the engine chosen by opts.Engine. Counter and register histories start at
-// 0 and fmul histories at 1. nil means linearizable; ErrRejected
-// (test with Rejected) means proven non-linearizable; other errors are
-// engine limitations or malformed input.
+// counter, fmul, register, map, blob map, log — the classes never share
+// state, so their sub-histories are checked independently), partitions the
+// map and blob-map classes per key when opts.Partition is set, and routes
+// every partition to the engine chosen by opts.Engine. Counter and register
+// histories start at 0 and fmul histories at 1. nil means linearizable;
+// ErrRejected (test with Rejected) means proven non-linearizable; other
+// errors are engine limitations or malformed input.
 func CheckHistory(ops []check.Operation, opts Options) error {
 	classes, err := classify(ops)
 	if err != nil {
@@ -147,8 +146,6 @@ func classify(ops []check.Operation) (map[string][]check.Operation, error) {
 			classes[classRegister] = append(classes[classRegister], o)
 		case check.OpRead:
 			reads = append(reads, o)
-		case check.OpInsert, check.OpRemove, check.OpContains:
-			classes[classSet] = append(classes[classSet], o)
 		case check.OpMapPut, check.OpMapDel, check.OpMapGet:
 			classes[classMap] = append(classes[classMap], o)
 		case check.OpBlobPut, check.OpBlobDel, check.OpBlobGet:
@@ -245,12 +242,6 @@ func checkClass(class string, ops []check.Operation, opts Options) error {
 		return run(ops, check.FMulSpec(1))
 	case classRegister:
 		return run(ops, check.RegisterSpec(0))
-	case classSet:
-		if !opts.Partition {
-			return run(ops, check.SetSpec())
-		}
-		return eachPartition(ops, func(o check.Operation) uint64 { return o.Arg },
-			func(part []check.Operation) error { return run(part, SetKeySpec()) })
 	case classMap:
 		if !opts.Partition {
 			return run(ops, MapSpec())
@@ -296,40 +287,6 @@ func verdict(err error) string {
 		return "linearizable"
 	}
 	return "NOT linearizable"
-}
-
-// SetKeySpec is the sequential specification of ONE set key: a boolean
-// present/absent cell. The per-key projection of SetSpec, for use with
-// partitioned checking (sound because set operations on distinct keys
-// commute).
-func SetKeySpec() check.Spec {
-	return check.Spec{
-		Init: func() any { return false },
-		Step: func(state any, op check.Operation) (any, bool) {
-			present := state.(bool)
-			switch op.Op {
-			case check.OpContains:
-				return present, op.RetOK == present
-			case check.OpInsert:
-				if present {
-					return present, !op.RetOK
-				}
-				return op.RetOK, op.RetOK
-			case check.OpRemove:
-				if !present {
-					return present, !op.RetOK
-				}
-				return !op.RetOK, op.RetOK
-			}
-			return present, false
-		},
-		Key: func(state any) string {
-			if state.(bool) {
-				return "1"
-			}
-			return "0"
-		},
-	}
 }
 
 // BlobMapSpec is the WHOLE-map sequential specification of the blob-map

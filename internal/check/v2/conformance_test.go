@@ -62,7 +62,7 @@ func TestConformanceCorpus(t *testing.T) {
 		})
 	}
 	// Every spec class must be represented in the corpus.
-	for _, want := range []string{"stack", "queue", "queue_empty", "counter", "fmul", "register", "set", "map", "log"} {
+	for _, want := range []string{"stack", "queue", "queue_empty", "counter", "fmul", "register", "map", "blob", "log"} {
 		if !classes[want] {
 			t.Errorf("conformance corpus has no %q goldens", want)
 		}

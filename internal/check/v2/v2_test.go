@@ -3,7 +3,6 @@ package v2
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -527,23 +526,6 @@ func TestCheckHistoryMapPartitionModesAgree(t *testing.T) {
 	}
 }
 
-func TestCheckHistorySetPartitioning(t *testing.T) {
-	ops := []check.Operation{
-		h(0, check.OpInsert, 1, 0, true, 1, 2),
-		h(1, check.OpInsert, 2, 0, true, 3, 4),
-		h(0, check.OpContains, 1, 0, true, 5, 6),
-		h(1, check.OpRemove, 2, 0, true, 7, 8),
-		h(1, check.OpContains, 2, 0, false, 9, 10),
-	}
-	if err := Check(ops); err != nil {
-		t.Fatalf("good set history rejected: %v", err)
-	}
-	ops[4].RetOK = true // contains(2) after remove(2) succeeded
-	if err := Check(ops); !Rejected(err) {
-		t.Fatalf("bad set history: %v", err)
-	}
-}
-
 func TestCheckHistoryAmbiguousReads(t *testing.T) {
 	ops := []check.Operation{
 		h(0, check.OpAdd, 1, 0, false, 1, 2),
@@ -577,36 +559,7 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-// --- SetKeySpec / MapSpec sanity against their whole-object originals ---
-
-func TestSetKeySpecMatchesSetSpecPerKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		var ops []check.Operation
-		ts := int64(0)
-		for i := 0; i < 12; i++ {
-			ts++
-			op := check.Operation{Thread: 0, Arg: uint64(rng.Intn(2) + 1), Invoke: ts, Return: ts + 1}
-			ts++
-			op.Op = []string{check.OpInsert, check.OpRemove, check.OpContains}[rng.Intn(3)]
-			op.RetOK = rng.Intn(2) == 0
-			ops = append(ops, op)
-		}
-		whole, err := check.Linearizable(ops, check.SetSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		perKey, err := check.LinearizablePartitioned(ops,
-			func(o check.Operation) string { return fmt.Sprint(o.Arg) },
-			func(string) check.Spec { return SetKeySpec() })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if whole != perKey {
-			t.Fatalf("trial %d: SetSpec=%v per-key SetKeySpec=%v\n%s", trial, whole, perKey, FormatHistory(ops))
-		}
-	}
-}
+// --- MapSpec sanity against its per-key projection ---
 
 func TestMapSpecMatchesMapKeySpecOnSequentialHistories(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

@@ -424,6 +424,3 @@ func (u *PSim[S, A, R]) ReadFunc(f func(*S)) {
 // Stats returns aggregated combining statistics (Figure 2 right: the average
 // degree of helping is Stats().AvgHelping).
 func (u *PSim[S, A, R]) Stats() Stats { return u.stats.Aggregate() }
-
-// ResetStats zeroes the statistics counters.
-func (u *PSim[S, A, R]) ResetStats() { u.stats.Reset() }

@@ -191,10 +191,6 @@ func TestPSimStatsAccounting(t *testing.T) {
 	if s.AvgHelping < 1 {
 		t.Fatalf("AvgHelping = %f < 1", s.AvgHelping)
 	}
-	u.ResetStats()
-	if s2 := u.Stats(); s2.Ops != 0 || s2.CASSuccesses != 0 {
-		t.Fatalf("stats after reset: %+v", s2)
-	}
 }
 
 // TestPSimHelpingUnderWideBackoff: the wide-window configuration must

@@ -410,6 +410,3 @@ func (u *PSimWords) ReadInto(dst []uint64) {
 
 // Stats returns aggregated combining statistics.
 func (u *PSimWords) Stats() Stats { return u.stats.Aggregate() }
-
-// ResetStats zeroes the statistics counters.
-func (u *PSimWords) ResetStats() { u.stats.Reset() }

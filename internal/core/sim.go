@@ -173,9 +173,6 @@ func (u *Sim[S, R]) Read() S { return u.s.Read().st }
 // Stats returns aggregated combining statistics.
 func (u *Sim[S, R]) Stats() Stats { return u.stats.Aggregate() }
 
-// ResetStats zeroes the statistics counters.
-func (u *Sim[S, R]) ResetStats() { u.stats.Reset() }
-
 // simPublished records one of Sim's successful SC rounds: Sim publishes up
 // to four times per ApplyOp, so its combining degrees are observed per round
 // (under the operation's sampling decision), decoupled from its close.

@@ -182,10 +182,6 @@ func TestSimStatsCombined(t *testing.T) {
 	if s.Combined != n*per {
 		t.Fatalf("Combined = %d, want %d (exactly-once)", s.Combined, n*per)
 	}
-	u.ResetStats()
-	if u.Stats().Ops != 0 {
-		t.Fatal("ResetStats did not clear")
-	}
 }
 
 // TestSimRepeatedSameOpcode: the same opcode reused back-to-back by the same

@@ -228,10 +228,10 @@ func (p *StatsPlane) HazardOverflowed(tab uint64) {
 // an atomic load — but the result is a statistical snapshot, not a
 // linearizable cut. Counters are summed one after another while writers keep
 // writing, so derived identities (Ops == CASSuccess + ServedBy, say) can be
-// transiently off by in-flight operations. Consumers that difference two
-// snapshots must clamp at zero (obs.Registry.Delta already does): a Reset
-// racing the window, or a slot read before/after a neighbour's update, can
-// make an interval appear to shrink.
+// transiently off by in-flight operations. Every counter is monotone (no
+// plane is ever reset: callers build a fresh instance per run), so two
+// Aggregates taken in order never shrink, and differencing them
+// (obs.Registry.Delta) yields the operations in between.
 func (p *StatsPlane) Aggregate() Stats {
 	s := Stats{
 		Ops:            p.Ops.Total(),
@@ -245,24 +245,6 @@ func (p *StatsPlane) Aggregate() Stats {
 		s.AvgHelping = float64(s.Combined) / float64(s.CASSuccesses)
 	}
 	return s
-}
-
-// Reset zeroes every counter with atomic stores. Memory-safe at any time
-// (concurrent Aggregate reads either the old value or zero, never a torn
-// word), but NOT atomic with respect to writers: the hot path's
-// single-writer increment is a load+store pair, so an increment in flight
-// during Reset can resurrect its pre-reset value, and a reset landing
-// between two of Aggregate's counter reads yields a mixed-epoch snapshot.
-// Treat Reset as a quiescent-point operation; for live windows, difference
-// successive Aggregate/Snapshot values instead (obs.Registry.Delta clamps
-// at zero, so a racing reset can never produce a negative rate).
-func (p *StatsPlane) Reset() {
-	p.Ops.Reset()
-	p.CASSuccess.Reset()
-	p.CASFail.Reset()
-	p.Combined.Reset()
-	p.ServedBy.Reset()
-	p.Accesses.Reset()
 }
 
 // Stats aggregates the combining behaviour of a construction instance. The

@@ -119,14 +119,14 @@ func TestConcurrentStatsReads(t *testing.T) {
 	}
 }
 
-// TestStatsResetAggregateRace pins the snapshot-only contract of
-// StatsPlane.Reset and Aggregate (meant for -race): with per-slot writers,
-// concurrent Aggregate calls, periodic Resets, and a registry Delta reader
-// all running, every read must be memory-safe (atomic, never torn) and no
-// aggregate or delta may exceed the number of increments ever performed —
-// a reset racing a delta window must clamp at zero (obs.Registry.Delta's
-// subClamp), never wrap negative.
-func TestStatsResetAggregateRace(t *testing.T) {
+// TestStatsAggregateDeltaRace pins the snapshot-only contract of
+// StatsPlane.Aggregate and obs.Registry.Delta (meant for -race): with
+// per-slot writers, concurrent Aggregate calls and a registry Delta reader
+// all running, every read must be memory-safe (atomic, never torn). No
+// plane is ever reset, so successive aggregates never shrink, no aggregate
+// exceeds the increments performed, and the Delta reader's intervals add
+// up, with a last quiescent Delta, to exactly the totals written.
+func TestStatsAggregateDeltaRace(t *testing.T) {
 	const n, perThread = 4, 5000
 	p := core.NewStatsPlane(n)
 	reg := obs.NewRegistry()
@@ -138,9 +138,10 @@ func TestStatsResetAggregateRace(t *testing.T) {
 
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
-	aux.Add(3)
-	go func() { // aggregate reader
+	aux.Add(2)
+	go func() { // aggregate reader: monotone and bounded
 		defer aux.Done()
+		var prev core.Stats
 		for {
 			select {
 			case <-stop:
@@ -152,9 +153,15 @@ func TestStatsResetAggregateRace(t *testing.T) {
 				t.Errorf("aggregate exceeds increments performed: %+v", s)
 				return
 			}
+			if s.Ops < prev.Ops || s.CASSuccesses < prev.CASSuccesses || s.Combined < prev.Combined {
+				t.Errorf("aggregate shrank: %+v after %+v", s, prev)
+				return
+			}
+			prev = s
 		}
 	}()
-	go func() { // delta reader: clamped, so never a wrapped "negative"
+	sums := map[string]uint64{}
+	go func() { // delta reader: the only Delta caller, so intervals are disjoint
 		defer aux.Done()
 		for {
 			select {
@@ -162,24 +169,9 @@ func TestStatsResetAggregateRace(t *testing.T) {
 				return
 			default:
 			}
-			d := reg.Delta()
-			for name, v := range d.Counters {
-				if v > ceiling {
-					t.Errorf("delta %s = %d: reset race wrapped negative", name, v)
-					return
-				}
+			for name, v := range reg.Delta().Counters {
+				sums[name] += v
 			}
-		}
-	}()
-	go func() { // periodic resetter
-		defer aux.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			p.Reset()
 		}
 	}()
 
@@ -199,11 +191,21 @@ func TestStatsResetAggregateRace(t *testing.T) {
 	close(stop)
 	aux.Wait()
 
-	// Quiescent reset, then quiescent writes: the plane accounts exactly.
-	p.Reset()
-	p.Ops.Add(0, 7)
-	if s := p.Aggregate(); s.Ops != 7 || s.CASSuccesses != 0 {
-		t.Fatalf("post-quiescent-reset aggregate = %+v", s)
+	// Quiescent: the plane and the summed deltas account exactly.
+	if s := p.Aggregate(); s.Ops != n*perThread || s.CASSuccesses != n*perThread || s.Combined != 2*n*perThread {
+		t.Fatalf("quiescent aggregate = %+v, want ops=cas=%d combined=%d", s, n*perThread, 2*n*perThread)
+	}
+	for name, v := range reg.Delta().Counters {
+		sums[name] += v
+	}
+	for name, want := range map[string]uint64{
+		"plane_ops_total":         n * perThread,
+		"plane_cas_success_total": n * perThread,
+		"plane_combined_total":    2 * n * perThread,
+	} {
+		if sums[name] != want {
+			t.Fatalf("deltas of %s sum to %d, want %d", name, sums[name], want)
+		}
 	}
 }
 

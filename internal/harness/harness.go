@@ -54,20 +54,6 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// DefaultConfig mirrors the paper's setup scaled to CI-sized runs: the
-// paper used 10^6 operations and 10 repetitions on 32 cores; the defaults
-// keep the same shape at a fraction of the wall-clock cost and the CLI
-// exposes flags to restore the full-size run.
-func DefaultConfig() Config {
-	return Config{
-		Threads:  []int{1, 2, 4, 8, 16, 32},
-		TotalOps: 100_000,
-		MaxWork:  workload.DefaultMaxWork,
-		Reps:     3,
-		Seed:     1,
-	}
-}
-
 // Instance is one ready-to-run implementation under test: Op performs a
 // single operation for process id; Helping reports the average combining
 // degree at the end of the run (NaN when the notion does not apply).

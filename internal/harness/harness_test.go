@@ -211,16 +211,6 @@ func TestSpeedups(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.TotalOps <= 0 || cfg.Reps <= 0 || len(cfg.Threads) == 0 {
-		t.Fatalf("bad default config: %+v", cfg)
-	}
-	if cfg.MaxWork != workload.DefaultMaxWork {
-		t.Fatalf("MaxWork = %d", cfg.MaxWork)
-	}
-}
-
 func TestChartRendering(t *testing.T) {
 	out := Chart(sampleResults(), 10)
 	for _, want := range []string{"legend:", "A", "B", "threads"} {

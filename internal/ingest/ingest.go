@@ -6,21 +6,25 @@
 //	                         │ Drain
 //	                         ▼
 //	                      Spool (P-Sim append log, sealed segments)
-//	                         │ PSim.Read snapshots
+//	                         │ Spool.Read (PSim.ReadFunc, no clone)
 //	                         ▼
-//	                      Cursors (consumers; never block writers)
+//	                      consumers (own cursors; never block writers)
 //
 // Producers stamp a per-producer sequence number on every event and buffer
 // Config.Batch events locally before handing them to the wait-free queue as
 // ONE EnqueueBatch announce-vector — the paper's batching lever applied at
 // the ingest edge, which is what makes the steady-state append path free of
 // allocation and of per-event announce traffic. Drainers move queue batches
-// into the spool with a single ApplyBatch per batch. Consumers read spool
-// snapshots through Cursor, paying no coordination with either stage.
+// into the spool with a single ApplyBatch per batch. A consumer keeps its
+// own offset and reads from it with Spool().Read (or View().Read on a
+// snapshot), paying no coordination with either stage: offsets are
+// contiguous, so the returned next offset never decreases and
+// next - cursor == skipped + returned, with events lost to retention
+// counted as skipped rather than silently missing.
 //
 // Every process id (producer or drainer) must be driven by one goroutine at
 // a time — the single-writer announce discipline of the construction.
-// Cursors need no process id at all.
+// Readers need no process id at all.
 package ingest
 
 import (

@@ -27,20 +27,19 @@ func TestAppendFlushDrainPoll(t *testing.T) {
 	if n := p.Drain(1, 100); n != 10 {
 		t.Fatalf("drained %d events, want 10", n)
 	}
-	c := p.NewCursor()
-	evs := c.Poll(100, nil)
+	evs, pos, skipped := p.View().Read(0, 100, nil)
 	if len(evs) != 10 {
-		t.Fatalf("cursor got %d events, want 10", len(evs))
+		t.Fatalf("read got %d events, want 10", len(evs))
 	}
 	for i, e := range evs {
 		if e.Payload != uint64(100+i) || e.Seq != uint64(i+1) || e.Producer != 0 {
 			t.Fatalf("event %d = %+v", i, e)
 		}
 	}
-	if c.Pos() != 10 || c.Skipped() != 0 {
-		t.Fatalf("cursor pos=%d skipped=%d", c.Pos(), c.Skipped())
+	if pos != 10 || skipped != 0 {
+		t.Fatalf("cursor pos=%d skipped=%d", pos, skipped)
 	}
-	if evs := c.Poll(100, evs[:0]); len(evs) != 0 {
+	if evs, _, _ := p.View().Read(pos, 100, evs[:0]); len(evs) != 0 {
 		t.Fatalf("caught-up cursor returned %d events", len(evs))
 	}
 	st := p.Stats()
@@ -62,7 +61,7 @@ func TestAppendBatchStampsAndEnqueuesImmediately(t *testing.T) {
 	if n := p.Drain(1, 100); n != 4 { // the buffered event flushed first
 		t.Fatalf("drained %d, want 4 (buffered event flushed ahead)", n)
 	}
-	evs := p.NewCursor().Poll(100, nil)
+	evs, _, _ := p.View().Read(0, 100, nil)
 	for i, e := range evs {
 		if e.Payload != uint64(i+1) || e.Seq != uint64(i+1) {
 			t.Fatalf("order broken: event %d = %+v", i, e)
@@ -81,10 +80,9 @@ func TestCursorCountsRetentionGap(t *testing.T) {
 	if lwm == 0 {
 		t.Fatal("retention pass did not advance the watermark")
 	}
-	c := p.NewCursor()
-	evs := c.Poll(100, nil)
-	if c.Skipped() != lwm {
-		t.Fatalf("cursor skipped %d, watermark %d", c.Skipped(), lwm)
+	evs, _, skipped := p.View().Read(0, 100, nil)
+	if skipped != lwm {
+		t.Fatalf("cursor skipped %d, watermark %d", skipped, lwm)
 	}
 	if uint64(len(evs)) != 20-lwm {
 		t.Fatalf("cursor got %d events, want %d", len(evs), 20-lwm)
@@ -96,8 +94,9 @@ func TestCursorCountsRetentionGap(t *testing.T) {
 
 // TestPipelineConcurrent drives producers, a drainer, a retention runner and
 // snapshot consumers together — the full dataflow under the race detector.
-// Consumers assert the cursor contract: positions monotone, offsets strictly
-// increasing, per-producer sequence numbers strictly increasing.
+// Consumers keep their own cursor and assert the read contract: positions
+// monotone, every offset returned or counted as skipped, per-producer
+// sequence numbers strictly increasing.
 func TestPipelineConcurrent(t *testing.T) {
 	const (
 		producers = 3
@@ -145,23 +144,22 @@ func TestPipelineConcurrent(t *testing.T) {
 	consDone := make(chan error, 2)
 	for c := 0; c < 2; c++ {
 		go func() {
-			cur := p.NewCursor()
+			var pos uint64
 			buf := make([]Event, 0, 64)
 			lastSeq := make(map[int32]uint64)
 			for {
-				posBefore, skipBefore := cur.Pos(), cur.Skipped()
-				v := p.View()
-				evs := cur.PollView(&v, 64, buf[:0])
-				if cur.Pos() < posBefore {
+				evs, next, skipped := p.View().Read(pos, 64, buf[:0])
+				if next < pos {
 					consDone <- errTest("cursor position regressed")
 					return
 				}
 				// The cursor contract: every offset is either returned or
 				// counted as skipped, never both, never neither.
-				if cur.Pos()-posBefore != (cur.Skipped()-skipBefore)+uint64(len(evs)) {
+				if next-pos != skipped+uint64(len(evs)) {
 					consDone <- errTest("cursor advance != skipped + returned")
 					return
 				}
+				pos = next
 				for _, e := range evs {
 					if e.Seq <= lastSeq[e.Producer] {
 						consDone <- errTest("per-producer seq not increasing")
@@ -169,7 +167,7 @@ func TestPipelineConcurrent(t *testing.T) {
 					}
 					lastSeq[e.Producer] = e.Seq
 				}
-				if produced.Load() == producers*per && cur.Pos() >= uint64(producers*per) {
+				if produced.Load() == producers*per && pos >= uint64(producers*per) {
 					consDone <- nil
 					return
 				}

@@ -269,13 +269,6 @@ func (l *LSim[V, A, R]) Stats() core.Stats { return l.stats.Aggregate() }
 // accumulated write-set size across all rounds.
 func (l *LSim[V, A, R]) ItemsWritten() uint64 { return l.itemsWritten.Total() }
 
-// ResetStats zeroes the statistics counters (quiescent-point operation; see
-// core.StatsPlane.Reset).
-func (l *LSim[V, A, R]) ResetStats() {
-	l.stats.Reset()
-	l.itemsWritten.Reset()
-}
-
 // N returns the number of processes.
 func (l *LSim[V, A, R]) N() int { return l.n }
 

@@ -95,17 +95,6 @@ func (c *Counter) Slots() int {
 	return len(c.slots)
 }
 
-// Reset zeroes every slot. Not safe concurrently with writers; intended for
-// harness reuse between runs.
-func (c *Counter) Reset() {
-	if c == nil {
-		return
-	}
-	for i := range c.slots {
-		c.slots[i].V.Store(0)
-	}
-}
-
 // Gauge is a single shared up/down value (e.g. open connections). Unlike
 // Counter it has writers with no stable process id, so it uses one padded
 // atomic word and real atomic adds — fine for control-plane rates (connection

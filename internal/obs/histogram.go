@@ -65,22 +65,6 @@ func (h *Histogram) Slots() int {
 	return len(h.slots)
 }
 
-// Reset zeroes every slot. Not safe concurrently with writers.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.slots {
-		s := &h.slots[i]
-		for b := range s.buckets {
-			s.buckets[b].Store(0)
-		}
-		s.count.Store(0)
-		s.sum.Store(0)
-		s.max.Store(0)
-	}
-}
-
 // Snapshot aggregates all slots with atomic loads. Safe concurrently with
 // writers; each per-slot value is exact, the cross-slot cut is not atomic.
 func (h *Histogram) Snapshot() HistSnapshot {
@@ -103,7 +87,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is an aggregated point-in-time view of a Histogram. The zero
-// value is an empty snapshot; snapshots combine with Merge and Sub.
+// value is an empty snapshot; Sub turns two snapshots into an interval.
 type HistSnapshot struct {
 	Count   uint64
 	Sum     uint64
@@ -111,22 +95,12 @@ type HistSnapshot struct {
 	Buckets [NumBuckets]uint64
 }
 
-// Merge adds b's samples into s. Max becomes the larger of the two.
-func (s *HistSnapshot) Merge(b HistSnapshot) {
-	s.Count += b.Count
-	s.Sum += b.Sum
-	if b.Max > s.Max {
-		s.Max = b.Max
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += b.Buckets[i]
-	}
-}
-
 // Sub subtracts an earlier snapshot of the same histogram, leaving the
-// samples recorded in between (the delta view). Fields clamp at 0 so a
-// concurrent Reset cannot produce wrapped counts. Max stays the lifetime
-// max — per-interval maxima are not recoverable from bucket deltas.
+// samples recorded in between (the delta view). A histogram is never reset,
+// so a snapshot taken later is never smaller; fields still clamp at 0, so
+// snapshots passed out of order cannot produce wrapped counts. Max stays
+// the lifetime max — per-interval maxima are not recoverable from bucket
+// deltas.
 func (s *HistSnapshot) Sub(earlier HistSnapshot) {
 	s.Count = subClamp(s.Count, earlier.Count)
 	s.Sum = subClamp(s.Sum, earlier.Sum)

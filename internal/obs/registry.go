@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"sort"
 	"sync"
 )
@@ -11,16 +12,17 @@ import (
 // structures. Snapshot and Delta read every registered metric with atomic
 // loads.
 //
-// A name may hold SEVERAL counters or histograms: Attach lets code that
-// already maintains its own per-thread counters (core.StatsPlane, one per
-// Sim instance) publish them under a shared name, and snapshots sum the
+// A name may hold SEVERAL counters: AttachCounter lets code that already
+// maintains its own per-thread counters (core.StatsPlane, one per Sim
+// instance) publish them under a shared name, and snapshots sum the
 // collection — e.g. every stripe of a simmap attaches its plane to the same
-// "map_ops_total".
+// "map_ops_total". A histogram name holds exactly one histogram: Histogram
+// is get-or-create, so every instance recording under a name shares it.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string][]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string][]*Histogram
+	hists    map[string]*Histogram
 
 	lastCounters map[string]uint64
 	lastHists    map[string]HistSnapshot
@@ -31,7 +33,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:     map[string][]*Counter{},
 		gauges:       map[string]*Gauge{},
-		hists:        map[string][]*Histogram{},
+		hists:        map[string]*Histogram{},
 		lastCounters: map[string]uint64{},
 		lastHists:    map[string]HistSnapshot{},
 	}
@@ -66,17 +68,6 @@ func (r *Registry) AttachCounter(name string, c *Counter) {
 	r.counters[name] = append(r.counters[name], c)
 }
 
-// AttachHistogram publishes an externally owned histogram under name;
-// snapshots report the merge of every histogram attached to the name.
-func (r *Registry) AttachHistogram(name string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hists[name] = append(r.hists[name], h)
-}
-
 // Gauge returns the gauge registered under name, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
@@ -101,11 +92,11 @@ func (r *Registry) Histogram(name string, n int) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if l := r.hists[name]; len(l) > 0 {
-		return l[0]
+	h := r.hists[name]
+	if h == nil {
+		h = NewHistogram(n)
+		r.hists[name] = h
 	}
-	h := NewHistogram(n)
-	r.hists[name] = []*Histogram{h}
 	return h
 }
 
@@ -141,18 +132,15 @@ func (r *Registry) LookupCounters(name string) []*Counter {
 	return nil
 }
 
-// LookupHistograms returns the histograms published under name (a copy;
-// nil if unregistered).
-func (r *Registry) LookupHistograms(name string) []*Histogram {
+// LookupHistogram returns the histogram registered under name (nil if
+// unregistered).
+func (r *Registry) LookupHistogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if l := r.hists[name]; len(l) > 0 {
-		return append([]*Histogram(nil), l...)
-	}
-	return nil
+	return r.hists[name]
 }
 
 // Snapshot is a point-in-time aggregated view of every registered metric.
@@ -196,14 +184,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.counters {
 		counters[k] = append([]*Counter(nil), v...)
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string][]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = append([]*Histogram(nil), v...)
-	}
+	gauges := maps.Clone(r.gauges)
+	hists := maps.Clone(r.hists)
 	r.mu.Unlock()
 
 	for k, l := range counters {
@@ -216,12 +198,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, g := range gauges {
 		out.Gauges[k] = g.Value()
 	}
-	for k, l := range hists {
-		var s HistSnapshot
-		for _, h := range l {
-			s.Merge(h.Snapshot())
-		}
-		out.Histograms[k] = s
+	for k, h := range hists {
+		out.Histograms[k] = h.Snapshot()
 	}
 	return out
 }
@@ -230,8 +208,10 @@ func (r *Registry) Snapshot() Snapshot {
 // Delta call (or since registry creation on the first call). Gauges are
 // reported at their absolute value — a delta of a level is meaningless.
 // Delta is what a periodic dumper wants: per-interval rates instead of
-// lifetime totals. Serialized internally; concurrent callers see disjoint
-// intervals.
+// lifetime totals. Counters and histograms only grow, but two overlapping
+// callers may take their snapshots in one order and record them in the
+// other: the later-recorded difference then clamps at zero, and the next
+// call counts that interval again.
 func (r *Registry) Delta() Snapshot {
 	snap := r.Snapshot()
 	if r == nil {

@@ -75,7 +75,7 @@ type seriesState struct {
 	name string
 
 	ops, casSuccess, casFail, combined []*obs.Counter
-	lat, combine                       []*obs.Histogram
+	lat, combine                       *obs.Histogram
 
 	prevOps, prevCASSuccess, prevCASFail, prevCombined uint64
 	prevLat, prevCombine                               obs.HistSnapshot
@@ -158,8 +158,8 @@ func New(reg *obs.Registry, cfg Config) *Timeline {
 			casSuccess: reg.LookupCounters(obs.Join(prefix, "_cas_success_total")),
 			casFail:    reg.LookupCounters(obs.Join(prefix, "_cas_fail_total")),
 			combined:   reg.LookupCounters(obs.Join(prefix, "_combined_total")),
-			lat:        reg.LookupHistograms(obs.Join(prefix, "_op_latency_ns")),
-			combine:    reg.LookupHistograms(obs.Join(prefix, "_combine_degree")),
+			lat:        reg.LookupHistogram(obs.Join(prefix, "_op_latency_ns")),
+			combine:    reg.LookupHistogram(obs.Join(prefix, "_combine_degree")),
 			ring:       make([]Sample, ringCap),
 		}
 		t.series = append(t.series, ss)
@@ -277,7 +277,7 @@ func (t *Timeline) Scrape() {
 		cb := sumCounters(ss.combined)
 		s.Combined, ss.prevCombined = cb-ss.prevCombined, cb
 
-		lat := snapHists(ss.lat)
+		lat := ss.lat.Snapshot()
 		d := lat
 		d.Sub(ss.prevLat)
 		ss.prevLat = lat
@@ -287,7 +287,7 @@ func (t *Timeline) Scrape() {
 		s.LatP99 = d.Quantile(0.99)
 		s.LatMax = d.Max
 
-		comb := snapHists(ss.combine)
+		comb := ss.combine.Snapshot()
 		dc := comb
 		dc.Sub(ss.prevCombine)
 		ss.prevCombine = comb
@@ -309,14 +309,6 @@ func sumCounters(l []*obs.Counter) uint64 {
 		t += c.Total()
 	}
 	return t
-}
-
-func snapHists(l []*obs.Histogram) obs.HistSnapshot {
-	var out obs.HistSnapshot
-	for _, h := range l {
-		out.Merge(h.Snapshot())
-	}
-	return out
 }
 
 // annotate appends one annotation entry. Annotations share process id

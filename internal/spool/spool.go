@@ -127,8 +127,7 @@ type state[E Entry] struct {
 	next   uint64        // next offset to assign
 	lwm    uint64        // oldest retained offset
 
-	sealedTotal  uint64 // segments sealed since birth
-	expiredTotal uint64 // entries dropped by retention or the ring bound
+	sealedTotal uint64 // segments sealed since birth
 }
 
 // opKind tags the operations of the sequential object.
@@ -226,7 +225,6 @@ func cloneInto[E Entry](dst, src *state[E]) {
 	dst.next = src.next
 	dst.lwm = src.lwm
 	dst.sealedTotal = src.sealedTotal
-	dst.expiredTotal = src.expiredTotal
 }
 
 // apply is the sequential specification run by the combiner.
@@ -279,7 +277,6 @@ func (s *Spool[E]) apply(st *state[E], _ int, op Op[E]) uint64 {
 			n := copy(st.active.Entries, st.active.Entries[k:])
 			st.active.Entries = st.active.Entries[:n]
 			st.active.Base += k
-			st.expiredTotal += k
 			if n > 0 {
 				st.active.FirstTS = st.active.Entries[0].Stamp()
 			}
@@ -310,7 +307,6 @@ func (s *Spool[E]) seal(st *state[E]) {
 
 // dropOldest expires the oldest sealed segment.
 func (s *Spool[E]) dropOldest(st *state[E]) {
-	st.expiredTotal += uint64(len(st.sealed[0].Entries))
 	st.sealed[0] = nil // release the segment even while the slice head advances
 	st.sealed = st.sealed[1:]
 }

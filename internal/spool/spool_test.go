@@ -62,9 +62,6 @@ func TestSealedRingBoundAdvancesWatermark(t *testing.T) {
 	if v.LowWater() == 0 {
 		t.Fatal("ring bound exceeded but low watermark did not advance")
 	}
-	if v.ExpiredTotal() != v.LowWater() {
-		t.Fatalf("expired=%d lwm=%d: contiguous offsets make these equal", v.ExpiredTotal(), v.LowWater())
-	}
 	// Retained range still contiguous and readable.
 	evs, next, skipped := v.Read(0, 100, nil)
 	if skipped != v.LowWater() || next != 10 {

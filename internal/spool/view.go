@@ -12,7 +12,8 @@ type View[E Entry] struct {
 }
 
 // LowWater returns the oldest retained offset: everything below it has been
-// expired by retention (or the sealed-ring bound).
+// expired by retention (or the sealed-ring bound). Offsets start at 0 and
+// are contiguous, so it is also the number of entries expired so far.
 func (v View[E]) LowWater() uint64 { return v.st.lwm }
 
 // End returns the offset one past the newest entry (the next to be
@@ -28,11 +29,6 @@ func (v View[E]) Segments() int { return len(v.st.sealed) }
 // SealedTotal returns the number of segments sealed since the spool was
 // created (a monotone counter, unlike Segments which the ring bounds).
 func (v View[E]) SealedTotal() uint64 { return v.st.sealedTotal }
-
-// ExpiredTotal returns the number of entries dropped by retention and the
-// sealed-ring bound — the retention high-watermark equals
-// LowWater() == ExpiredTotal() exactly because offsets are contiguous.
-func (v View[E]) ExpiredTotal() uint64 { return v.st.expiredTotal }
 
 // Read copies up to max entries starting at offset cursor into out
 // (appending; pass out[:0] to reuse a buffer) and returns the filled slice,
